@@ -7,11 +7,20 @@ Every body's outputs become tables (one per CLI op, one for all
   seed code, matched by column name so added columns are ignored.  The
   ``NA`` pattern must be identical; numbers must agree within the
   tolerances in ``TOLERANCES``, which were fixed before any optimisation.
+  A table of at most ``FULL_ROWS`` rows is stored and compared row by row
+  in full (every sweep, curves and cat-phase table).  A longer one (the
+  three chain tables) stores every n-th row, at most ``SAMPLED_ROWS`` of
+  them, and the sum of each numeric column over all rows; the sums must
+  agree within the summed tolerances.  Every chain row is pinned besides
+  by the cross-checks below: each propagate block decays as exp(-2 kappa x)
+  from its first row, and each cat-entropy row follows in closed form from
+  the propagate rows.
 * **Invariants and cross-checks** (every seed): physics that holds on any
   grid, computed here independently of the library: |beta| <= 1,
   g~ in [0, 1], feasibility, the dispersion relation's residual, the
   phase-matching angle, lambda+ + lambda- = 1, 0 <= S <= ln 2, the
-  closed-form cat eigenvalues rebuilt from the ``propagate`` counts, and
+  exponential decay of each ``propagate`` block, the closed-form cat
+  eigenvalues rebuilt from the ``propagate`` counts, and
   the two-state Gram-matrix eigenvalues for ``cat-phase``.
 
 A check returns the indices of the ops whose output failed, with one
@@ -32,8 +41,10 @@ EPS_PRISM = 1.51
 MU = 0.65
 # Default gap search window of the optimize command (m).
 D2_WINDOW = (50e-9, 3e-6)
-# At most this many rows of a table are stored in a reference.
-REFERENCE_ROWS = 64
+# A reference stores tables of up to FULL_ROWS rows in full, and every
+# n-th row of a longer table, at most SAMPLED_ROWS of them.
+FULL_ROWS = 5000
+SAMPLED_ROWS = 1000
 
 #: (absolute, relative) tolerance per column; other numeric columns use
 #: DEFAULT_TOLERANCE.  d2 sits on a flat optimum, so any optimiser finds a
@@ -114,16 +125,28 @@ def _na_runs(table: Table, columns: list[str]) -> list[list]:
     return runs
 
 
+def _column_sums(table: Table, columns: list[str]) -> dict[str, list[float]]:
+    """[sum, sum of magnitudes, count] of each column's numeric cells."""
+    sums = {}
+    for c in columns:
+        values = [v for v in (row[table.index[c]] for row in table.rows) if isinstance(v, float)]
+        if values:
+            sums[c] = [math.fsum(values), math.fsum(abs(v) for v in values), len(values)]
+    return sums
+
+
 def record_reference(workload: str, tables: list[Table], source: str) -> dict:
     out = {"workload": workload, "seed": 0, "source": source, "tables": []}
     for t in tables:
-        stride = max(1, math.ceil(len(t.rows) / REFERENCE_ROWS))
+        n = len(t.rows)
+        stride = 1 if n <= FULL_ROWS else math.ceil(n / SAMPLED_ROWS)
         out["tables"].append({
             "columns": t.columns,
-            "n_rows": len(t.rows),
+            "n_rows": n,
             "na_runs": _na_runs(t, t.columns),
             "stride": stride,
             "rows": t.rows[::stride],
+            "sums": _column_sums(t, t.columns),
         })
     return out
 
@@ -163,6 +186,12 @@ def compare_reference(workload: str, tables: list[Table], reference: dict):
                     continue  # covered by the NA pattern
                 if not _close(actual, expected, column):
                     fail(ti, ri, f"{column} = {actual!r}, reference {expected!r}")
+        sums = _column_sums(t, ref["columns"])
+        for column, (total, magnitude, count) in ref["sums"].items():
+            atol, rtol = TOLERANCES.get(column, DEFAULT_TOLERANCE)
+            got = sums.get(column, [math.nan])[0]
+            if not abs(got - total) <= count * atol + rtol * magnitude:
+                fail(ti, 0, f"column {column} sums to {got!r}, reference {total!r}")
     return failed, messages
 
 
@@ -269,6 +298,13 @@ def _check_chain(tables, fail):
         x0, m0, ri0 = rows[0]
         if x0 != 0.0 or not 0.0 < m0 <= MU:
             fail(0, ri0, f"m~(0) = {m0!r} outside (0, mu]")
+            continue
+        # m~(x) = m~(0) exp(-2 kappa x), kappa fixed by the block's last row.
+        x_last, m_last, _ = rows[-1]
+        rate = math.log(m0 / m_last) / x_last
+        for x, m, ri in rows[1:]:
+            if abs(m - m0 * math.exp(-rate * x)) > 1e-9 * m:
+                fail(0, ri, f"m~ = {m!r} off the block's exponential decay")
     m_at = {(r["branch"], r["omega"], r["x"]): r["m_tilde"] for r in prop.records()}
     for ti, cat in enumerate(tables[1:], start=1):
         for ri, r in enumerate(cat.records()):

@@ -25,7 +25,8 @@ every set-up probe.  The unscaled figures are printed on ``#`` lines.
 
 ``--trace 1`` alternates untraced and traced bodies and reports the
 per-layer metrics of ``spans.py``: calls of one body (exact counts),
-median self time per body, and ``trace.overhead_share``.
+median self time per body, and ``trace.overhead_share``.  A ``#`` line
+gives each layer's share of the summed self time of every wrapped function.
 
 Outputs are checked on every run (``checks.py``); an op fails on a nonzero
 exit code, an exception, a failed check, or output that differs from the
@@ -47,6 +48,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import checks
@@ -237,6 +239,7 @@ def run_untraced(runner, verify, seconds: float, setup_probes: list[tuple[float,
 
 def run_traced(runner, verify, seconds: float):
     plain, traced, summaries = [], [], []
+    layers: dict[str, float] = defaultdict(float)
     start = time.perf_counter()
     while not traced or time.perf_counter() - start < seconds:
         body = Body(runner)
@@ -248,13 +251,20 @@ def run_traced(runner, verify, seconds: float):
         verify(body)
         traced.append(body)
         summaries.append(spans.summarize(tracer.spans, TRACED))
+        for layer, t in spans.layer_self_times(tracer.spans).items():
+            layers[layer] += t
     first = summaries[0]
     repeat = all(s[m] == first[m] for s in summaries for m in first if is_count(m))
     metrics = {m: (statistics.median(s[m] for s in summaries) if m.endswith(".self_s") else first[m]) for m in first}
     metrics["trace.overhead_share"] = (
         statistics.median(b.wall for b in traced) / statistics.median(b.wall for b in plain) - 1.0
     )
-    notes = [f"untraced bodies: {len(plain)}, traced bodies: {len(traced)}, counts repeat: {repeat}"]
+    total = sum(layers.values())
+    shares = ", ".join(f"{layer} {t / total:.3f}" for layer, t in sorted(layers.items(), key=lambda kv: -kv[1]))
+    notes = [
+        f"untraced bodies: {len(plain)}, traced bodies: {len(traced)}, counts repeat: {repeat}",
+        f"layer shares of self time: {shares}",
+    ]
     attempted = sum(len(b.latencies) for b in plain + traced)
     return metrics, attempted, notes, repeat
 

@@ -1,6 +1,7 @@
 """Self-test of the benchmark: the traced run wraps what it claims, its
-counts repeat exactly, the bypass predictions hold, and the output checks
-catch a wrong number but accept an added column.
+self times account for the whole body, its counts repeat exactly, the
+bypass predictions hold, and the output checks catch a wrong number but
+accept an added column.
 
 Usage (from the repository root; under a minute)::
 
@@ -12,6 +13,7 @@ Exits 0 when every check passes and 1 otherwise, printing one line per check.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -114,9 +116,49 @@ def check_output_checks() -> None:
     expect(checks.compare_reference("sweep", [table], ref)[0] == {0}, "a new NA cell fails")
 
 
+def check_chain_rows() -> None:
+    """A wrong number in a chain row that the reference does not store fails."""
+    runner = workloads.setup("chain", 0)
+    outputs = [runner.run_op(op)[1] for op in runner.ops]
+    tables = checks.tables_of("chain", runner.ops, outputs)
+    expect(checks.check("chain", 0, runner.ops, outputs, runner.lrspp.SILVER)[0] == set(), "chain: outputs pass")
+    expect(checks.load_reference("chain")["tables"][0]["stride"] > 1, "chain: propagate rows are sampled")
+    m = tables[0].index["m_tilde"]
+    tables[0].rows[1][m] *= 1.0 + 1e-6
+    failed, _ = checks.check_invariants("chain", tables, runner.ops, runner.lrspp.SILVER)
+    expect(0 in failed, "chain: an unstored m~ off by 1e-6 fails")
+
+
+def check_self_time(workload: str) -> None:
+    """Every root span of a traced body is a reported function, the reported
+    self times add up to the root spans, and the ops' entry spans cover the body."""
+    runner = workloads.setup(workload, 0)
+    tracer = spans.Tracer()
+    with tracer:
+        body = run.Body(runner)
+    roots = [(name, end - start) for _, parent, name, start, end, _ in tracer.spans if parent == -1]
+    unreported = {name for name, _ in roots} - set(run.TRACED)
+    expect(not unreported, f"{workload}: every root span is reported {unreported or ''}")
+    root_s = math.fsum(t for _, t in roots)
+    self_s = math.fsum(spans.self_times(tracer.spans, set(run.TRACED)).values())
+    expect(
+        abs(self_s - root_s) <= 1e-9 * root_s,
+        f"{workload}: summed self_s {self_s:.4f} s = summed root spans {root_s:.4f} s",
+    )
+    entry = "statetransfer.propagate_cat" if workload == "cat-phase" else "cli.run"
+    entry_s = math.fsum(t for name, t in roots if name == entry)
+    expect(
+        0.9 * body.wall <= entry_s <= body.wall,
+        f"{workload}: {entry} spans cover {entry_s / body.wall:.1%} of the traced body",
+    )
+
+
 def main() -> int:
     check_bindings()
     check_output_checks()
+    check_chain_rows()
+    for workload in workloads.WORKLOADS:
+        check_self_time(workload)
     for workload in workloads.WORKLOADS:
         first, second = traced_run(workload), traced_run(workload)
         for res in (first, second):

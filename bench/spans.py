@@ -11,11 +11,15 @@ an unwrapped original.
 
 A span is ``(id, parent_id, name, start, end, value)``.  The parent is the
 innermost open span of the same thread; spans opened in a worker thread
-of ``coupling.optimize_path`` start a tree of their own.  Self time is a
-span's duration minus the durations of its direct children, all of which
-lie inside it.  ``value`` carries one number per call for the functions in
-``VALUES`` (a flag or a byte count), from which the derived per-layer
-counters are computed.
+of ``coupling.optimize_path`` start a tree of their own.  Self time is
+taken over a chosen set of *reported* functions: a reported span's
+duration minus the durations of the reported spans nested in it with no
+reported span between.  The time of an unreported span (``build_parser``
+under ``cli.run``, say) thus counts to its nearest reported ancestor, and
+the self times of one body add up to the durations of its root spans.
+``value`` carries one number per call for the functions in ``VALUES`` (a
+flag or a byte count), from which the derived per-layer counters are
+computed.
 """
 
 from __future__ import annotations
@@ -134,22 +138,40 @@ class Tracer:
         self.uninstall()
 
 
+def self_times(spans: list[tuple], reported=None) -> dict[str, float]:
+    """Self time per reported function name (every name if ``reported`` is
+    None); an unreported span's time counts to its nearest reported ancestor."""
+    name_of = {sid: name for sid, _, name, _, _, _ in spans}
+    if reported is None:
+        reported = set(name_of.values())
+    owner: dict[int, int] = {}  # nearest reported ancestor, -1 for none
+    child_time: dict[int, float] = defaultdict(float)
+    # A parent ends, and is appended, after its children: walking the list
+    # backwards meets every parent before its children.
+    for sid, parent, name, start, end, _ in reversed(spans):
+        owner[sid] = parent if parent == -1 or name_of[parent] in reported else owner[parent]
+        if name in reported:
+            child_time[owner[sid]] += end - start
+    out: dict[str, float] = defaultdict(float)
+    for sid, _, name, start, end, _ in spans:
+        if name in reported:
+            out[name] += (end - start) - child_time[sid]
+    return out
+
+
 def summarize(spans: list[tuple], names) -> dict[str, float]:
     """Per-function ``calls`` and ``self_s`` plus the derived counters."""
-    child_time: dict[int, float] = defaultdict(float)
+    self_s = self_times(spans, set(names))
     parent_of: dict[int, int] = {}
     name_of: dict[int, str] = {}
-    for sid, parent, name, start, end, _ in spans:
-        child_time[parent] += end - start
+    for sid, parent, name, _, _, _ in spans:
         parent_of[sid] = parent
         name_of[sid] = name
     calls: dict[str, int] = defaultdict(int)
-    self_s: dict[str, float] = defaultdict(float)
     values: dict[str, float] = defaultdict(float)
     lossy_in_optimize = 0
     for sid, parent, name, start, end, value in spans:
         calls[name] += 1
-        self_s[name] += (end - start) - child_time[sid]
         if value is not None:
             values[name] += value
         if name == "modes.four_layer_solve" and value:
@@ -166,4 +188,12 @@ def summarize(spans: list[tuple], names) -> dict[str, float]:
     out["coupling.beta_evals_per_cell"] = lossy_in_optimize / n_opt if n_opt else 0.0
     out["fock.kraus_bytes"] = values["fock.amplitude_damping_kraus"]
     out["datasets.to_csv.bytes"] = values["datasets.to_csv"]
+    return out
+
+
+def layer_self_times(spans: list[tuple]) -> dict[str, float]:
+    """Self time per layer, every wrapped function counted."""
+    out: dict[str, float] = defaultdict(float)
+    for name, t in self_times(spans).items():
+        out[name.split(".")[0]] += t
     return out

@@ -86,12 +86,9 @@ class Workload:
     def ops(self, seed: int) -> list:
         raise NotImplementedError
 
-    def config(self, seed: int) -> dict:
-        """The workload's run configuration as ``lrspp.config`` keys (SI)."""
-        raise NotImplementedError
-
-    def warmup_ops(self) -> list:
-        """Small ops that touch every layer the workload uses."""
+    def warmup_ops(self, ops: list) -> list:
+        """Small ops, taken from the workload's own, that touch every layer
+        it uses."""
         raise NotImplementedError
 
     def work_units(self, ops: list, outputs: list) -> int:
@@ -104,8 +101,31 @@ def _data_rows(csv_text: str) -> int:
     return max(len(lines) - 1, 0)
 
 
+def _shrunk(argv: list[str]) -> list[str]:
+    """``argv`` with every grid cut to two points, at one thread.
+
+    ``lrspp.cli.run`` validates the op's own ranges and options at a small
+    fraction of its cost.  One thread, because the pool is built per
+    invocation: a warm-up pool would only add GIL hand-off jitter to setup_s.
+    """
+    out = list(argv)
+    for i, arg in enumerate(argv[:-1]):
+        if arg.endswith("-steps"):
+            out[i + 1] = "2"
+        elif arg == "--threads":
+            out[i + 1] = "1"
+    return out
+
+
 class CliWorkload(Workload):
     """Ops are argv lists for ``lrspp.cli.run``; outputs are CSV text."""
+
+    def warmup_ops(self, ops: list) -> list:
+        """The first op of each subcommand, shrunk."""
+        first: dict[str, list[str]] = {}
+        for op in ops:
+            first.setdefault(op[0], op)
+        return [_shrunk(op) for op in first.values()]
 
     @staticmethod
     def run_op(lrspp_cli, argv: list[str]) -> tuple[int, str, str]:
@@ -136,21 +156,6 @@ class Sweep(CliWorkload):
             + ["--d2-steps", str(self._D2_STEPS)]
         ]
 
-    def config(self, seed: int) -> dict:
-        omega, d1 = self._grids(seed)
-        return {
-            "branch": "both", "threads": 2,
-            "omega_min": omega[0], "omega_max": omega[1], "omega_steps": omega[2],
-            "d1_min": d1[0] * 1e-9, "d1_max": d1[1] * 1e-9, "d1_steps": d1[2],
-            "d2_steps": self._D2_STEPS,
-        }
-
-    def warmup_ops(self) -> list:
-        # One thread: the pool is built per invocation, so a warm-up pool
-        # would only add GIL hand-off jitter to setup_s.
-        return [["optimize", "--branch", "both", "--threads", "1", "--omega-steps", "2",
-                 "--omega-min", "4e15", "--omega-max", "4.2e15", "--d1-steps", "2", "--d2-steps", "4"]]
-
     def work_units(self, ops: list, outputs: list) -> int:
         return 2 * self._OMEGA_STEPS * self._D1_STEPS
 
@@ -178,32 +183,18 @@ class Curves(CliWorkload):
             )
         return ops
 
-    def config(self, seed: int) -> dict:
-        off = Offsets.from_seed(seed)
-        omega = _grid(*_OMEGA, self._ANGLE_OMEGA_STEPS, off.omega)
-        k = _grid(*self._K, off.k)
-        return {
-            "branch": "both", "threads": 1,
-            "omega_min": omega[0], "omega_max": omega[1], "omega_steps": omega[2],
-            "k_min": k[0], "k_max": k[1], "k_steps": k[2],
-        }
-
-    def warmup_ops(self) -> list:
-        return [
-            ["dispersion", "--branch", "both", "--threads", "1", "--k-steps", "3"],
-            ["angle", "--branch", "both", "--threads", "1", "--omega-steps", "3"],
-        ]
-
 
 class Chain(CliWorkload):
-    # A window where both branches couple on every seed's grid: a cell that
-    # turns NA on some seeds would drop a sixth of a branch's rows.
-    _OMEGA = (2.7e15, 4.2e15)
+    # A window where both branches couple on every seed's grid (checked on
+    # seeds 0-199): a frequency that turns NA on some seeds would drop half
+    # of a branch's rows.  Few coupling cells and a long x grid, so the
+    # per-row emission carries the work.
+    _OMEGA = (3.0e15, 3.6e15)
     _D1_NM = (15.0, 45.0)
-    _OMEGA_STEPS = 6
+    _OMEGA_STEPS = 2
     _D1_STEPS = 4
     _D2_STEPS = 20
-    _X = ("0.0", "2e-05", "500")
+    _X = ("0.0", "2e-05", "3000")
     _ALPHAS = (1.0, 1.5, 2.0, 3.0, 5.0)
     _ALPHA_STEP = 0.5
 
@@ -229,24 +220,6 @@ class Chain(CliWorkload):
         return [["propagate", "--branch", "both"] + grid] + [
             ["cat-entropy", "--branch", branch] + grid + ["--alphas", alphas] for branch in ("plus", "minus")
         ]
-
-    def config(self, seed: int) -> dict:
-        off = Offsets.from_seed(seed)
-        omega = _grid(*self._OMEGA, self._OMEGA_STEPS, off.omega)
-        d1 = _grid(*self._D1_NM, self._D1_STEPS, off.d1)
-        return {
-            "branch": "both", "threads": 1,
-            "omega_min": omega[0], "omega_max": omega[1], "omega_steps": omega[2],
-            "d1_min": d1[0] * 1e-9, "d1_max": d1[1] * 1e-9, "d1_steps": d1[2],
-            "d2_steps": self._D2_STEPS,
-            "x_min": float(self._X[0]), "x_max": float(self._X[1]), "x_steps": int(self._X[2]),
-            "alphas": self.alphas(seed),
-        }
-
-    def warmup_ops(self) -> list:
-        small = ["--branch", "both", "--threads", "1", "--omega-min", "4e15", "--omega-max", "4.2e15",
-                 "--omega-steps", "2", "--d1-steps", "2", "--d2-steps", "4", "--x-steps", "2"]
-        return [["propagate"] + small, ["cat-entropy"] + small + ["--alphas", "1"]]
 
 
 @dataclass(frozen=True)
@@ -284,11 +257,9 @@ class CatPhase(Workload):
             for x in self._X
         ]
 
-    def config(self, seed: int) -> dict:
-        return {"alphas": sorted({c.alpha for c in self.ops(seed)})}
-
-    def warmup_ops(self) -> list:
-        return [CatCall(4.0, math.pi / 2.0, self.G, self.KAPPA0, self._X[0])]
+    def warmup_ops(self, ops: list) -> list:
+        """The middle op (alpha about 4.5): a mid-sized number basis."""
+        return [ops[len(ops) // 2]]
 
     @staticmethod
     def run_op(statetransfer, call: CatCall):
@@ -325,11 +296,6 @@ class Runner:
         self.seed = seed
         self.ops = workload.ops(seed)
 
-    def validate(self) -> None:
-        """Validate the workload's configuration through ``lrspp.config``."""
-        cfg = self.configmod.config_from_dict(dict(self.workload.config(self.seed)))
-        self.configmod.validate_config(cfg)
-
     def run_op(self, op):
         """Run one op; return (ok, output).  Output is CSV text or a tuple."""
         if isinstance(op, CatCall):
@@ -338,12 +304,18 @@ class Runner:
         return code == 0, out if code == 0 else f"exit {code}: {err.strip()}"
 
     def warm_up(self) -> None:
-        """Finish lazy set-up: first numpy.linalg call and one small op per
-        subcommand, so the measured bodies see a warm process."""
+        """Validate the configuration and finish lazy set-up: first
+        numpy.linalg call and the workload's warm-up ops, so the measured
+        bodies see a warm process.  A CLI warm-up op validates its own
+        configuration inside ``cli.run``; cat-phase has no CLI, so its
+        amplitudes go through ``lrspp.config`` here."""
         import numpy as np
 
+        if isinstance(self.workload, CatPhase):
+            alphas = sorted({op.alpha for op in self.ops})
+            self.configmod.validate_config(self.configmod.config_from_dict({"alphas": alphas}))
         np.linalg.eigvalsh(np.eye(2))
-        for op in self.workload.warmup_ops():
+        for op in self.workload.warmup_ops(self.ops):
             ok, out = self.run_op(op)
             if not ok:
                 raise RuntimeError(f"warm-up op failed: {out}")
@@ -374,7 +346,6 @@ def calibrate(iterations: int = 40000) -> float:
 def setup(workload_name: str, seed: int) -> Runner:
     """Everything ``setup_s`` measures after interpreter start."""
     runner = Runner(WORKLOADS[workload_name], seed)
-    runner.validate()
     runner.warm_up()
     return runner
 

@@ -23,23 +23,13 @@ everything else is SI (rad/s, rad/m, meters).
 
 from __future__ import annotations
 
-import argparse
-import math
+import functools
 import sys
 
 from . import coupling, datasets, propagation, statetransfer
-from .config import (
-    GridSpec,
-    RunConfig,
-    THREADS_ENV_VAR,
-    config_from_dict,
-    default_threads,
-    load_config_file,
-    validate_config,
-)
+from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
 from .constants import C_LIGHT
 from .dispersion import (
-    BranchId,
     complex_wavenumber,
     coupling_angle,
     group_velocity,
@@ -49,8 +39,6 @@ from .dispersion import (
 from .errors import ConfigError, LrsppError, NoBoundMode, NoMatchingAngle, StencilError
 from .materials import eps_lossless, eps_lossy
 from .modes import four_layer_solve, lrspp_profile
-
-_BRANCHES = {"plus": BranchId.ANTISYMMETRIC, "minus": BranchId.SYMMETRIC}
 
 
 def _echo(argv: list[str]) -> str:
@@ -72,137 +60,6 @@ def _echo(argv: list[str]) -> str:
     return "lrspp " + " ".join(out)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--branch", choices=("plus", "minus", "both"), default=None)
-    p.add_argument("--delta-omega", type=float, default=None)
-    p.add_argument("--eps-prism", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-
-
-def _add_grid(p: argparse.ArgumentParser, name: str, unit: str = "") -> None:
-    suffix = f"-{unit}" if unit else ""
-    p.add_argument(f"--{name}-min{suffix}", type=float, default=None)
-    p.add_argument(f"--{name}-max{suffix}", type=float, default=None)
-    p.add_argument(f"--{name}-steps", type=int, default=None)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lrspp", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("material", help="dielectric function over a frequency grid")
-    _add_common(p)
-    _add_grid(p, "omega")
-
-    p = sub.add_parser("dispersion", help="dispersion rows over a wavevector grid")
-    _add_common(p)
-    _add_grid(p, "k")
-    p.add_argument("--d1-nm", type=float, default=20.0)
-
-    p = sub.add_parser("angle", help="phase-matching angle over a frequency grid")
-    _add_common(p)
-    _add_grid(p, "omega")
-    p.add_argument("--d1-nm", type=float, default=20.0)
-
-    p = sub.add_parser("field", help="sampled profile components over a z grid "
-                                     "(single branch; 'both' falls back to 'plus')")
-    _add_common(p)
-    p.add_argument("--profile", choices=("lrspp", "atr"), default="lrspp")
-    p.add_argument("--omega", type=float, default=4e15)
-    p.add_argument("--d1-nm", type=float, default=20.0)
-    p.add_argument("--d2-nm", type=float, default=500.0)
-    p.add_argument("--z-min-nm", type=float, default=None)
-    p.add_argument("--z-max-nm", type=float, default=None)
-    p.add_argument("--z-steps", type=int, default=400)
-
-    p = sub.add_parser("constraints", help="feasibility triple over an (omega, d1) grid")
-    _add_common(p)
-    _add_grid(p, "omega")
-    _add_grid(p, "d1", "nm")
-    _add_grid(p, "d2", "nm")
-    p.add_argument("--d2-nm", type=float, default=None, help="fixed gap; default: optimize over the gap grid")
-
-    p = sub.add_parser("optimize", help="constrained best coupling per frequency")
-    _add_common(p)
-    _add_grid(p, "omega")
-    _add_grid(p, "d1", "nm")
-    _add_grid(p, "d2", "nm")
-
-    p = sub.add_parser("propagate", help="normalized detected counts along the strip")
-    _add_common(p)
-    _add_grid(p, "omega")
-    _add_grid(p, "d1", "nm")
-    _add_grid(p, "d2", "nm")
-    _add_grid(p, "x")
-
-    p = sub.add_parser("g2", help="second-order coherence invariance table")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--etas", default="1.0", help="comma-separated total efficiencies")
-
-    p = sub.add_parser("cat-entropy", help="cat-state eigenvalues and entropy along the strip")
-    _add_common(p)
-    _add_grid(p, "omega")
-    _add_grid(p, "d1", "nm")
-    _add_grid(p, "d2", "nm")
-    _add_grid(p, "x")
-    p.add_argument("--alphas", default=None, help="comma-separated cat amplitudes")
-
-    return parser
-
-
-_NM = 1e-9
-
-
-def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, list[str]]:
-    raw: dict = {}
-    if getattr(args, "config", None):
-        raw.update(load_config_file(args.config))
-    flag_map = {
-        "branch": getattr(args, "branch", None),
-        "delta_omega": getattr(args, "delta_omega", None),
-        "eps_prism": getattr(args, "eps_prism", None),
-        "mu": getattr(args, "mu", None),
-        "format": getattr(args, "format", None),
-        "out": getattr(args, "out", None),
-        "omega_min": getattr(args, "omega_min", None),
-        "omega_max": getattr(args, "omega_max", None),
-        "omega_steps": getattr(args, "omega_steps", None),
-        "k_min": getattr(args, "k_min", None),
-        "k_max": getattr(args, "k_max", None),
-        "k_steps": getattr(args, "k_steps", None),
-        "x_min": getattr(args, "x_min", None),
-        "x_max": getattr(args, "x_max", None),
-        "x_steps": getattr(args, "x_steps", None),
-    }
-    if getattr(args, "d1_min_nm", None) is not None:
-        flag_map["d1_min"] = args.d1_min_nm * _NM
-    if getattr(args, "d1_max_nm", None) is not None:
-        flag_map["d1_max"] = args.d1_max_nm * _NM
-    if getattr(args, "d1_steps", None) is not None:
-        flag_map["d1_steps"] = args.d1_steps
-    if getattr(args, "d2_min_nm", None) is not None:
-        flag_map["d2_min"] = args.d2_min_nm * _NM
-    if getattr(args, "d2_max_nm", None) is not None:
-        flag_map["d2_max"] = args.d2_max_nm * _NM
-    if getattr(args, "d2_steps", None) is not None:
-        flag_map["d2_steps"] = args.d2_steps
-    alphas = getattr(args, "alphas", None)
-    if alphas is not None:
-        try:
-            flag_map["alphas"] = [float(a) for a in str(alphas).split(",") if a]
-        except ValueError as exc:
-            raise ConfigError(f"alphas: {exc}") from exc
-    threads = getattr(args, "threads", None)
-    flag_map["threads"] = threads if threads is not None else default_threads()
-    raw.update({k: v for k, v in flag_map.items() if v is not None})
-    return validate_config(config_from_dict(raw))
-
-
 def _optimize_config(cfg: RunConfig) -> coupling.OptimizeConfig:
     return coupling.OptimizeConfig(
         d2_min=cfg.d2.lo,
@@ -214,24 +71,20 @@ def _optimize_config(cfg: RunConfig) -> coupling.OptimizeConfig:
     )
 
 
-def _cmd_material(args, cfg: RunConfig, warnings) -> datasets.Dataset:
+def _cmd_material(cfg: RunConfig) -> tuple[list[str], list]:
+    """dielectric function over a frequency grid"""
     rows = []
     for w in cfg.omega.points():
         e = eps_lossy(cfg.material, w)
         rows.append([w, eps_lossless(cfg.material, w), e.real, e.imag])
-    return datasets.Dataset(
-        command="",
-        columns=["omega", "eps_lossless", "eps_lossy_re", "eps_lossy_im"],
-        rows=rows,
-        warnings=warnings,
-    )
+    return ["omega", "eps_lossless", "eps_lossy_re", "eps_lossy_im"], rows
 
 
-def _cmd_dispersion(args, cfg: RunConfig, warnings) -> datasets.Dataset:
-    d1 = args.d1_nm * _NM
+def _cmd_dispersion(cfg: RunConfig) -> tuple[list[str], list]:
+    """dispersion rows over a wavevector grid"""
+    d1 = cfg.fixed_d1
     rows = []
-    for name in cfg.branches():
-        branch = _BRANCHES[name]
+    for name, branch in cfg.branches():
         for k in cfg.k.points():
             try:
                 sol = solve_omega(branch, k, d1, cfg.material)
@@ -248,19 +101,14 @@ def _cmd_dispersion(args, cfg: RunConfig, warnings) -> datasets.Dataset:
             except LrsppError:
                 kappa = None
             rows.append([name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa])
-    return datasets.Dataset(
-        command="",
-        columns=["branch", "d1", "k", "omega", "nu_m", "nu_0", "v_group", "kappa"],
-        rows=rows,
-        warnings=warnings,
-    )
+    return ["branch", "d1", "k", "omega", "nu_m", "nu_0", "v_group", "kappa"], rows
 
 
-def _cmd_angle(args, cfg: RunConfig, warnings) -> datasets.Dataset:
-    d1 = args.d1_nm * _NM
+def _cmd_angle(cfg: RunConfig) -> tuple[list[str], list]:
+    """phase-matching angle over a frequency grid"""
+    d1 = cfg.fixed_d1
     rows = []
-    for name in cfg.branches():
-        branch = _BRANCHES[name]
+    for name, branch in cfg.branches():
         for w in cfg.omega.points():
             try:
                 sol = solve_k(branch, w, d1, cfg.material)
@@ -269,100 +117,84 @@ def _cmd_angle(args, cfg: RunConfig, warnings) -> datasets.Dataset:
                 rows.append([name, d1, w, None, None])
                 continue
             rows.append([name, d1, w, sol.k, theta])
-    return datasets.Dataset(
-        command="",
-        columns=["branch", "d1", "omega", "k", "theta"],
-        rows=rows,
-        warnings=warnings,
-    )
+    return ["branch", "d1", "omega", "k", "theta"], rows
 
 
-def _cmd_field(args, cfg: RunConfig, warnings) -> datasets.Dataset:
-    d1 = args.d1_nm * _NM
-    d2 = args.d2_nm * _NM
-    w = args.omega
-    branch = _BRANCHES[cfg.branch if cfg.branch != "both" else "plus"]
-    if args.profile == "lrspp":
-        sol = solve_k(branch, w, d1, cfg.material)
+def _cmd_field(cfg: RunConfig) -> tuple[list[str], list]:
+    """sampled profile components over a z grid (single branch; 'both' falls back to 'plus')"""
+    d1 = cfg.fixed_d1
+    d2 = cfg.fixed_d2 if cfg.fixed_d2 is not None else 500.0 * NM
+    w = cfg.fixed_omega
+    _name, branch = cfg.branches()[0]
+    sol = solve_k(branch, w, d1, cfg.material)
+    if cfg.profile == "lrspp":
         profile = lrspp_profile(branch, sol, cfg.material)
         z_lo_default = -3.0 / sol.nu_0
-        z_hi_default = d1 + 3.0 / sol.nu_0
     else:
-        sol = solve_k(branch, w, d1, cfg.material)
         theta = coupling_angle(w, sol.k, cfg.eps_prism)
         profile = four_layer_solve(w, theta, d1, d2, cfg.eps_prism, cfg.material, lossy=True).profile
         z_lo_default = -d2
-        z_hi_default = d1 + 3.0 / sol.nu_0
-    z_lo = args.z_min_nm * _NM if args.z_min_nm is not None else z_lo_default
-    z_hi = args.z_max_nm * _NM if args.z_max_nm is not None else z_hi_default
+    z_lo = cfg.z_min if cfg.z_min is not None else z_lo_default
+    z_hi = cfg.z_max if cfg.z_max is not None else d1 + 3.0 / sol.nu_0
     if not z_lo < z_hi:
         raise ConfigError("z: min must be below max")
-    steps = max(args.z_steps, 2)
     rows = []
-    for i in range(steps):
-        z = z_lo + (z_hi - z_lo) * i / (steps - 1)
+    for z in GridSpec(z_lo, z_hi, cfg.z_steps).points():
         if z < profile.z_lo:
             rows.append([z, None, None, None, None])
             continue
         ex = profile.eval_x(z)
         ez = profile.eval_z(z)
         rows.append([z, ex.real, ex.imag, ez.real, ez.imag])
-    return datasets.Dataset(
-        command="",
-        columns=["z", "ex_re", "ex_im", "ez_re", "ez_im"],
-        rows=rows,
-        warnings=warnings,
-    )
+    return ["z", "ex_re", "ex_im", "ez_re", "ez_im"], rows
 
 
-def _cmd_constraints(args, cfg: RunConfig, warnings) -> datasets.Dataset:
+def _cmd_constraints(cfg: RunConfig) -> tuple[list[str], list]:
+    """feasibility triple over an (omega, d1) grid"""
     opt_cfg = _optimize_config(cfg)
-    fixed_d2 = args.d2_nm * _NM if args.d2_nm is not None else None
+    d2 = cfg.fixed_d2
     rows = []
-    for name in cfg.branches():
-        branch = _BRANCHES[name]
+    for name, branch in cfg.branches():
         for w in cfg.omega.points():
             for d1 in cfg.d1.points():
-                if fixed_d2 is not None:
+                if cfg.fixed_d2 is not None:
                     try:
-                        cons = coupling.constraint_set(
-                            branch, w, d1, fixed_d2, cfg.delta_omega, cfg.material
-                        )
+                        cons = coupling.constraint_set(branch, w, d1, d2, cfg.delta_omega, cfg.material)
                     except NoBoundMode:
-                        rows.append([name, w, d1, fixed_d2, None, None, None, 0])
-                        continue
-                    rows.append([
-                        name, w, d1, fixed_d2,
-                        cons.bandwidth_B, cons.penetration_P, cons.coupled_surfaces_C,
-                        int(cons.feasible),
-                    ])
-                else:
+                        cons = None
+                else:  # optimize_d2 returns feasible points only
                     pt = coupling.optimize_d2(branch, w, d1, opt_cfg, cfg.material)
-                    if pt is None:
-                        rows.append([name, w, d1, None, None, None, None, 0])
-                    else:
-                        c = pt.constraints
-                        rows.append([
-                            name, w, d1, pt.d2,
-                            c.bandwidth_B, c.penetration_P, c.coupled_surfaces_C, 1,
-                        ])
-    return datasets.Dataset(
-        command="",
-        columns=["branch", "omega", "d1", "d2", "B", "P", "C", "feasible"],
-        rows=rows,
-        warnings=warnings,
-    )
+                    d2, cons = (None, None) if pt is None else (pt.d2, pt.constraints)
+                if cons is None:
+                    rows.append([name, w, d1, d2, None, None, None, 0])
+                    continue
+                rows.append([
+                    name, w, d1, d2,
+                    cons.bandwidth_B, cons.penetration_P, cons.coupled_surfaces_C,
+                    int(cons.feasible),
+                ])
+    return ["branch", "omega", "d1", "d2", "B", "P", "C", "feasible"], rows
 
 
 def _paths(cfg: RunConfig):
     opt_cfg = _optimize_config(cfg)
-    for name in cfg.branches():
-        branch = _BRANCHES[name]
+    for name, branch in cfg.branches():
         path = coupling.optimize_path(branch, cfg.omega.points(), cfg.d1.points(), opt_cfg, cfg.material)
         yield name, branch, path
 
 
-def _cmd_optimize(args, cfg: RunConfig, warnings) -> datasets.Dataset:
+def _propagating(cfg: RunConfig):
+    """(branch name, omega, best point, kappa0) per frequency of the best
+    paths; point and kappa0 are None where no point is feasible."""
+    for name, branch, path in _paths(cfg):
+        for rec in path.records:
+            pt = rec.point
+            kappa0 = None if pt is None else complex_wavenumber(branch, rec.omega, pt.d1, cfg.material).kappa
+            yield name, rec.omega, pt, kappa0
+
+
+def _cmd_optimize(cfg: RunConfig) -> tuple[list[str], list]:
+    """constrained best coupling per frequency"""
     rows = []
     for name, _branch, path in _paths(cfg):
         for rec in path.records:
@@ -375,80 +207,45 @@ def _cmd_optimize(args, cfg: RunConfig, warnings) -> datasets.Dataset:
                 name, rec.omega, pt.g_tilde, pt.d1, pt.d2, pt.theta, abs(pt.beta),
                 c.bandwidth_B, c.penetration_P, c.coupled_surfaces_C,
             ])
-    return datasets.Dataset(
-        command="",
-        columns=["branch", "omega", "g_tilde", "d1", "d2", "theta", "beta_abs", "B", "P", "C"],
-        rows=rows,
-        warnings=warnings,
-    )
+    return ["branch", "omega", "g_tilde", "d1", "d2", "theta", "beta_abs", "B", "P", "C"], rows
 
 
-def _cmd_propagate(args, cfg: RunConfig, warnings) -> datasets.Dataset:
+def _cmd_propagate(cfg: RunConfig) -> tuple[list[str], list]:
+    """normalized detected counts along the strip"""
     rows = []
     xs = cfg.x.points()
-    for name, branch, path in _paths(cfg):
-        for rec in path.records:
-            if rec.point is None:
-                for x in xs:
-                    rows.append([name, rec.omega, x, None])
-                continue
-            pt = rec.point
-            kappa0 = complex_wavenumber(branch, rec.omega, pt.d1, cfg.material).kappa
-            beta_sq = abs(pt.beta) ** 2
+    for name, w, pt, kappa0 in _propagating(cfg):
+        if pt is None:
             for x in xs:
-                m_tilde = cfg.mu * math.exp(-2.0 * kappa0 * x) * beta_sq
-                rows.append([name, rec.omega, x, m_tilde])
-    return datasets.Dataset(
-        command="",
-        columns=["branch", "omega", "x", "m_tilde"],
-        rows=rows,
-        warnings=warnings,
-    )
+                rows.append([name, w, x, None])
+            continue
+        beta_sq = abs(pt.beta) ** 2
+        for x in xs:
+            rows.append([name, w, x, propagation.detected_mean(cfg.mu, kappa0, x, beta_sq)])
+    return ["branch", "omega", "x", "m_tilde"], rows
 
 
-def _cmd_g2(args, cfg: RunConfig, warnings) -> datasets.Dataset:
-    if args.n < 1:
-        raise ConfigError("n: must be a positive integer")
-    try:
-        etas = [float(e) for e in str(args.etas).split(",") if e]
-    except ValueError as exc:
-        raise ConfigError(f"etas: {exc}") from exc
-    if not etas:
-        raise ConfigError("etas: needs at least one value")
-    rows = []
-    for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError(f"etas: efficiencies must lie in (0, 1], got {eta!r}")
-        rows.append([args.n, eta, propagation.g2_zero(args.n, beta_sq=eta)])
-    return datasets.Dataset(command="", columns=["n", "eta", "g2"], rows=rows, warnings=warnings)
+def _cmd_g2(cfg: RunConfig) -> tuple[list[str], list]:
+    """second-order coherence invariance table"""
+    n = cfg.n_photons
+    rows = [[n, eta, propagation.g2_zero(n, beta_sq=eta)] for eta in cfg.etas]
+    return ["n", "eta", "g2"], rows
 
 
-def _cmd_cat_entropy(args, cfg: RunConfig, warnings) -> datasets.Dataset:
+def _cmd_cat_entropy(cfg: RunConfig) -> tuple[list[str], list]:
+    """cat-state eigenvalues and entropy along the strip"""
     rows = []
     xs = cfg.x.points()
-    for name, branch, path in _paths(cfg):
-        for rec in path.records:
-            if rec.point is None:
-                for alpha in cfg.alphas:
-                    for x in xs:
-                        rows.append([name, rec.omega, x, alpha, None, None, None])
-                continue
-            pt = rec.point
-            kappa0 = complex_wavenumber(branch, rec.omega, pt.d1, cfg.material).kappa
-            for alpha in cfg.alphas:
-                cat = statetransfer.CatState(alpha)
-                for x in xs:
-                    dens = statetransfer.propagate_cat(cat, pt.g, kappa0, x)
-                    rows.append([
-                        name, rec.omega, x, alpha,
-                        dens.lambda_plus, dens.lambda_minus, dens.entropy,
-                    ])
-    return datasets.Dataset(
-        command="",
-        columns=["branch", "omega", "x", "alpha", "lambda_plus", "lambda_minus", "entropy"],
-        rows=rows,
-        warnings=warnings,
-    )
+    for name, w, pt, kappa0 in _propagating(cfg):
+        for alpha in cfg.alphas:
+            cat = statetransfer.CatState(alpha)
+            for x in xs:
+                if pt is None:
+                    rows.append([name, w, x, alpha, None, None, None])
+                    continue
+                dens = statetransfer.propagate_cat(cat, pt.g, kappa0, x)
+                rows.append([name, w, x, alpha, dens.lambda_plus, dens.lambda_minus, dens.entropy])
+    return ["branch", "omega", "x", "alpha", "lambda_plus", "lambda_minus", "entropy"], rows
 
 
 _COMMANDS = {
@@ -464,31 +261,34 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The argparse front end, built once per process: parsing leaves it unchanged."""
+    return build_parser({name: cmd.__doc__ for name, cmd in _COMMANDS.items()}, __doc__.splitlines()[0])
+
+
 def run(argv: list[str]) -> int:
     """Parse argv, execute the subcommand, write the dataset.
 
     Returns 0 on success, 1 on configuration errors (including unknown
     flags and malformed config files), 2 on numerical failures.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
-    try:
-        cfg, warnings = _config_from_args(args)
-        dataset = _COMMANDS[args.command](args, cfg, warnings)
-        dataset.command = _echo(argv)
+        args = _parser().parse_args(argv)
+        cfg, warnings = validate_config(config_from_args(args))
+        columns, rows = _COMMANDS[args.command](cfg)
+        dataset = datasets.Dataset(_echo(argv), columns, rows, warnings)
         text = datasets.to_json(dataset) if cfg.format == "json" else datasets.to_csv(dataset)
         if cfg.out:
             try:
                 with open(cfg.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
                 raise ConfigError(f"out: cannot write {cfg.out}: {exc}") from exc
         else:
             sys.stdout.write(text)
+    except SystemExit:  # --help, the only exit argparse takes without an error
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -199,14 +199,23 @@ def coupling_point(
     model: DielectricModel = SILVER,
 ) -> CouplingPoint:
     """Full conversion record at an explicit (omega, d1, d2)."""
-    sol = solve_k(branch, omega, d1, model)
+    return _point_from_solution(solve_k(branch, omega, d1, model), branch, d2, config, model)
+
+
+def _point_from_solution(
+    sol: DispersionSolution,
+    branch: BranchId,
+    d2: float,
+    config: OptimizeConfig,
+    model: DielectricModel,
+) -> CouplingPoint:
     beta, theta, _ = _beta_from_solution(sol, branch, d2, config.eps_prism, model)
     cons = _constraints_from_solution(sol, branch, d2, config.delta_omega, model)
     g = math.asin(min(1.0, abs(beta)))
     return CouplingPoint(
         branch=branch,
-        omega=omega,
-        d1=d1,
+        omega=sol.omega,
+        d1=sol.d1,
         d2=d2,
         theta=theta,
         beta=beta,
@@ -282,23 +291,8 @@ def optimize_d2(
     if value(d2_best) < best_v:
         d2_best = grid[best_i]
 
-    beta, theta, _ = _beta_from_solution(sol, branch, d2_best, config.eps_prism, model)
-    cons = _constraints_from_solution(sol, branch, d2_best, config.delta_omega, model)
-    if not cons.feasible:
-        return None
-    g = math.asin(min(1.0, abs(beta)))
-    return CouplingPoint(
-        branch=branch,
-        omega=omega,
-        d1=d1,
-        d2=d2_best,
-        theta=theta,
-        beta=beta,
-        g=g,
-        g_tilde=2.0 * g / math.pi,
-        constraints=cons,
-        feasible=True,
-    )
+    point = _point_from_solution(sol, branch, d2_best, config, model)
+    return point if point.feasible else None
 
 
 def _best_over_d1(

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .constants import C_LIGHT, EPSILON_0, HBAR
+from .constants import C_LIGHT
 from .dispersion import BranchId, DispersionSolution
 from .errors import SingularSystemError
 from .materials import DielectricModel, eps_lossless, eps_lossy
@@ -292,63 +292,3 @@ def profile_norm(f: PiecewiseExpProfile, lo: float, hi: float) -> float:
     if not (val.real > 0.0 and math.isfinite(val.real)):
         raise ValueError(f"norm integral not positive/finite: {val!r}")
     return val.real
-
-
-@dataclass(frozen=True)
-class QuantizationPrefactor:
-    """Components of the field-operator prefactor sqrt(hbar / (2 eps0 W w vG N)).
-
-    The prefactor multiplies each mode in the quantized field; it cancels in
-    the normalized overlap that defines the conversion amplitude, so it is
-    recorded for inspection only.
-    """
-
-    hbar: float
-    eps0: float
-    beam_width: float
-    omega: float
-    group_velocity: float
-    norm: float
-
-    def value(self) -> float:
-        return math.sqrt(
-            self.hbar / (2.0 * self.eps0 * self.beam_width * self.omega * self.group_velocity * self.norm)
-        )
-
-
-@dataclass(frozen=True)
-class ModeNorms:
-    """Norm constants of the profiles entering a coupling calculation."""
-
-    n1_plus: float | None
-    n1_minus: float | None
-    n2: float
-    quant_prefactor_shape: QuantizationPrefactor | None = None
-
-
-def mode_norms(
-    lrspp: PiecewiseExpProfile,
-    atr: PiecewiseExpProfile,
-    domain_lo: float,
-    branch: BranchId = BranchId.ANTISYMMETRIC,
-    omega: float | None = None,
-    group_velocity: float | None = None,
-    beam_width: float = 1.0,
-) -> ModeNorms:
-    """Norms of a strip-mode profile and the four-layer profile on
-    [domain_lo, +inf), with the optional quantization prefactor record."""
-    n1 = profile_norm(lrspp, domain_lo, _INF)
-    n2 = profile_norm(atr, domain_lo, _INF)
-    prefactor = None
-    if omega is not None and group_velocity is not None:
-        prefactor = QuantizationPrefactor(
-            hbar=HBAR,
-            eps0=EPSILON_0,
-            beam_width=beam_width,
-            omega=omega,
-            group_velocity=group_velocity,
-            norm=n1,
-        )
-    if branch is BranchId.ANTISYMMETRIC:
-        return ModeNorms(n1_plus=n1, n1_minus=None, n2=n2, quant_prefactor_shape=prefactor)
-    return ModeNorms(n1_plus=None, n1_minus=n1, n2=n2, quant_prefactor_shape=prefactor)

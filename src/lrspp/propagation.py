@@ -92,11 +92,16 @@ def damped_flux(t: float, wp: Wavepacket, cfg: PropagationConfig, beta_sq: float
     return math.exp(-2.0 * cfg.kappa0 * cfg.x) * beta_sq * wp.n * wp.intensity_profile(t_r)
 
 
+def detected_mean(mu: float, kappa0: float, x: float, beta_sq: float, n: int = 1) -> float:
+    """Detected mean <m> = mu exp(-2 kappa0 x) |beta|^2 n, without argument checks."""
+    return mu * math.exp(-2.0 * kappa0 * x) * beta_sq * n
+
+
 def mean_count(wp: Wavepacket, cfg: PropagationConfig, beta_sq: float) -> float:
     """Detected mean <m> = mu exp(-2 kappa0 x) |beta|^2 n (closed form)."""
     if not 0.0 <= beta_sq <= 1.0:
         raise ValueError("beta_sq must lie in [0, 1]")
-    return cfg.mu * math.exp(-2.0 * cfg.kappa0 * cfg.x) * beta_sq * wp.n
+    return detected_mean(cfg.mu, cfg.kappa0, cfg.x, beta_sq, wp.n)
 
 
 def mean_count_windowed(

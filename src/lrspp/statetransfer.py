@@ -112,16 +112,14 @@ def von_neumann_entropy(lambda_plus: float, lambda_minus: float) -> float:
 def propagate_cat(cat: CatState, g: float, kappa0: float, x: float) -> CatDensity:
     """Surface-mode state after conversion with angle g and propagation to x.
 
-    phi = 0 uses the closed forms above; other phases go through the
-    number-basis route with the loss channel of transmissivity
-    exp(-2 kappa0 x).
+    a_eff and offdiag are closed forms at every phase.  phi = 0 takes its
+    eigenvalues and entropy from them; other phases from the number-basis
+    route with the loss channel of transmissivity exp(-2 kappa0 x).
     """
     if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
         raise ValueError("g must lie in [0, pi/2]")
     if kappa0 < 0.0 or x < 0.0:
         raise ValueError("kappa0 and x must be non-negative")
-    if cat.phi != 0.0:
-        return _propagate_cat_fock(cat, g, kappa0, x)
     alpha = cat.alpha
     s, c = math.sin(g), math.cos(g)
     damp = math.exp(-kappa0 * x)
@@ -129,13 +127,17 @@ def propagate_cat(cat: CatState, g: float, kappa0: float, x: float) -> CatDensit
     c0 = math.exp(-2.0 * alpha * alpha * c * c)
     cx = math.exp(-2.0 * alpha * alpha * s * s * (-math.expm1(-2.0 * kappa0 * x)))
     offdiag = c0 * cx
-    lam_p, lam_m = _eigenvalues(a_eff, offdiag)
+    if cat.phi != 0.0:
+        lam_p, lam_m, entropy = _propagate_cat_fock(cat, g, kappa0, x)
+    else:
+        lam_p, lam_m = _eigenvalues(a_eff, offdiag)
+        entropy = von_neumann_entropy(lam_p, lam_m)
     return CatDensity(
         a_eff=a_eff,
         offdiag=offdiag,
         lambda_plus=lam_p,
         lambda_minus=lam_m,
-        entropy=von_neumann_entropy(lam_p, lam_m),
+        entropy=entropy,
     )
 
 
@@ -155,19 +157,11 @@ def represented_trace(cat: CatState, density: CatDensity) -> float:
     return n_sq * (2.0 + 2.0 * density.offdiag * q * math.cos(cat.phi))
 
 
-def _propagate_cat_fock(cat: CatState, g: float, kappa0: float, x: float) -> CatDensity:
+def _propagate_cat_fock(cat: CatState, g: float, kappa0: float, x: float) -> tuple[float, float, float]:
+    """The two largest eigenvalues and the entropy of the number-basis state."""
     eta = math.exp(-2.0 * kappa0 * x)
     rho = fock.cat_mode_after_transfer(cat.alpha, cat.phi, g, eta)
     vals = np.linalg.eigvalsh(rho)
     lam_p = float(vals[-1])
     lam_m = float(max(vals[-2], 0.0)) if len(vals) > 1 else 0.0
-    a_eff = cat.alpha * math.sin(g) * math.exp(-kappa0 * x)
-    c0 = math.exp(-2.0 * cat.alpha**2 * math.cos(g) ** 2)
-    cx = math.exp(-2.0 * cat.alpha**2 * math.sin(g) ** 2 * (-math.expm1(-2.0 * kappa0 * x)))
-    return CatDensity(
-        a_eff=a_eff,
-        offdiag=c0 * cx,
-        lambda_plus=lam_p,
-        lambda_minus=lam_m,
-        entropy=fock.vn_entropy(rho),
-    )
+    return lam_p, lam_m, fock.vn_entropy(rho)

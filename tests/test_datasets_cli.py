@@ -1,11 +1,23 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrspp import cli, datasets
-from lrspp.config import GridSpec, RunConfig, config_from_dict, validate_config
+from lrspp.config import (
+    PARAMS,
+    GridSpec,
+    RunConfig,
+    build_parser,
+    config_from_args,
+    config_from_dict,
+    validate_config,
+)
 from lrspp.errors import ConfigError
 
 
@@ -171,3 +183,174 @@ class TestCliDatasets:
         assert cli.run(["g2", "--n", "2"]) == 0
         ds = datasets.from_csv(capsys.readouterr().out)
         assert ds.rows[0][2] == 0.5
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: The flags of every subcommand: a public interface in which no flag may be
+#: lost, renamed or added.
+_SHARED_FLAGS = {
+    "--config", "--out", "--format", "--threads", "--branch", "--delta-omega", "--eps-prism", "--mu",
+}
+_GRID_FLAGS = {
+    name: {f"--{name}-min{unit}", f"--{name}-max{unit}", f"--{name}-steps"}
+    for name, unit in (("omega", ""), ("k", ""), ("x", ""), ("d1", "-nm"), ("d2", "-nm"))
+}
+_STRIP = _GRID_FLAGS["omega"] | _GRID_FLAGS["d1"] | _GRID_FLAGS["d2"]
+_COMMAND_FLAGS = {
+    "material": _GRID_FLAGS["omega"],
+    "dispersion": _GRID_FLAGS["k"] | {"--d1-nm"},
+    "angle": _GRID_FLAGS["omega"] | {"--d1-nm"},
+    "field": {"--profile", "--omega", "--d1-nm", "--d2-nm", "--z-min-nm", "--z-max-nm", "--z-steps"},
+    "constraints": _STRIP | {"--d2-nm"},
+    "optimize": _STRIP,
+    "propagate": _STRIP | _GRID_FLAGS["x"],
+    "g2": {"--n", "--etas"},
+    "cat-entropy": _STRIP | _GRID_FLAGS["x"] | {"--alphas"},
+}
+
+
+class TestParamTable:
+    def test_flag_sets_unchanged(self):
+        parser = build_parser({name: None for name in _COMMAND_FLAGS})
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        for name, flags in _COMMAND_FLAGS.items():
+            got = {f for a in subparsers[name]._actions for f in a.option_strings} - {"-h", "--help"}
+            assert got == _SHARED_FLAGS | flags, name
+
+    def test_every_row_is_a_json_key(self):
+        for row in PARAMS:
+            assert row.commands or row.name == "material", row.name
+            config_from_dict({row.name: None})
+
+    @pytest.mark.parametrize(
+        "argv, payload, key",
+        [
+            (["g2"], {"mu": "0.5"}, "mu"),
+            (["g2"], {"alphas": 3}, "alphas"),
+            (["g2"], {"omega_steps": "abc"}, "omega_steps"),
+            (["g2"], {"omega_steps": 2.7}, "omega_steps"),
+            (["g2"], {"omega_steps": True}, "omega_steps"),
+            (["g2"], {"mu": float("nan")}, "mu"),
+            (["g2"], {"mu": 10**400}, "mu"),
+            (["g2"], {"n_photons": 2**60}, "n_photons"),
+            (["g2"], {"out": "a\x00b"}, "out"),
+            (["g2"], {"bogus": 1}, "unknown config keys"),
+            (["g2"], {"n_photons": 0}, "n_photons"),
+            (["g2"], {"z_steps": 1}, "z_steps"),
+            (["g2"], {"material": {"plasma_frequency": "1e16"}}, "material"),
+            (["g2"], {"material": {"real_correction_coeff": -1.0}}, "material"),
+            (["g2", "--etas", "1.0,2.0"], None, "etas"),
+            (["material", "--omega-steps", "2.7"], None, "omega_steps"),
+            (["material", "--mu", "nan"], None, "mu"),
+            (["dispersion", "--d1-nm", "-5"], None, "d1"),
+            (["field", "--omega=-4e15"], None, "omega"),
+        ],
+    )
+    def test_bad_input_is_one_config_error_line(self, tmp_path, argv, payload, key):
+        if payload is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(payload))
+            argv = argv + ["--config", str(path)]
+        code, _, err = run_cli(argv)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {key}: "), err
+
+    @pytest.mark.parametrize("argv", [["g2", "--bogus"], ["field", "--omega", "-4e15"], ["quux"], []])
+    def test_bad_command_line_is_one_config_error_line(self, argv):
+        code, _, err = run_cli(argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+
+    def test_threads_precedence(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LRSPP_THREADS", "2")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"threads": 3}))
+        parser = build_parser({"g2": None})
+
+        def threads(argv):
+            return config_from_args(parser.parse_args(argv)).threads
+
+        assert threads(["g2"]) == 2
+        assert threads(["g2", "--config", str(path)]) == 3
+        assert threads(["g2", "--config", str(path), "--threads", "4"]) == 4
+
+    def test_config_keys_of_g2_and_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_photons": 3, "etas": [0.5], "z_min": -1e-7, "z_max": 1e-7, "z_steps": 5}))
+        code, out, _ = run_cli(["g2", "--config", str(path)])
+        assert code == 0
+        assert datasets.from_csv(out).rows == [[3, 0.5, 2.0 / 3.0]]
+        code, out, _ = run_cli(["field", "--config", str(path)])
+        assert code == 0
+        rows = datasets.from_csv(out).rows
+        assert len(rows) == 5 and rows[0][0] == -1e-7 and rows[-1][0] == 1e-7
+
+    def test_nm_flag_equals_si_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"d1": 30.0 * 1e-9}))  # the flag value times 1e-9
+        by_flag = run_cli(["angle", "--omega-steps", "3", "--d1-nm", "30"])
+        by_key = run_cli(["angle", "--omega-steps", "3", "--config", str(path)])
+        assert by_flag[0] == by_key[0] == 0
+        assert datasets.from_csv(by_flag[1]).rows == datasets.from_csv(by_key[1]).rows
+
+
+# JSON-shaped config values: scalars of every JSON type (NaN and infinities
+# included: Python's json module reads them), short lists and objects.  No
+# "/" in text, so an "out" value can only name a file in the working directory.
+_TEXT = st.text(alphabet=st.characters(blacklist_characters="/\\"), max_size=4)
+_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**64), max_value=2**64)
+    | st.floats()
+    | _TEXT
+    | st.sampled_from(["csv", "json", "plus", "minus", "both", "lrspp", "atr"])
+)
+_VALUE = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["plasma_frequency", "damping_rate", "real_correction_coeff", "x"]), inner, max_size=3
+    ),
+    max_leaves=6,
+)
+_CONFIGS = st.dictionaries(
+    st.sampled_from([row.name for row in PARAMS] + ["material", "bogus"]), _VALUE, max_size=6
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_CONFIGS)
+    def test_config_raises_only_config_error(self, raw):
+        try:
+            validate_config(config_from_dict(raw))
+        except ConfigError:
+            pass
+
+    # g2 samples no grid, so no value of a *_steps key can start a long run.
+    @settings(max_examples=150, deadline=None)
+    @given(_CONFIGS)
+    def test_g2_with_any_config_exits_0_or_1(self, raw):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                with open("cfg.json", "w", encoding="utf-8") as fh:
+                    json.dump(raw, fh)
+                code, _, err = run_cli(["g2", "--config", "cfg.json"])
+            finally:
+                os.chdir(cwd)
+        assert "Traceback" not in err
+        if code == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        else:
+            assert code == 0, err
+            assert all(line.startswith("warning: ") for line in err.splitlines()), err

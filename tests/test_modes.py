@@ -15,7 +15,6 @@ from lrspp.modes import (
     Region,
     four_layer_solve,
     lrspp_profile,
-    mode_norms,
     overlap_integral,
     profile_norm,
 )
@@ -281,16 +280,3 @@ class TestNormsAndOverlaps:
         ab = overlap_integral(prof, fl.profile, -d2, INF)
         ba = overlap_integral(fl.profile, prof, -d2, INF)
         assert ab == pytest.approx(ba.conjugate(), rel=1e-12)
-
-    def test_mode_norms_record(self):
-        w, d1, d2 = 4e15, 20e-9, 500e-9
-        sol = solve_k(BranchId.ANTISYMMETRIC, w, d1, SILVER)
-        prof = lrspp_profile(BranchId.ANTISYMMETRIC, sol, SILVER)
-        theta = coupling_angle(w, sol.k, 1.51)
-        fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER, lossy=True)
-        norms = mode_norms(prof, fl.profile, -d2, BranchId.ANTISYMMETRIC, omega=w, group_velocity=2.8e8)
-        assert norms.n1_plus is not None and norms.n1_plus > 0.0
-        assert norms.n1_minus is None
-        assert norms.n2 > 0.0
-        assert norms.quant_prefactor_shape is not None
-        assert norms.quant_prefactor_shape.value() > 0.0

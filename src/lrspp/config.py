@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from typing import Any, Callable, NamedTuple
 
@@ -187,6 +188,11 @@ RunConfig = make_dataclass(
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only '-12' and '-1.5' as values; '-4e15' would be taken for an option.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str):
         """Report a malformed command line as one ConfigError, not usage text and exit 2."""
         raise ConfigError(message)

@@ -13,13 +13,18 @@ function; the complex propagation constant of the damped mode is obtained
 separately by continuing the root into the complex plane with the lossy
 dielectric function.
 
-Root finding is bracketed bisection on a pole-free form of the equation,
-followed by a Newton polish of the log residual
+Both directions, k at fixed omega (solve_k) and omega at fixed k
+(solve_omega), go through one root routine: bracket a sign change of a
+pole-free form of the equation, bisect it, then polish with a few Newton
+steps on the log residual
 
     G = -nu_m d1 - ln[ +/- (nu_m + eps_m nu_0)/(nu_m - eps_m nu_0) ],
 
-which keeps the *relative* residual of the defining equation at machine
-precision even when exp(-nu_m d1) is many orders of magnitude below 1.
+whose slope along k or omega follows by the chain rule.  The polish keeps
+the relative residual of the defining equation near machine precision up
+to nu_m d1 of about 13.  Beyond that exp(-nu_m d1) drops below the rounding
+of the right-hand side: both branches coincide with the single-interface
+mode to double precision, and the residual can no longer be resolved.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 from .constants import C_LIGHT
 from .errors import ConvergenceError, NoBoundMode, NoMatchingAngle, StencilError
-from .materials import DielectricModel, eps_lossless, eps_lossy, surface_plasma_frequency
+from .materials import DielectricModel, _eps_derivative, eps_lossless, eps_lossy, surface_plasma_frequency
 
 #: Default inverse-problem search window: k in (w/c, KMAX_FACTOR * w/c].
 #: Roots beyond this window correspond to strongly electrostatic modes the
@@ -58,11 +63,7 @@ class BranchId(enum.Enum):
 
 @dataclass(frozen=True)
 class DispersionSolution:
-    """One bound-mode point: (branch, k, omega) plus decay constants.
-
-    ``merged`` flags solutions where exp(-nu_m d1) underflowed and the two
-    branches coincide with the single-interface mode.
-    """
+    """One bound-mode point: (branch, k, omega) plus decay constants."""
 
     branch: BranchId
     k: float
@@ -70,14 +71,13 @@ class DispersionSolution:
     nu_m: float
     nu_0: float
     d1: float
-    merged: bool = False
 
     def relative_residual(self, model: DielectricModel) -> float:
         """|lhs - rhs| / |lhs| of the dispersion equation at this point."""
-        g = _log_residual(self.branch.sign, self.k, self.omega, self.d1, model)
-        if g is None:
+        gd = _log_residual(self.branch.sign, self.k, self.omega, self.d1, model)
+        if gd is None:
             return math.inf
-        return abs(math.expm1(g))
+        return abs(math.expm1(gd[0]))
 
 
 @dataclass(frozen=True)
@@ -98,23 +98,27 @@ def _decay_constants(k: float, omega: float, em: float) -> tuple[float, float] |
     return math.sqrt(nm2), math.sqrt(n02)
 
 
-def _poly_residual(sign: int, k: float, omega: float, d1: float, model: DielectricModel) -> float | None:
+def _poly_residual(sign: int, k: float, omega: float, d1: float, model: DielectricModel) -> float:
     """Pole-free residual H = e^{-nu_m d1}(nu_m - em nu_0) - sign*(nu_m + em nu_0).
 
-    Vanishes exactly at branch roots; safe for bisection.  None outside the
+    Vanishes exactly at branch roots; safe for bisection.  +inf outside the
     bound-mode domain.
     """
     em = eps_lossless(model, omega)
     nus = _decay_constants(k, omega, em)
     if nus is None:
-        return None
+        return math.inf
     nu_m, nu_0 = nus
     u = math.exp(-nu_m * d1)
     return u * (nu_m - em * nu_0) - sign * (nu_m + em * nu_0)
 
 
-def _log_residual(sign: int, k: float, omega: float, d1: float, model: DielectricModel) -> float | None:
-    """G = ln(lhs) - ln(rhs); None where rhs has the wrong sign."""
+def _log_residual(
+    sign: int, k: float, omega: float, d1: float, model: DielectricModel, along_omega: bool = False
+) -> tuple[float, float] | None:
+    """(G, dG/dx) with G = ln(lhs) - ln(rhs) and x = omega or k; None where
+    rhs has the wrong sign.  eps does not depend on k, so its term drops out
+    of the k slope."""
     em = eps_lossless(model, omega)
     nus = _decay_constants(k, omega, em)
     if nus is None:
@@ -124,12 +128,18 @@ def _log_residual(sign: int, k: float, omega: float, d1: float, model: Dielectri
     den = nu_m - em * nu_0
     if num <= 0.0 or den <= 0.0:
         return None
-    return -nu_m * d1 - math.log(num) + math.log(den)
-
-
-def _eps_derivative(model: DielectricModel, omega: float) -> float:
-    wp = model.plasma_frequency
-    return 2.0 * wp**2 / omega**3 + 2.0 * model.real_correction_coeff * omega / wp**2
+    g = -nu_m * d1 - math.log(num) + math.log(den)
+    if along_omega:
+        emp = _eps_derivative(model, omega)
+        dnu_m = -(emp * omega * omega + 2.0 * em * omega) / (2.0 * C_LIGHT**2 * nu_m)
+        dnu_0 = -omega / (C_LIGHT**2 * nu_0)
+    else:
+        emp = 0.0
+        dnu_m = k / nu_m
+        dnu_0 = k / nu_0
+    dnum = dnu_m + emp * nu_0 + em * dnu_0
+    dden = dnu_m - emp * nu_0 - em * dnu_0
+    return g, -d1 * dnu_m - dnum / (nu_m + em * nu_0) + dden / den
 
 
 def _bisect(f, lo: float, hi: float, rel_tol: float = 1e-15, max_iter: int = 200) -> float:
@@ -148,16 +158,60 @@ def _bisect(f, lo: float, hi: float, rel_tol: float = 1e-15, max_iter: int = 200
     return 0.5 * (lo + hi)
 
 
-def _sign_change_intervals(f, lo: float, hi: float, n: int) -> list[tuple[float, float]]:
-    xs = [lo + (hi - lo) * i / n for i in range(n + 1)]
-    vals = [f(x) for x in xs]
-    out = []
-    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
-        if fa is None or fb is None:
-            continue
-        if fa == 0.0 or (fa < 0.0) != (fb < 0.0):
-            out.append((a, b))
-    return out
+def _solve(
+    branch: BranchId, k: float | None, omega: float | None, d1: float, model: DielectricModel,
+    f, lo: float, hi: float, no_root,
+) -> DispersionSolution:
+    """The branch's bound point whose unknown, k or omega (passed as None),
+    is the root of the pole-free residual f in [lo, hi].
+
+    The bracket is the window itself when f changes sign across it, else
+    one interval of a 64-interval sign-change scan: the last for omega, the
+    first for k.  Without one, raises NoBoundMode with the message no_root().
+    Bisection of f is followed by at most 6 Newton steps on the log
+    residual G, kept inside the bracket widened by half and, for omega,
+    below the light line c k.
+    """
+    along_omega = omega is None
+    flo, fhi = f(lo), f(hi)
+    if (flo < 0.0) != (fhi < 0.0):
+        bracket = (lo, hi)
+    else:
+        xs = [lo + (hi - lo) * i / 64 for i in range(65)]
+        vals = [f(x) for x in xs]
+        intervals = []
+        for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
+            if fa == 0.0 or (fa < 0.0) != (fb < 0.0):
+                intervals.append((a, b))
+        if not intervals:
+            raise NoBoundMode(no_root())
+        bracket = intervals[-1 if along_omega else 0]
+    x = _bisect(f, *bracket)
+    x_max = min(bracket[1] * 1.5, C_LIGHT * k) if along_omega else bracket[1] * 1.5
+
+    def point(x: float) -> tuple[float, float]:
+        return (k, x) if along_omega else (x, omega)
+
+    for _ in range(6):
+        gd = _log_residual(branch.sign, *point(x), d1, model, along_omega)
+        if gd is None:
+            break
+        g, dg = gd
+        if dg == 0.0 or not math.isfinite(dg):
+            break
+        step = g / dg
+        x_new = x - step
+        if not (bracket[0] * 0.5 <= x_new <= x_max):
+            break
+        x = x_new
+        if abs(step) <= 2.3e-16 * x:
+            break
+    k, omega = point(x)
+    em = eps_lossless(model, omega)
+    nus = _decay_constants(k, omega, em)
+    if nus is None:
+        raise ConvergenceError(f"root polished outside the bound-mode domain at k={k:.6g}")
+    return DispersionSolution(branch=branch, k=k, omega=omega, nu_m=nus[0], nu_0=nus[1], d1=d1)
 
 
 def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -> DispersionSolution:
@@ -177,64 +231,12 @@ def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -
     sign = branch.sign
 
     def f(w: float) -> float:
-        val = _poly_residual(sign, k, w, d1, model)
-        return math.inf if val is None else val
+        return _poly_residual(sign, k, w, d1, model)
 
-    flo, fhi = f(lo), f(hi)
-    if (flo < 0.0) != (fhi < 0.0):
-        bracket = (lo, hi)
-    else:
-        intervals = _sign_change_intervals(f, lo, hi, 64)
-        if not intervals:
-            raise NoBoundMode(
-                f"{branch.value} branch has no bound mode below the surface-mode "
-                f"limit at k={k:.6g} rad/m, d1={d1:.4g} m"
-            )
-        bracket = intervals[-1]
-    w = _bisect(f, *bracket)
-    w = _polish_omega(branch, k, w, d1, model, bracket)
-    return _build_solution(branch, k, w, d1, model)
-
-
-def _polish_omega(branch, k, w, d1, model, bracket) -> float:
-    sign = branch.sign
-    for _ in range(6):
-        em = eps_lossless(model, w)
-        nus = _decay_constants(k, w, em)
-        if nus is None:
-            break
-        nu_m, nu_0 = nus
-        num = sign * (nu_m + em * nu_0)
-        den = nu_m - em * nu_0
-        if num <= 0.0 or den <= 0.0:
-            break
-        g = -nu_m * d1 - math.log(num) + math.log(den)
-        emp = _eps_derivative(model, w)
-        dnu_m = -(emp * w * w + 2.0 * em * w) / (2.0 * C_LIGHT**2 * nu_m)
-        dnu_0 = -w / (C_LIGHT**2 * nu_0)
-        dnum = dnu_m + emp * nu_0 + em * dnu_0
-        dden = dnu_m - emp * nu_0 - em * dnu_0
-        dg = -d1 * dnu_m - dnum / (nu_m + em * nu_0) + dden / den
-        if dg == 0.0 or not math.isfinite(dg):
-            break
-        step = g / dg
-        w_new = w - step
-        if not (bracket[0] * 0.5 <= w_new <= min(bracket[1] * 1.5, C_LIGHT * k)):
-            break
-        w = w_new
-        if abs(step) <= 2.3e-16 * w:
-            break
-    return w
-
-
-def _build_solution(branch, k, w, d1, model) -> DispersionSolution:
-    em = eps_lossless(model, w)
-    nus = _decay_constants(k, w, em)
-    if nus is None:
-        raise ConvergenceError(f"root polished outside the bound-mode domain at k={k:.6g}")
-    nu_m, nu_0 = nus
-    merged = nu_m * d1 > 700.0
-    return DispersionSolution(branch=branch, k=k, omega=w, nu_m=nu_m, nu_0=nu_0, d1=d1, merged=merged)
+    return _solve(branch, k, None, d1, model, f, lo, hi, lambda: (
+        f"{branch.value} branch has no bound mode below the surface-mode "
+        f"limit at k={k:.6g} rad/m, d1={d1:.4g} m"
+    ))
 
 
 def solve_k(
@@ -263,53 +265,12 @@ def solve_k(
     sign = branch.sign
 
     def f(k: float) -> float:
-        val = _poly_residual(sign, k, omega, d1, model)
-        return math.inf if val is None else val
+        return _poly_residual(sign, k, omega, d1, model)
 
-    flo, fhi = f(k_lo), f(k_hi)
-    if (flo < 0.0) != (fhi < 0.0):
-        bracket = (k_lo, k_hi)
-    else:
-        intervals = _sign_change_intervals(f, k_lo, k_hi, 64)
-        if not intervals:
-            raise NoBoundMode(
-                f"{branch.value} branch cannot reach omega={omega:.6g} rad/s at "
-                f"d1={d1:.4g} m within k <= {kmax_factor:g} w/c"
-            )
-        bracket = intervals[0]
-    k = _bisect(f, *bracket)
-    k = _polish_k(branch, k, omega, d1, model, bracket)
-    return _build_solution(branch, k, omega, d1, model)
-
-
-def _polish_k(branch, k, omega, d1, model, bracket) -> float:
-    sign = branch.sign
-    em = eps_lossless(model, omega)
-    for _ in range(6):
-        nus = _decay_constants(k, omega, em)
-        if nus is None:
-            break
-        nu_m, nu_0 = nus
-        num = sign * (nu_m + em * nu_0)
-        den = nu_m - em * nu_0
-        if num <= 0.0 or den <= 0.0:
-            break
-        g = -nu_m * d1 - math.log(num) + math.log(den)
-        dnu_m = k / nu_m
-        dnu_0 = k / nu_0
-        dnum = dnu_m + em * dnu_0
-        dden = dnu_m - em * dnu_0
-        dg = -d1 * dnu_m - dnum / (nu_m + em * nu_0) + dden / den
-        if dg == 0.0 or not math.isfinite(dg):
-            break
-        step = g / dg
-        k_new = k - step
-        if not (bracket[0] * 0.5 <= k_new <= bracket[1] * 1.5):
-            break
-        k = k_new
-        if abs(step) <= 2.3e-16 * k:
-            break
-    return k
+    return _solve(branch, None, omega, d1, model, f, k_lo, k_hi, lambda: (
+        f"{branch.value} branch cannot reach omega={omega:.6g} rad/s at "
+        f"d1={d1:.4g} m within k <= {kmax_factor:g} w/c"
+    ))
 
 
 def complex_wavenumber(

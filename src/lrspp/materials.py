@@ -72,6 +72,12 @@ def eps_lossless(model: DielectricModel, omega: float) -> float:
     return 1.0 - wp * wp / (omega * omega) + model.real_correction_coeff * (omega / wp) ** 2
 
 
+def _eps_derivative(model: DielectricModel, omega: float) -> float:
+    """d eps_lossless / d omega = 2 wp^2/w^3 + 2 c_r w/wp^2."""
+    wp = model.plasma_frequency
+    return 2.0 * wp**2 / omega**3 + 2.0 * model.real_correction_coeff * omega / wp**2
+
+
 def eps_lossy(model: DielectricModel, omega: float) -> complex:
     """Complex dielectric function 1 - wp^2/(w(w+i*Gamma)) + c_r w^2/wp^2 + i*de_i.
 
@@ -114,8 +120,6 @@ def surface_plasma_frequency(model: DielectricModel) -> float:
         if hi - lo <= 1e-16 * hi:
             break
     w = 0.5 * (lo + hi)
-    # Newton polish: f'(w) = 2 wp^2/w^3 + 2 c_r w/wp^2
-    for _ in range(4):
-        deriv = 2.0 * wp**2 / w**3 + 2.0 * cr * w / wp**2
-        w -= f(w) / deriv
+    for _ in range(4):  # Newton polish
+        w -= f(w) / _eps_derivative(model, w)
     return w

@@ -198,6 +198,8 @@ def four_layer_solve(
 
     # Backward pass with unit amplitude in the top air region.
     u_m = cmath.exp(-gamma_m * d1)
+    if u_m == 0:
+        raise SingularSystemError(f"exp(-gamma_m d1) underflows to 0 at d1={d1:.4g} m: strip too thick")
     ax_d1 = 1.0 + 0j
     s_d1 = -1.0 / gamma_0
     t = gamma_m / em * s_d1

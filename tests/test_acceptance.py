@@ -116,6 +116,7 @@ def default_paths():
     return paths, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_05_headline_coupling(default_paths):
     paths, elapsed = default_paths
     g_plus = paths[BranchId.ANTISYMMETRIC].max_g_tilde()

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -109,6 +110,12 @@ class TestCliExitCodes:
         code = cli.run(["field", "--omega", "5.6e15"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_thick_strip_is_numerical_failure(self):
+        # exp(-gamma_m d1) underflows to 0 in the four-layer solve
+        code, _, err = run_cli(["field", "--profile", "atr", "--d1-nm", "20000"])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: "), err
 
     def test_malformed_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -250,6 +257,8 @@ class TestParamTable:
             (["material", "--mu", "nan"], None, "mu"),
             (["dispersion", "--d1-nm", "-5"], None, "d1"),
             (["field", "--omega=-4e15"], None, "omega"),
+            (["field", "--omega", "-4e15"], None, "omega"),
+            (["optimize", "--omega-min", "-1e15"], None, "omega_min"),
         ],
     )
     def test_bad_input_is_one_config_error_line(self, tmp_path, argv, payload, key):
@@ -354,3 +363,41 @@ class TestConfigFuzz:
         else:
             assert code == 0, err
             assert all(line.startswith("warning: ") for line in err.splitlines()), err
+
+
+class TestPinnedOutput:
+    """Dataset bytes are part of the contract: these short runs must print
+    exactly what they printed when recorded (stdout by sha256, stderr
+    verbatim).  Recorded on x86-64 Linux with CPython 3.11 and glibc 2.36
+    libm; a change that alters them says so in CHANGES.md."""
+
+    @pytest.mark.parametrize(
+        "command, stdout_sha256, stderr",
+        [
+            (
+                "dispersion --d1-nm 20 --k-steps 25",
+                "1244b9e7a9f9b70779387f4cf9d6f88845e098393b91a8386891f4b7844cfdab",
+                "",
+            ),
+            (
+                "angle --d1-nm 20 --omega-steps 25",
+                "3d5fa338516e3dad1e8aafdee74c539c86773fc4997172cf800736b261d7029b",
+                "",
+            ),
+            (  # B solves omega on the other branch at the mode's k
+                "constraints --d2-nm 60 --omega-steps 6 --d1-steps 3",
+                "577a5c591ea7b72680edb46557c4be6ad56b505c99985a0812a7017eb2bac243",
+                "",
+            ),
+            (
+                "angle --omega-min 2e15 --omega-max 6e15 --omega-steps 40",
+                "f128494b5eae58e8a0be474c109c732353d195ecd1f904254bdb5be7c67960ce",
+                "warning: omega grid clipped to the surface-mode limit 5508750061094855.0 rad/s\n",
+            ),
+        ],
+        ids=["dispersion", "angle", "constraints-fixed-d2", "angle-clipped"],
+    )
+    def test_output_bytes(self, command, stdout_sha256, stderr):
+        code, out, err = run_cli(command.split())
+        assert (code, err) == (0, stderr)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256

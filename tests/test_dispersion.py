@@ -13,9 +13,10 @@ from lrspp.dispersion import (
     solve_omega,
 )
 from lrspp.errors import NoBoundMode, NoMatchingAngle
-from lrspp.materials import DielectricModel, SILVER, eps_lossless
+from lrspp.materials import DielectricModel, SILVER, eps_lossless, surface_plasma_frequency
 
 BRANCHES = (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
+W_SP = surface_plasma_frequency(SILVER)
 
 
 def single_interface_omega(k: float, model=SILVER) -> float:
@@ -74,6 +75,31 @@ def test_round_trip_property(w, d1, branch):
     assert back.omega == pytest.approx(w, rel=1e-9)
     assert sol.relative_residual(SILVER) < 1e-10
     assert sol.nu_0 > 0.0 and sol.nu_m > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    branch=st.sampled_from(BRANCHES),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(50e-6)).map(math.exp),
+    frac=st.floats(min_value=1e-3, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_solvers_over_whole_ranges(branch, d1, frac):
+    """Any strip from 1 nm to 50 um, any frequency in the bound band: solve_k
+    raises nothing but NoBoundMode and solve_omega inverts it.  solve_omega
+    searches only below (1 - 1e-6) w_sp, so the round trip is checked there.
+    The relative residual is checked up to nu_m d1 = 10: beyond about 13 it
+    cannot be resolved in double precision.  It is also checked only from
+    2e15 rad/s: at lower frequencies it reaches 1e-6."""
+    omega = frac * W_SP
+    try:
+        sol = solve_k(branch, omega, d1, SILVER)
+    except NoBoundMode:
+        return
+    if omega < (1.0 - 1e-6) * W_SP:
+        back = solve_omega(branch, sol.k, d1, SILVER)
+        assert back.omega == pytest.approx(omega, rel=1e-9)
+    if sol.nu_m * d1 <= 10.0 and omega >= 2e15:
+        assert sol.relative_residual(SILVER) < 1e-10
 
 
 def test_symmetric_branch_unreachable_at_high_frequency_thin_strip(w_sp):

@@ -67,7 +67,6 @@ def _optimize_config(cfg: RunConfig) -> coupling.OptimizeConfig:
         d2_steps=cfg.d2.steps,
         delta_omega=cfg.delta_omega,
         eps_prism=cfg.eps_prism,
-        threads=cfg.threads,
     )
 
 

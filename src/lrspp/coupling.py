@@ -23,7 +23,6 @@ with feasibility B >= 1, P <= 1 and C >= 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import modes
@@ -82,7 +81,6 @@ class OptimizeConfig:
     d2_refine: float = 1e-10  # golden-section window, m
     delta_omega: float = DEFAULT_DELTA_OMEGA
     eps_prism: float = DEFAULT_EPS_PRISM
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -140,11 +138,62 @@ def _beta_from_solution(
     n2 = modes.profile_norm(fl.profile, -d2, _INF)
     overlap = modes.overlap_integral(phi, fl.profile, -d2, _INF) / math.sqrt(n1 * n2)
     beta = -(fl.tau * overlap).conjugate()
-    if abs(beta) > 1.0 + 1e-9:
-        raise NormalizationError(
-            f"|beta| = {abs(beta):.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
-        )
+    _check_beta(abs(beta), sol, d2)
     return beta, theta, fl
+
+
+def _check_beta(beta_abs: float, sol: DispersionSolution, d2: float) -> float:
+    if beta_abs > 1.0 + 1e-9:
+        raise NormalizationError(f"|beta| = {beta_abs:.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}")
+    return beta_abs
+
+
+def _gap_integral(rate: float, d2: float) -> float:
+    """Integral of exp(rate z) over [-d2, 0], with the small-rate limit of
+    modes._term_integral."""
+    if abs(rate) * d2 < 1e-12:
+        return math.exp(-0.5 * rate * d2) * d2
+    return -math.expm1(-rate * d2) / rate
+
+
+def _gap_objective(sol: DispersionSolution, branch: BranchId, eps_prism: float, model: DielectricModel):
+    """|beta| as a function of the gap d2 at a fixed dispersion solution.
+
+    Equal to abs(_beta_from_solution(...)[0]) up to roundoff.  Only the
+    prism match and the [-d2, 0] part of the integrals depend on d2: the
+    strip mode, the stack above z = 0 and the [0, inf) parts of N1, N2 and
+    the overlap are computed once here.  The transmitted field is kept at
+    unit amplitude in the top air, since k5 cancels in
+    |beta| = |tau| |overlap| / sqrt(N1 N2).  In the gap the strip mode is
+    exp(nu_0 z) (1, -i k/nu_0) and the field a1 exp(-g0 z) (1, i kx/g0)
+    + k2 exp(g0 z) (1, -i kx/g0).
+    """
+    theta = coupling_angle(sol.omega, sol.k, eps_prism)
+    phi = modes.lrspp_profile(branch, sol, model)
+    st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model, lossy=True)
+    psi = modes._upper_profile(st, sol.d1, 1.0)
+    n1_up = modes.profile_norm(phi, 0.0, _INF)
+    n2_up = modes.profile_norm(psi, 0.0, _INF)
+    o_up = modes.overlap_integral(phi, psi, 0.0, _INF)
+
+    nu0, g0, a1, k2 = sol.nu_0, st.gamma_0.real, st.a1, st.k2
+    k_nu, kx_g = sol.k / nu0, st.kx / g0
+    # Weights of the gap integrals: dot products of the vector amplitudes.
+    n1_w = 1.0 + k_nu * k_nu
+    n2_w1 = (1.0 + kx_g * kx_g) * abs(a1) ** 2
+    n2_w2 = (1.0 + kx_g * kx_g) * abs(k2) ** 2
+    n2_cross_w = 2.0 * (1.0 - kx_g * kx_g) * (a1.conjugate() * k2).real
+    o_w1 = (1.0 - k_nu * kx_g) * a1
+    o_w2 = (1.0 + k_nu * kx_g) * k2
+
+    def value(d2: float) -> float:
+        _, _, _, tau = modes._prism_match(st, d2)
+        n1 = n1_up + n1_w * _gap_integral(2.0 * nu0, d2)
+        n2 = n2_up + n2_w1 * _gap_integral(-2.0 * g0, d2) + n2_w2 * _gap_integral(2.0 * g0, d2) + n2_cross_w * d2
+        overlap = o_up + o_w1 * _gap_integral(nu0 - g0, d2) + o_w2 * _gap_integral(nu0 + g0, d2)
+        return _check_beta(abs(tau) * abs(overlap) / math.sqrt(n1 * n2), sol, d2)
+
+    return value
 
 
 def constraint_set(
@@ -260,10 +309,7 @@ def optimize_d2(
     if d2_lo > d2_hi:
         return None
 
-    def value(d2: float) -> float:
-        beta, _, _ = _beta_from_solution(sol, branch, d2, config.eps_prism, model)
-        return abs(beta)
-
+    value = _gap_objective(sol, branch, config.eps_prism, model)
     n = max(config.d2_steps, 4)
     ratio = d2_hi / d2_lo
     best_i, best_v = 0, -1.0
@@ -323,16 +369,7 @@ def optimize_path(
 ) -> OptimizationPath:
     """Best feasible conversion point at each frequency, maximized over the
     strip-thickness grid (each thickness itself optimized over the gap).
-
-    Cells are independent; with config.threads > 1 they are mapped over a
-    thread pool and reduced in grid order, so the result does not depend
-    on the worker count.
-    """
-    omegas = tuple(float(w) for w in omega_grid)
+    Cells run serially in grid order."""
     d1s = tuple(float(d) for d in d1_grid)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(lambda w: _best_over_d1(branch, w, d1s, config, model), omegas))
-    else:
-        records = [_best_over_d1(branch, w, d1s, config, model) for w in omegas]
-    return OptimizationPath(branch=branch, records=tuple(records))
+    records = tuple(_best_over_d1(branch, float(w), d1s, config, model) for w in omega_grid)
+    return OptimizationPath(branch=branch, records=records)

@@ -13,6 +13,7 @@ reduces exactly to the lossless one when Gamma = de_i = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,8 +97,13 @@ def surface_plasma_frequency(model: DielectricModel) -> float:
 
     Bound surface modes accumulate against this frequency.  Found by
     bracketed bisection of eps_lossless(w) + 1 on (0, wp), followed by a
-    Newton polish; for c_r = 0 this is wp/sqrt(2).
+    Newton polish; for c_r = 0 this is wp/sqrt(2).  Cached per model.
     """
+    return _surface_plasma_frequency(model)
+
+
+@functools.lru_cache(maxsize=16)
+def _surface_plasma_frequency(model: DielectricModel) -> float:
     wp = model.plasma_frequency
     cr = model.real_correction_coeff
     if cr < 0.0:

@@ -182,6 +182,37 @@ def four_layer_solve(
     """
     if d1 <= 0.0 or d2 <= 0.0:
         raise ValueError("d1 and d2 must be positive")
+    st = _upper_stack(omega, theta, d1, eps_prism, model, lossy)
+    k1, k5, r, tau = _prism_match(st, d2)
+    k1, k2 = k1 * k5, st.k2 * k5
+    gap = Region(-d2, 0.0, (_term(st.kx, k1, -st.gamma_0, -d2), _term(st.kx, k2, st.gamma_0, 0.0)))
+    upper = _upper_profile(st, d1, k5)
+    profile = PiecewiseExpProfile(regions=(gap,) + upper.regions, kx=st.kx)
+    return FourLayerField(profile=profile, r=r, tau=tau, theta=theta, gamma_m=st.gamma_m, gamma_0=st.gamma_0)
+
+
+@dataclass(frozen=True)
+class _UpperStack:
+    """The gap-independent part of the four-layer solve, for unit amplitude
+    in the top air.  The gap field is a1 exp(-gamma_0 z) + k2 exp(gamma_0 z);
+    the metal terms are k3 exp(-gamma_m z) and k4 exp(gamma_m (z - d1))."""
+
+    omega: float
+    theta: float
+    kx: float
+    gamma_0: complex
+    gamma_m: complex
+    q: complex  # prism admittance eps_prism / (i kz1)
+    a1: complex
+    k2: complex
+    k3: complex
+    k4: complex
+
+
+def _upper_stack(
+    omega: float, theta: float, d1: float, eps_prism: float, model: DielectricModel, lossy: bool
+) -> _UpperStack:
+    """Backward pass of the stack from the top air down to z = 0."""
     if eps_prism <= 1.0:
         raise ValueError("eps_prism must exceed 1")
     woc = omega / C_LIGHT
@@ -196,7 +227,6 @@ def four_layer_solve(
     if kz1 == 0.0:
         raise SingularSystemError("grazing incidence: prism wave has no normal component")
 
-    # Backward pass with unit amplitude in the top air region.
     u_m = cmath.exp(-gamma_m * d1)
     if u_m == 0:
         raise SingularSystemError(f"exp(-gamma_m d1) underflows to 0 at d1={d1:.4g} m: strip too thick")
@@ -207,34 +237,53 @@ def four_layer_solve(
     k3 = 0.5 * (ax_d1 - t) / u_m
     ax_0 = k3 + k4 * u_m
     s_0 = em / gamma_m * (-k3 + k4 * u_m)
-    w0 = cmath.exp(-gamma_0 * d2)
-    k2 = 0.5 * (ax_0 + gamma_0 * s_0)
-    k1 = 0.5 * (ax_0 - gamma_0 * s_0) / w0
-    ax_p = k1 + k2 * w0
-    s_p = (-k1 + k2 * w0) / gamma_0
+    return _UpperStack(
+        omega=omega,
+        theta=theta,
+        kx=kx,
+        gamma_0=gamma_0,
+        gamma_m=gamma_m,
+        q=eps_prism / (1j * kz1),
+        a1=0.5 * (ax_0 - gamma_0 * s_0),
+        k2=0.5 * (ax_0 + gamma_0 * s_0),
+        k3=k3,
+        k4=k4,
+    )
 
-    q = eps_prism / (1j * kz1)
-    denom = s_p + q * ax_p
+
+def _prism_match(st: _UpperStack, d2: float) -> tuple[complex, complex, complex, complex]:
+    """Match the gap field to the prism at z = -d2.
+
+    Returns (k1, k5, r, tau): k1 is the unit-top amplitude of
+    exp(-gamma_0 (z + d2)), k5 the top-air amplitude for unit incidence,
+    r the reflection and tau the conversion amplitude.
+    """
+    w0 = cmath.exp(-st.gamma_0 * d2)
+    k1 = st.a1 / w0
+    ax_p = k1 + st.k2 * w0
+    s_p = (-k1 + st.k2 * w0) / st.gamma_0
+    denom = s_p + st.q * ax_p
     if denom == 0 or not cmath.isfinite(denom):
-        raise SingularSystemError(f"degenerate boundary system at omega={omega:.6g}, theta={theta:.6g}")
-    k5 = 2.0 * q / denom
+        raise SingularSystemError(f"degenerate boundary system at omega={st.omega:.6g}, theta={st.theta:.6g}")
+    k5 = 2.0 * st.q / denom
     r = ax_p * k5 - 1.0
-    k1, k2, k3, k4 = (k * k5 for k in (k1, k2, k3, k4))
-
     conv_sq = max(0.0, 1.0 - abs(r) ** 2)
     if abs(k5) > 0.0:
         tau = math.sqrt(conv_sq) * k5 / abs(k5)
     else:
         tau = complex(math.sqrt(conv_sq), 0.0)
+    return k1, k5, r, tau
 
-    def term(a: complex, rate: complex, ref: float) -> ExpTerm:
-        return ExpTerm(a, -1j * kx / rate * a, rate, ref)
 
-    gap = Region(-d2, 0.0, (term(k1, -gamma_0, -d2), term(k2, gamma_0, 0.0)))
-    metal = Region(0.0, d1, (term(k3, -gamma_m, 0.0), term(k4, gamma_m, d1)))
-    top = Region(d1, _INF, (term(k5, -gamma_0, d1),))
-    profile = PiecewiseExpProfile(regions=(gap, metal, top), kx=kx)
-    return FourLayerField(profile=profile, r=r, tau=tau, theta=theta, gamma_m=gamma_m, gamma_0=gamma_0)
+def _term(kx: float, a: complex, rate: complex, ref: float) -> ExpTerm:
+    return ExpTerm(a, -1j * kx / rate * a, rate, ref)
+
+
+def _upper_profile(st: _UpperStack, d1: float, k5: complex) -> PiecewiseExpProfile:
+    """Transmitted field on [0, inf) with amplitude k5 in the top air."""
+    metal = Region(0.0, d1, (_term(st.kx, st.k3 * k5, -st.gamma_m, 0.0), _term(st.kx, st.k4 * k5, st.gamma_m, d1)))
+    top = Region(d1, _INF, (_term(st.kx, k5, -st.gamma_0, d1),))
+    return PiecewiseExpProfile(regions=(metal, top), kx=st.kx)
 
 
 def _segment_pairs(f: PiecewiseExpProfile, g: PiecewiseExpProfile, lo: float, hi: float):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from lrspp import coupling
@@ -14,7 +15,8 @@ from lrspp.coupling import (
     overlap_beta,
 )
 from lrspp.dispersion import BranchId, coupling_angle, solve_k
-from lrspp.materials import SILVER
+from lrspp.errors import LrsppError
+from lrspp.materials import SILVER, surface_plasma_frequency
 from lrspp.modes import four_layer_solve, lrspp_profile
 
 INF = math.inf
@@ -135,6 +137,32 @@ class TestOptimizeD2:
         assert pt.constraints.penetration_P <= 1.0 + 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    branch=st.sampled_from((BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)),
+    frac=st.floats(min_value=1e-3, max_value=1.0, exclude_min=True, exclude_max=True),
+    d1=st.floats(min_value=math.log(5e-9), max_value=math.log(200e-9)).map(math.exp),
+    gap=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_gap_objective_matches_beta(branch, frac, d1, gap):
+    """The search objective of optimize_d2 is |beta| of the generic route, at
+    any bound-band frequency, strip from 5 to 200 nm and gap from the
+    penetration bound 2/nu_0 to 3 um."""
+    omega = frac * surface_plasma_frequency(SILVER)
+    try:
+        sol = solve_k(branch, omega, d1, SILVER)
+        d2_lo = 2.0 / sol.nu_0
+        if d2_lo > 3e-6:
+            return
+        d2 = d2_lo * (3e-6 / d2_lo) ** gap
+        value = coupling._gap_objective(sol, branch, 1.51, SILVER)(d2)
+    except LrsppError:
+        return
+    beta, _, _ = coupling._beta_from_solution(sol, branch, d2, 1.51, SILVER)
+    assert abs(value - abs(beta)) <= 1e-12
+    assert value <= 1.0
+
+
 class TestOptimizePath:
     _CFG = OptimizeConfig(d2_steps=24)
     _OMEGAS = [3.2e15, 3.8e15, 4.4e15]
@@ -150,20 +178,6 @@ class TestOptimizePath:
             # independent re-evaluation of the emitted point
             cons = constraint_set(rec.point.branch, rec.omega, rec.point.d1, rec.point.d2)
             assert cons.feasible
-
-    def test_worker_count_does_not_change_results(self):
-        seq = optimize_path(BranchId.ANTISYMMETRIC, self._OMEGAS, self._D1S, self._CFG)
-        par = optimize_path(
-            BranchId.ANTISYMMETRIC,
-            self._OMEGAS,
-            self._D1S,
-            OptimizeConfig(d2_steps=24, threads=4),
-        )
-        for a, b in zip(seq.records, par.records):
-            assert a.omega == b.omega
-            assert a.point.d1 == b.point.d1
-            assert a.point.d2 == b.point.d2
-            assert a.point.beta == b.point.beta
 
     def test_max_g_tilde_helper(self):
         path = optimize_path(BranchId.ANTISYMMETRIC, self._OMEGAS, self._D1S, self._CFG)

@@ -394,8 +394,13 @@ class TestPinnedOutput:
                 "f128494b5eae58e8a0be474c109c732353d195ecd1f904254bdb5be7c67960ce",
                 "warning: omega grid clipped to the surface-mode limit 5508750061094855.0 rad/s\n",
             ),
+            (  # gap grid, golden-section refine and the fall-back to the grid point
+                "optimize --branch both --omega-steps 8 --d1-steps 4 --d2-steps 24",
+                "7f761231e00bf2c129f2334b9180a3321386cd9e32acebb143596b36522bc50c",
+                "",
+            ),
         ],
-        ids=["dispersion", "angle", "constraints-fixed-d2", "angle-clipped"],
+        ids=["dispersion", "angle", "constraints-fixed-d2", "angle-clipped", "optimize"],
     )
     def test_output_bytes(self, command, stdout_sha256, stderr):
         code, out, err = run_cli(command.split())

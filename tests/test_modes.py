@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from lrspp.constants import C_LIGHT
 from lrspp.dispersion import BranchId, coupling_angle, solve_k, solve_omega
-from lrspp.materials import SILVER, eps_lossless, eps_lossy
+from lrspp.errors import SingularSystemError
+from lrspp.materials import SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
 from lrspp.modes import (
     ExpTerm,
     FourLayerField,
@@ -147,6 +149,24 @@ class TestFourLayer:
                 theta = crit + 1e-3 + (math.pi / 2 - crit - 2e-3) * j / 9
                 fl = four_layer_solve(w, theta, 20e-9, 400e-9, 1.51, SILVER, lossy=False)
                 assert abs(abs(fl.r) ** 2 + abs(fl.tau) ** 2 - 1.0) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frac=st.floats(min_value=1e-3, max_value=1.0, exclude_min=True, exclude_max=True),
+        theta=st.floats(min_value=math.asin(1.0 / math.sqrt(1.51)) + 1e-9, max_value=math.pi / 2),
+        d1=st.floats(min_value=math.log(1e-9), max_value=math.log(50e-6)).map(math.exp),
+        d2=st.floats(min_value=math.log(1e-9), max_value=math.log(3e-6)).map(math.exp),
+    )
+    def test_lossless_energy_conservation_whole_ranges(self, frac, theta, d1, d2):
+        """|r|^2 + |tau|^2 = 1 on the lossless stack for any strip from 1 nm to
+        50 um and any angle above the critical one; a strip too thick to
+        solve raises SingularSystemError."""
+        omega = frac * surface_plasma_frequency(SILVER)
+        try:
+            fl = four_layer_solve(omega, theta, d1, d2, 1.51, SILVER, lossy=False)
+        except SingularSystemError:
+            return
+        assert abs(abs(fl.r) ** 2 + abs(fl.tau) ** 2 - 1.0) < 1e-12
 
     def test_large_gap_shuts_conversion_off(self):
         w = 4e15

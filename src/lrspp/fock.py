@@ -1,8 +1,8 @@
 """Truncated number-basis machinery: coherent states, the beamsplitter
 unitary, the amplitude-damping channel, partial traces and entropy.
 
-Used as the numerical route for superposition-state transfer when the
-closed forms do not apply, and as an independent cross-check of them.
+An independent oracle for the closed forms of ``statetransfer``, used by
+the tests only: no other module imports it, so only it needs numpy.
 """
 
 from __future__ import annotations

@@ -259,6 +259,8 @@ def _prism_match(st: _UpperStack, d2: float) -> tuple[complex, complex, complex,
     r the reflection and tau the conversion amplitude.
     """
     w0 = cmath.exp(-st.gamma_0 * d2)
+    if w0 == 0:
+        raise SingularSystemError(f"exp(-gamma_0 d2) underflows to 0 at d2={d2:.4g} m: gap too wide")
     k1 = st.a1 / w0
     ax_p = k1 + st.k2 * w0
     s_p = (-k1 + st.k2 * w0) / st.gamma_0

@@ -10,11 +10,10 @@ by exp(-kappa0 x) and multiplies the off-diagonal coefficient by
     c(x) = exp[-2 alpha^2 sin^2 g (1 - exp(-2 kappa0 x))],
 
 so the superposition dephases into a mixture before the amplitudes decay
-away.  The state's two eigenvalues follow in closed form from the even/odd
-cat basis, and the von Neumann entropy from them.
-
-The closed forms hold for phi = 0 (the working logical state); other
-phases are routed through the truncated number-basis machinery.
+away.  At every phase phi the state stays in the span of |+/- a_eff⟩, so
+its two eigenvalues follow in closed form from a 2 x 2 matrix in the
+even/odd cat basis, and the von Neumann entropy from them.  The truncated
+number-basis route (``fock``) is kept only as an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,11 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fock
-
 _DEGENERATE_AMPLITUDE = 1e-8
+
+
+def _norm_sq(overlap: float, phi: float) -> float:
+    """2 + 2 overlap cos(phi): the squared norm of |v⟩ + e^{i phi}|-v⟩ when
+    ⟨v|-v⟩ = overlap, and the trace of the cat state's four projector terms."""
+    return 2.0 + 2.0 * overlap * math.cos(phi)
 
 
 @dataclass(frozen=True)
@@ -37,16 +38,23 @@ class CatState:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        val = 2.0 + 2.0 * math.exp(-2.0 * self.alpha**2) * math.cos(self.phi)
+        self.normalization()
+
+    def normalization(self) -> float:
+        """N = [2 + 2 exp(-2 alpha^2) cos(phi)]^{-1/2}.
+
+        Raises ValueError when 2 alpha^2 is not a finite float or the two
+        components cancel (the bracket is below 1e-12).
+        """
+        two_alpha_sq = 2.0 * self.alpha * self.alpha
+        if not math.isfinite(two_alpha_sq):
+            raise ValueError(f"cat amplitude alpha={self.alpha!r}: 2 alpha^2 is not a finite float")
+        val = _norm_sq(math.exp(-two_alpha_sq), self.phi)
         if val < 1e-12:
             raise ValueError(
                 "degenerate superposition: the two components cancel "
                 f"(alpha={self.alpha!r}, phi={self.phi!r})"
             )
-
-    def normalization(self) -> float:
-        """N = [2 + 2 exp(-2 alpha^2) cos(phi)]^{-1/2}."""
-        val = 2.0 + 2.0 * math.exp(-2.0 * self.alpha**2) * math.cos(self.phi)
         return 1.0 / math.sqrt(val)
 
 
@@ -55,7 +63,8 @@ class CatDensity:
     """Rank-two surface-mode state in the +/- coherent-amplitude span.
 
     a_eff is the surviving coherent amplitude alpha sin(g) exp(-kappa0 x),
-    offdiag the coefficient of the cross projectors (c0 c(x) for phi = 0).
+    offdiag the coefficient c0 c(x) of the cross projectors (at every phase;
+    the phase enters through e^{+/- i phi}).
     """
 
     a_eff: float
@@ -65,30 +74,42 @@ class CatDensity:
     entropy: float
 
 
-def _eigenvalues(a_eff: float, offdiag: float) -> tuple[float, float]:
-    """Eigenvalues of the rank-two cat state from its invariants.
+def _eigenvalues(a_eff: float, offdiag: float, dephasing: float, phi: float) -> tuple[float, float]:
+    """Eigenvalues of the rank-two cat state, the larger first.
 
-    In the orthonormal even/odd basis built from |+/- a_eff⟩ the
-    eigenvalues are
+    In the orthonormal even/odd basis of |+/- a_eff⟩, with q = exp(-2 a_eff^2)
+    and D = offdiag = exp(-dephasing), the state is T^-1 times
 
-        lambda_+/- = (1 +/- offdiag)(1 +/- q) / (2 + 2 offdiag q),
+        [[(1 + D cos phi)(1 + q),   D sin phi sqrt(1 - q^2)],
+         [D sin phi sqrt(1 - q^2),  (1 - D cos phi)(1 - q)]],   T = 2 + 2 D q cos phi.
 
-    with q = ⟨a_eff|-a_eff⟩ = exp(-2 a_eff^2).  When a_eff is numerically
-    zero the two coherent states coincide, the odd combination vanishes
-    and the state is the vacuum: (1, 0) is returned.
+    The diagonal entries move apart by o^2 / (hypot(h, o) + h), o the
+    off-diagonal entry and h half their difference: a form that does not
+    cancel as the eigenvalues near 1/2.  For cos phi >= 0, T lies in [2, 4]
+    and the entries are used as written; a_eff < 1e-8 leaves the vacuum,
+    (1, 0).  For cos phi < 0, T, 1 + D cos phi and 1 - q vanish together at
+    the degenerate odd cat, which tends to a photon split by the conversion,
+    not to the vacuum.  There 1 + D cos phi = 2 cos^2(phi/2) - cos phi (1 - D)
+    and 1 - q are taken through expm1, and T as the sum of the diagonal.
     """
-    if a_eff < _DEGENERATE_AMPLITUDE:
-        return 1.0, 0.0
-    q = math.exp(-2.0 * a_eff * a_eff)
-    denom = 2.0 + 2.0 * offdiag * q
-    lam_p = (1.0 + offdiag) * (1.0 + q) / denom
-    lam_m = (1.0 - offdiag) * (1.0 - q) / denom
-    return lam_p, lam_m
-
-
-def eigen_decompose(density: CatDensity) -> tuple[float, float]:
-    """(lambda_plus, lambda_minus) recomputed from the state's invariants."""
-    return _eigenvalues(density.a_eff, density.offdiag)
+    two_a_sq = 2.0 * a_eff * a_eff
+    q = math.exp(-two_a_sq)
+    cos_phi = math.cos(phi)
+    if cos_phi >= 0.0:
+        if a_eff < _DEGENERATE_AMPLITUDE:
+            return 1.0, 0.0
+        even = (1.0 + offdiag * cos_phi) * (1.0 + q)
+        odd = (1.0 - offdiag * cos_phi) * (1.0 - q)
+        trace = _norm_sq(offdiag * q, phi)
+    else:
+        even = (2.0 * math.cos(0.5 * phi) ** 2 + cos_phi * math.expm1(-dephasing)) * (1.0 + q)
+        odd = -(1.0 - offdiag * cos_phi) * math.expm1(-two_a_sq)
+        trace = even + odd
+    even, odd = even / trace, odd / trace
+    cross = offdiag * math.sin(phi) * math.sqrt(-math.expm1(-2.0 * two_a_sq)) / trace
+    half_gap = 0.5 * abs(even - odd)
+    shift = 0.0 if cross == 0.0 else cross * cross / (math.hypot(half_gap, cross) + half_gap)
+    return max(even, odd) + shift, min(even, odd) - shift
 
 
 def von_neumann_entropy(lambda_plus: float, lambda_minus: float) -> float:
@@ -110,35 +131,20 @@ def von_neumann_entropy(lambda_plus: float, lambda_minus: float) -> float:
 
 
 def propagate_cat(cat: CatState, g: float, kappa0: float, x: float) -> CatDensity:
-    """Surface-mode state after conversion with angle g and propagation to x.
-
-    a_eff and offdiag are closed forms at every phase.  phi = 0 takes its
-    eigenvalues and entropy from them; other phases from the number-basis
-    route with the loss channel of transmissivity exp(-2 kappa0 x).
-    """
+    """Surface-mode state after conversion with angle g and propagation to x."""
     if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
         raise ValueError("g must lie in [0, pi/2]")
     if kappa0 < 0.0 or x < 0.0:
         raise ValueError("kappa0 and x must be non-negative")
     alpha = cat.alpha
     s, c = math.sin(g), math.cos(g)
-    damp = math.exp(-kappa0 * x)
-    a_eff = alpha * s * damp
-    c0 = math.exp(-2.0 * alpha * alpha * c * c)
-    cx = math.exp(-2.0 * alpha * alpha * s * s * (-math.expm1(-2.0 * kappa0 * x)))
-    offdiag = c0 * cx
-    if cat.phi != 0.0:
-        lam_p, lam_m, entropy = _propagate_cat_fock(cat, g, kappa0, x)
-    else:
-        lam_p, lam_m = _eigenvalues(a_eff, offdiag)
-        entropy = von_neumann_entropy(lam_p, lam_m)
-    return CatDensity(
-        a_eff=a_eff,
-        offdiag=offdiag,
-        lambda_plus=lam_p,
-        lambda_minus=lam_m,
-        entropy=entropy,
-    )
+    a_eff = alpha * s * math.exp(-kappa0 * x)
+    # offdiag = c0 c(x) = exp(-(unobserved + decayed))
+    unobserved = 2.0 * alpha * alpha * c * c
+    decayed = 2.0 * alpha * alpha * s * s * -math.expm1(-2.0 * kappa0 * x)
+    offdiag = math.exp(-unobserved) * math.exp(-decayed)
+    lam_p, lam_m = _eigenvalues(a_eff, offdiag, unobserved + decayed, cat.phi)
+    return CatDensity(a_eff, offdiag, lam_p, lam_m, von_neumann_entropy(lam_p, lam_m))
 
 
 def transfer_cat(cat: CatState, g: float) -> CatDensity:
@@ -149,19 +155,9 @@ def transfer_cat(cat: CatState, g: float) -> CatDensity:
 def represented_trace(cat: CatState, density: CatDensity) -> float:
     """Trace of the represented operator; equals 1 for any (g, kappa0, x).
 
-    The four projector terms contribute 2 + 2 offdiag ⟨a_eff|-a_eff⟩ times
-    the squared normalization fixed at x = 0.
+    The four projector terms contribute 2 + 2 offdiag ⟨a_eff|-a_eff⟩ cos(phi)
+    times the squared normalization fixed at x = 0.  Both cancel towards the
+    degenerate odd cat: the result is 1 to about 1e-15 N^2, not better.
     """
-    q = math.exp(-2.0 * density.a_eff**2)
-    n_sq = 1.0 / (2.0 + 2.0 * math.exp(-2.0 * cat.alpha**2) * math.cos(cat.phi))
-    return n_sq * (2.0 + 2.0 * density.offdiag * q * math.cos(cat.phi))
-
-
-def _propagate_cat_fock(cat: CatState, g: float, kappa0: float, x: float) -> tuple[float, float, float]:
-    """The two largest eigenvalues and the entropy of the number-basis state."""
-    eta = math.exp(-2.0 * kappa0 * x)
-    rho = fock.cat_mode_after_transfer(cat.alpha, cat.phi, g, eta)
-    vals = np.linalg.eigvalsh(rho)
-    lam_p = float(vals[-1])
-    lam_m = float(max(vals[-2], 0.0)) if len(vals) > 1 else 0.0
-    return lam_p, lam_m, fock.vn_entropy(rho)
+    q = math.exp(-2.0 * density.a_eff * density.a_eff)
+    return cat.normalization() ** 2 * _norm_sq(density.offdiag * q, cat.phi)

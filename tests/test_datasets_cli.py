@@ -4,11 +4,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lrspp
 from lrspp import cli, datasets
 from lrspp.config import (
     PARAMS,
@@ -116,6 +119,24 @@ class TestCliExitCodes:
         code, _, err = run_cli(["field", "--profile", "atr", "--d1-nm", "20000"])
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("numerical failure: "), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "--profile", "atr", "--d2-nm", "1e9"],
+            ["optimize", "--d1-steps", "2", "--d2-max-nm", "4e15", "--d2-steps", "2", "--omega-steps", "2"],
+        ],
+    )
+    def test_wide_gap_is_numerical_failure(self, argv):
+        code, _, err = run_cli(argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "gap too wide" in err, err
+
+    def test_huge_cat_amplitude_is_numerical_failure(self):
+        argv = ["cat-entropy", "--alphas", "1e200", "--omega-steps", "2", "--d1-steps", "2", "--d2-steps", "4"]
+        code, _, err = run_cli(argv + ["--x-steps", "2"])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "2 alpha^2 is not a finite float" in err, err
 
     def test_malformed_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -365,6 +386,60 @@ class TestConfigFuzz:
             assert all(line.startswith("warning: ") for line in err.splitlines()), err
 
 
+def _command_flags() -> dict[str, dict[str, str]]:
+    """flag -> PARAMS row name, per subcommand, as the CLI parser has them."""
+    parser = build_parser({name: None for name in _COMMAND_FLAGS})
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    names = {row.name for row in PARAMS}
+    return {
+        name: {a.option_strings[0]: a.dest for a in sub._actions if a.dest in names}
+        for name, sub in subparsers.items()
+    }
+
+
+_FLAGS_BY_COMMAND = _command_flags()
+# Flag values: valid ones, malformed, negative, exponent-form and empty.
+_VALUES = st.sampled_from([
+    "1", "3", "0.5", "20", "1.52", "4e15", "2e15", "1e-3", "1e200", "0", "-5", "-4e15", "-1.5E-3", "",
+    "abc", "nan", "inf", "1e999", "1,2", "plus", "minus", "json", "atr",
+])
+# Every *_steps flag is always given, so no grid has more than 4 points;
+# half the draws are valid, so that runs get past the configuration.
+_STEPS = st.sampled_from(["2", "3", "4"]) | st.sampled_from(["1", "0", "-2", "2.5", "4e0", "", "x"])
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_FLAGS_BY_COMMAND)))
+    flags = _FLAGS_BY_COMMAND[command]
+    chosen = set(draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)))
+    argv = [command]
+    for flag in sorted(chosen | {f for f, name in flags.items() if name.endswith("_steps")}):
+        value = draw(_STEPS if flags[flag].endswith("_steps") else _VALUES)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    def test_any_argv_exits_0_1_or_2(self, argv):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # an --out value names a file in here
+            try:
+                code, _, err = run_cli(argv)
+            finally:
+                os.chdir(cwd)
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if code == 0:
+            assert all(line.startswith("warning: ") for line in lines), err
+        else:
+            prefix = {1: "config error: ", 2: "numerical failure: "}[code]
+            assert len(lines) == 1 and lines[0].startswith(prefix), err
+
+
 class TestPinnedOutput:
     """Dataset bytes are part of the contract: these short runs must print
     exactly what they printed when recorded (stdout by sha256, stderr
@@ -399,10 +474,24 @@ class TestPinnedOutput:
                 "7f761231e00bf2c129f2334b9180a3321386cd9e32acebb143596b36522bc50c",
                 "",
             ),
+            (  # phi = 0 cat eigenvalues and entropy, NA rows included
+                "cat-entropy --omega-steps 4 --d1-steps 2 --d2-steps 16 --x-steps 5 --alphas 1,3",
+                "b16256c6438ba652147cfc94ce98f0fd5a1c976217525767918da70d86504600",
+                "",
+            ),
         ],
-        ids=["dispersion", "angle", "constraints-fixed-d2", "angle-clipped", "optimize"],
+        ids=["dispersion", "angle", "constraints-fixed-d2", "angle-clipped", "optimize", "cat-entropy"],
     )
     def test_output_bytes(self, command, stdout_sha256, stderr):
         code, out, err = run_cli(command.split())
         assert (code, err) == (0, stderr)
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy backs only the fock oracle; the command-line front end starts without it."""
+    src = os.path.dirname(os.path.dirname(lrspp.__file__))
+    code = "import sys, lrspp.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "False\n"

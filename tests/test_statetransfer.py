@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lrspp import fock
 from lrspp.statetransfer import (
-    CatDensity,
     CatState,
-    eigen_decompose,
     propagate_cat,
     represented_trace,
     transfer_cat,
@@ -81,14 +79,36 @@ class TestTraceAndEigenvalues:
         d = propagate_cat(CatState(alpha), g, 1.0, kx)
         assert 0.0 <= d.entropy <= LN2 + 1e-12
 
-    def test_eigen_decompose_matches_stored(self):
-        d = propagate_cat(CatState(2.2), 1.0, 1.0, 0.4)
-        lam = eigen_decompose(d)
-        assert lam == (d.lambda_plus, d.lambda_minus)
-
     def test_degenerate_guard(self):
-        d = CatDensity(a_eff=1e-10, offdiag=0.5, lambda_plus=0.0, lambda_minus=0.0, entropy=0.0)
-        assert eigen_decompose(d) == (1.0, 0.0)
+        # a_eff = 2e-12: the two coherent states coincide and the vacuum remains
+        for phi in (0.0, math.pi / 2):
+            d = propagate_cat(CatState(2.0, phi), 1e-12, 1.0, 0.0)
+            assert 0.0 < d.a_eff < 1e-8
+            assert (d.lambda_plus, d.lambda_minus, d.entropy) == (1.0, 0.0, 0.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
+        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+        g=st.floats(min_value=0.0, max_value=math.pi / 2),
+        kx=st.floats(min_value=0.0, max_value=30.0),
+    )
+    def test_whole_ranges(self, alpha, phi, g, kx):
+        try:
+            cat = CatState(alpha, phi)
+        except ValueError:  # the degenerate odd cat: its two components cancel
+            assert 2.0 + 2.0 * math.exp(-2.0 * alpha**2) * math.cos(phi) < 1e-12
+            return
+        d = propagate_cat(cat, g, 1.0, kx)
+        assert d.lambda_plus >= d.lambda_minus >= -1e-12
+        assert abs(d.lambda_plus + d.lambda_minus - 1.0) <= 1e-12
+        assert 0.0 <= d.entropy <= LN2 + 1e-12
+        # The trace is a difference of numbers near 2 over another one,
+        # norm_sq = 2 + 2 exp(-2 alpha^2) cos(phi): its rounding error grows
+        # as 1/norm_sq towards the degenerate odd cat (1.8e-15 / norm_sq
+        # was the largest seen in 300,000 random draws).
+        norm_sq = cat.normalization() ** -2
+        assert abs(represented_trace(cat, d) - 1.0) <= 1e-12 + 1e-14 / norm_sq
 
 
 class TestEntropyFunction:
@@ -105,24 +125,41 @@ class TestEntropyFunction:
             von_neumann_entropy(1.2, -0.2)
 
 
+def assert_matches_number_basis(alpha, phi, g, kx):
+    closed = propagate_cat(CatState(alpha, phi), g, 1.0, kx)
+    rho = fock.cat_mode_after_transfer(alpha, phi, g, math.exp(-2.0 * kx))
+    assert abs(closed.entropy - fock.vn_entropy(rho)) < 1e-8
+    vals = np.linalg.eigvalsh(rho)
+    assert abs(closed.lambda_plus - vals[-1]) < 1e-9
+    assert abs(closed.lambda_minus - max(vals[-2], 0.0)) < 1e-9
+
+
+_ORACLE_POINTS = [(0.6, 0.7, 0.25), (1.5, 1.1, 0.05), (2.0, math.asin(0.95), 0.2), (2.0, 1.3, 0.0), (3.0, 1.0, 0.12)]
+# id suffix -> phase; phi = 0 keeps the plain "alpha-g-kx" id
+_ORACLE_PHASES = {"": 0.0, "-phi=pi/2": math.pi / 2, "-phi=pi": math.pi, "-phi=2.5": 2.5}
+
+
 class TestFockOracle:
     @pytest.mark.parametrize(
-        "alpha,g,kx",
+        "alpha,g,kx,phi",
         [
-            (0.6, 0.7, 0.25),
-            (1.5, 1.1, 0.05),
-            (2.0, math.asin(0.95), 0.2),
-            (2.0, 1.3, 0.0),
-            (3.0, 1.0, 0.12),
+            pytest.param(*point, phi, id="-".join(map(str, point)) + suffix)
+            for point in _ORACLE_POINTS
+            for suffix, phi in _ORACLE_PHASES.items()
         ],
     )
-    def test_entropy_matches_number_basis(self, alpha, g, kx):
-        closed = propagate_cat(CatState(alpha), g, 1.0, kx)
-        rho = fock.cat_mode_after_transfer(alpha, 0.0, g, math.exp(-2.0 * kx))
-        assert abs(closed.entropy - fock.vn_entropy(rho)) < 1e-6
-        vals = np.linalg.eigvalsh(rho)
-        assert abs(closed.lambda_plus - vals[-1]) < 1e-6
-        assert abs(closed.lambda_minus - max(vals[-2], 0.0)) < 1e-6
+    def test_entropy_matches_number_basis(self, alpha, g, kx, phi):
+        assert_matches_number_basis(alpha, phi, g, kx)
+
+    # Small odd cats: T = 2 + 2 exp(-2 alpha^2) cos(phi) is of order alpha^2
+    # and the state tends to a single photon split by the conversion, not
+    # to the vacuum, however small a_eff is.
+    @pytest.mark.parametrize(
+        "alpha,phi,g,kx",
+        [(1e-5, math.pi, 1e-3, 0.1), (1e-5, math.pi, 0.8, 0.0), (1e-4, math.pi - 1e-3, 0.8, 0.3)],
+    )
+    def test_small_odd_cat_matches_number_basis(self, alpha, phi, g, kx):
+        assert_matches_number_basis(alpha, phi, g, kx)
 
     def test_beamsplitter_unitary_action_on_coherent_input(self):
         dim = 16
@@ -203,11 +240,13 @@ class TestNonzeroPhaseRoute:
         assert d.entropy >= 0.0
 
     def test_phase_zero_fock_route_agrees_with_closed_form(self):
-        # same inputs, forced through the numeric path via phi = 2*pi
+        # phi = 2 pi: cos(phi) is 1 but sin(phi) is not 0, so the eigenvalues
+        # take the shifted route; they match phi = 0 and the number basis
+        turned = propagate_cat(CatState(1.1, phi=2.0 * math.pi), 0.8, 1.0, 0.2)
         closed = propagate_cat(CatState(1.1, phi=0.0), 0.8, 1.0, 0.2)
-        numeric = propagate_cat(CatState(1.1, phi=2.0 * math.pi), 0.8, 1.0, 0.2)
-        assert numeric.entropy == pytest.approx(closed.entropy, abs=1e-9)
-        assert numeric.lambda_plus == pytest.approx(closed.lambda_plus, abs=1e-9)
+        assert turned.lambda_plus == pytest.approx(closed.lambda_plus, abs=1e-15)
+        assert turned.entropy == pytest.approx(closed.entropy, abs=1e-15)
+        assert_matches_number_basis(1.1, 2.0 * math.pi, 0.8, 0.2)
 
     def test_normalization_value(self):
         assert CatState(1.0, 0.0).normalization() == pytest.approx(
@@ -219,3 +258,10 @@ class TestNonzeroPhaseRoute:
         with pytest.raises(ValueError):
             CatState(1e-9, phi=math.pi)
         CatState(1.0, phi=math.pi)  # finite amplitude is fine
+
+    def test_unrepresentable_amplitude_rejected(self):
+        for alpha in (1e200, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                CatState(alpha)
+        d = transfer_cat(CatState(1e150), 1.0)  # 2 alpha^2 = 2e300 is still a float
+        assert (d.lambda_plus, d.lambda_minus) == (0.5, 0.5)

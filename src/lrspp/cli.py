@@ -19,12 +19,19 @@ Subcommands::
 
 Lengths on the command line are nanometers where the flag says ``-nm``;
 everything else is SI (rad/s, rad/m, meters).
+
+A run is sized from its resolved configuration before any work: one that
+visits more than MAX_POINTS grid points is a configuration error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import stat
 import sys
+from collections.abc import Callable, Iterator
 
 from . import coupling, datasets, propagation, statetransfer
 from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
@@ -39,6 +46,33 @@ from .dispersion import (
 from .errors import ConfigError, LrsppError, NoBoundMode, NoMatchingAngle, StencilError
 from .materials import eps_lossless, eps_lossy
 from .modes import four_layer_solve, lrspp_profile
+
+
+#: Largest run accepted, in grid points visited: the rows emitted plus the
+#: (branch, omega, d1, d2) points of a gap search.  About 9 times the
+#: largest documented run, the criterion-5 sweep: 240 rows and
+#: 2 x 120 x 60 x 80 = 1,152,000 search points.
+MAX_POINTS = 10**7
+
+Rows = Iterator[list]
+#: name -> (handler yielding the rows, columns, grid points of a run)
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(columns: list[str], points: Callable[[RunConfig], int]):
+    """Register a row handler as the subcommand named after it (``_cmd_cat_entropy``
+    is ``cat-entropy``), with its columns and the grid points it visits."""
+
+    def register(handler):
+        _COMMANDS[handler.__name__.removeprefix("_cmd_").replace("_", "-")] = (handler, columns, points)
+        return handler
+
+    return register
+
+
+def _search_points(cfg: RunConfig) -> int:
+    """(branch, omega, d1, d2) points of a gap search."""
+    return len(cfg.branches()) * cfg.omega_steps * cfg.d1_steps * cfg.d2_steps
 
 
 def _echo(argv: list[str]) -> str:
@@ -70,25 +104,27 @@ def _optimize_config(cfg: RunConfig) -> coupling.OptimizeConfig:
     )
 
 
-def _cmd_material(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(["omega", "eps_lossless", "eps_lossy_re", "eps_lossy_im"], lambda cfg: cfg.omega_steps)
+def _cmd_material(cfg: RunConfig) -> Rows:
     """dielectric function over a frequency grid"""
-    rows = []
     for w in cfg.omega.points():
         e = eps_lossy(cfg.material, w)
-        rows.append([w, eps_lossless(cfg.material, w), e.real, e.imag])
-    return ["omega", "eps_lossless", "eps_lossy_re", "eps_lossy_im"], rows
+        yield [w, eps_lossless(cfg.material, w), e.real, e.imag]
 
 
-def _cmd_dispersion(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(
+    ["branch", "d1", "k", "omega", "nu_m", "nu_0", "v_group", "kappa"],
+    lambda cfg: len(cfg.branches()) * cfg.k_steps,
+)
+def _cmd_dispersion(cfg: RunConfig) -> Rows:
     """dispersion rows over a wavevector grid"""
     d1 = cfg.fixed_d1
-    rows = []
     for name, branch in cfg.branches():
         for k in cfg.k.points():
             try:
                 sol = solve_omega(branch, k, d1, cfg.material)
             except NoBoundMode:
-                rows.append([name, d1, k, None, None, None, None, None])
+                yield [name, d1, k, None, None, None, None, None]
                 continue
             window = max(2.0, 1.1 * C_LIGHT * k / sol.omega)
             try:
@@ -99,27 +135,26 @@ def _cmd_dispersion(cfg: RunConfig) -> tuple[list[str], list]:
                 kappa = complex_wavenumber(branch, sol.omega, d1, cfg.material, kmax_factor=window).kappa
             except LrsppError:
                 kappa = None
-            rows.append([name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa])
-    return ["branch", "d1", "k", "omega", "nu_m", "nu_0", "v_group", "kappa"], rows
+            yield [name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa]
 
 
-def _cmd_angle(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(["branch", "d1", "omega", "k", "theta"], lambda cfg: len(cfg.branches()) * cfg.omega_steps)
+def _cmd_angle(cfg: RunConfig) -> Rows:
     """phase-matching angle over a frequency grid"""
     d1 = cfg.fixed_d1
-    rows = []
     for name, branch in cfg.branches():
         for w in cfg.omega.points():
             try:
                 sol = solve_k(branch, w, d1, cfg.material)
                 theta = coupling_angle(w, sol.k, cfg.eps_prism)
             except (NoBoundMode, NoMatchingAngle):
-                rows.append([name, d1, w, None, None])
+                yield [name, d1, w, None, None]
                 continue
-            rows.append([name, d1, w, sol.k, theta])
-    return ["branch", "d1", "omega", "k", "theta"], rows
+            yield [name, d1, w, sol.k, theta]
 
 
-def _cmd_field(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(["z", "ex_re", "ex_im", "ez_re", "ez_im"], lambda cfg: cfg.z_steps)
+def _cmd_field(cfg: RunConfig) -> Rows:
     """sampled profile components over a z grid (single branch; 'both' falls back to 'plus')"""
     d1 = cfg.fixed_d1
     d2 = cfg.fixed_d2 if cfg.fixed_d2 is not None else 500.0 * NM
@@ -137,22 +172,24 @@ def _cmd_field(cfg: RunConfig) -> tuple[list[str], list]:
     z_hi = cfg.z_max if cfg.z_max is not None else d1 + 3.0 / sol.nu_0
     if not z_lo < z_hi:
         raise ConfigError("z: min must be below max")
-    rows = []
     for z in GridSpec(z_lo, z_hi, cfg.z_steps).points():
         if z < profile.z_lo:
-            rows.append([z, None, None, None, None])
+            yield [z, None, None, None, None]
             continue
         ex = profile.eval_x(z)
         ez = profile.eval_z(z)
-        rows.append([z, ex.real, ex.imag, ez.real, ez.imag])
-    return ["z", "ex_re", "ex_im", "ez_re", "ez_im"], rows
+        yield [z, ex.real, ex.imag, ez.real, ez.imag]
 
 
-def _cmd_constraints(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(
+    ["branch", "omega", "d1", "d2", "B", "P", "C", "feasible"],
+    lambda cfg: len(cfg.branches()) * cfg.omega_steps * cfg.d1_steps if cfg.fixed_d2 is not None
+    else len(cfg.branches()) * cfg.omega_steps * cfg.d1_steps + _search_points(cfg),
+)
+def _cmd_constraints(cfg: RunConfig) -> Rows:
     """feasibility triple over an (omega, d1) grid"""
     opt_cfg = _optimize_config(cfg)
     d2 = cfg.fixed_d2
-    rows = []
     for name, branch in cfg.branches():
         for w in cfg.omega.points():
             for d1 in cfg.d1.points():
@@ -165,14 +202,13 @@ def _cmd_constraints(cfg: RunConfig) -> tuple[list[str], list]:
                     pt = coupling.optimize_d2(branch, w, d1, opt_cfg, cfg.material)
                     d2, cons = (None, None) if pt is None else (pt.d2, pt.constraints)
                 if cons is None:
-                    rows.append([name, w, d1, d2, None, None, None, 0])
+                    yield [name, w, d1, d2, None, None, None, 0]
                     continue
-                rows.append([
+                yield [
                     name, w, d1, d2,
                     cons.bandwidth_B, cons.penetration_P, cons.coupled_surfaces_C,
                     int(cons.feasible),
-                ])
-    return ["branch", "omega", "d1", "d2", "B", "P", "C", "feasible"], rows
+                ]
 
 
 def _paths(cfg: RunConfig):
@@ -192,96 +228,114 @@ def _propagating(cfg: RunConfig):
             yield name, rec.omega, pt, kappa0
 
 
-def _cmd_optimize(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(
+    ["branch", "omega", "g_tilde", "d1", "d2", "theta", "beta_abs", "B", "P", "C"],
+    lambda cfg: len(cfg.branches()) * cfg.omega_steps + _search_points(cfg),
+)
+def _cmd_optimize(cfg: RunConfig) -> Rows:
     """constrained best coupling per frequency"""
-    rows = []
     for name, _branch, path in _paths(cfg):
         for rec in path.records:
             if rec.point is None:
-                rows.append([name, rec.omega] + [None] * 8)
+                yield [name, rec.omega] + [None] * 8
                 continue
             pt = rec.point
             c = pt.constraints
-            rows.append([
+            yield [
                 name, rec.omega, pt.g_tilde, pt.d1, pt.d2, pt.theta, abs(pt.beta),
                 c.bandwidth_B, c.penetration_P, c.coupled_surfaces_C,
-            ])
-    return ["branch", "omega", "g_tilde", "d1", "d2", "theta", "beta_abs", "B", "P", "C"], rows
+            ]
 
 
-def _cmd_propagate(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(
+    ["branch", "omega", "x", "m_tilde"],
+    lambda cfg: len(cfg.branches()) * cfg.omega_steps * cfg.x_steps + _search_points(cfg),
+)
+def _cmd_propagate(cfg: RunConfig) -> Rows:
     """normalized detected counts along the strip"""
-    rows = []
     xs = cfg.x.points()
     for name, w, pt, kappa0 in _propagating(cfg):
         if pt is None:
             for x in xs:
-                rows.append([name, w, x, None])
+                yield [name, w, x, None]
             continue
         beta_sq = abs(pt.beta) ** 2
         for x in xs:
-            rows.append([name, w, x, propagation.detected_mean(cfg.mu, kappa0, x, beta_sq)])
-    return ["branch", "omega", "x", "m_tilde"], rows
+            yield [name, w, x, propagation.detected_mean(cfg.mu, kappa0, x, beta_sq)]
 
 
-def _cmd_g2(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(["n", "eta", "g2"], lambda cfg: len(cfg.etas))
+def _cmd_g2(cfg: RunConfig) -> Rows:
     """second-order coherence invariance table"""
     n = cfg.n_photons
-    rows = [[n, eta, propagation.g2_zero(n, beta_sq=eta)] for eta in cfg.etas]
-    return ["n", "eta", "g2"], rows
+    for eta in cfg.etas:
+        yield [n, eta, propagation.g2_zero(n, beta_sq=eta)]
 
 
-def _cmd_cat_entropy(cfg: RunConfig) -> tuple[list[str], list]:
+@_command(
+    ["branch", "omega", "x", "alpha", "lambda_plus", "lambda_minus", "entropy"],
+    lambda cfg: len(cfg.branches()) * cfg.omega_steps * cfg.x_steps * len(cfg.alphas) + _search_points(cfg),
+)
+def _cmd_cat_entropy(cfg: RunConfig) -> Rows:
     """cat-state eigenvalues and entropy along the strip"""
-    rows = []
     xs = cfg.x.points()
     for name, w, pt, kappa0 in _propagating(cfg):
         for alpha in cfg.alphas:
             cat = statetransfer.CatState(alpha)
-            for x in xs:
-                if pt is None:
-                    rows.append([name, w, x, alpha, None, None, None])
-                    continue
-                dens = statetransfer.propagate_cat(cat, pt.g, kappa0, x)
-                rows.append([name, w, x, alpha, dens.lambda_plus, dens.lambda_minus, dens.entropy])
-    return ["branch", "omega", "x", "alpha", "lambda_plus", "lambda_minus", "entropy"], rows
-
-
-_COMMANDS = {
-    "material": _cmd_material,
-    "dispersion": _cmd_dispersion,
-    "angle": _cmd_angle,
-    "field": _cmd_field,
-    "constraints": _cmd_constraints,
-    "optimize": _cmd_optimize,
-    "propagate": _cmd_propagate,
-    "g2": _cmd_g2,
-    "cat-entropy": _cmd_cat_entropy,
-}
+            if pt is None:
+                for x in xs:
+                    yield [name, w, x, alpha, None, None, None]
+                continue
+            for x, dens in zip(xs, statetransfer.propagate_cat_along(cat, pt.g, kappa0, xs)):
+                yield [name, w, x, alpha, dens.lambda_plus, dens.lambda_minus, dens.entropy]
 
 
 @functools.cache
 def _parser():
     """The argparse front end, built once per process: parsing leaves it unchanged."""
-    return build_parser({name: cmd.__doc__ for name, cmd in _COMMANDS.items()}, __doc__.splitlines()[0])
+    return build_parser({name: cmd[0].__doc__ for name, cmd in _COMMANDS.items()}, __doc__.splitlines()[0])
+
+
+def _write_replacing(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory,
+    renamed over path once complete: a failed or interrupted write leaves no
+    partial file and an earlier file as it was.  A symlink is written
+    through, and an earlier file keeps its permission bits."""
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".lrspp-{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute the subcommand, write the dataset.
 
     Returns 0 on success, 1 on configuration errors (including unknown
-    flags and malformed config files), 2 on numerical failures.
+    flags, malformed config files and runs over MAX_POINTS), 2 on
+    numerical failures and on running out of memory.  The rows stream
+    from the handler into the writer; nothing is written unless all of
+    them are.
     """
     try:
         args = _parser().parse_args(argv)
         cfg, warnings = validate_config(config_from_args(args))
-        columns, rows = _COMMANDS[args.command](cfg)
-        dataset = datasets.Dataset(_echo(argv), columns, rows, warnings)
+        handler, columns, points = _COMMANDS[args.command]
+        if (n := points(cfg)) > MAX_POINTS:
+            raise ConfigError(f"grids: the run visits {n} grid points, more than the {MAX_POINTS} accepted")
+        dataset = datasets.Dataset(_echo(argv), columns, handler(cfg), warnings)
         text = datasets.to_json(dataset) if cfg.format == "json" else datasets.to_csv(dataset)
         if cfg.out:
             try:
-                with open(cfg.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                _write_replacing(cfg.out, text)
             except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
                 raise ConfigError(f"out: cannot write {cfg.out}: {exc}") from exc
         else:
@@ -293,6 +347,9 @@ def run(argv: list[str]) -> int:
         return 1
     except (LrsppError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return 2
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -215,28 +215,26 @@ def constraint_set(
     if delta_omega <= 0.0:
         raise ValueError("delta_omega must be positive")
     sol = solve_k(branch, omega, d1, model)
-    return _constraints_from_solution(sol, branch, d2, delta_omega, model)
+    return _constraints(sol, _bandwidth(sol, branch, delta_omega, model), d2)
 
 
-def _constraints_from_solution(
-    sol: DispersionSolution,
-    branch: BranchId,
-    d2: float,
-    delta_omega: float,
-    model: DielectricModel,
-) -> ConstraintSet:
+def _bandwidth(sol: DispersionSolution, branch: BranchId, delta_omega: float, model: DielectricModel) -> float:
+    """B at the solution's wavevector: one root solve on the other branch."""
     try:
         other = solve_omega(branch.other, sol.k, sol.d1, model)
-        if branch is BranchId.ANTISYMMETRIC:
-            gap = sol.omega - other.omega
-        else:
-            gap = other.omega - sol.omega
-        bandwidth = gap / (2.0 * delta_omega)
     except NoBoundMode:
-        bandwidth = _INF
-    penetration = 2.0 / (sol.nu_0 * d2)
-    coupled = 4.0 / (sol.nu_m * sol.d1)
-    return ConstraintSet(bandwidth_B=bandwidth, penetration_P=penetration, coupled_surfaces_C=coupled)
+        return _INF
+    gap = sol.omega - other.omega if branch is BranchId.ANTISYMMETRIC else other.omega - sol.omega
+    return gap / (2.0 * delta_omega)
+
+
+def _constraints(sol: DispersionSolution, bandwidth: float, d2: float) -> ConstraintSet:
+    """(B, P, C) at gap d2, with B from _bandwidth: only P depends on d2."""
+    return ConstraintSet(
+        bandwidth_B=bandwidth,
+        penetration_P=2.0 / (sol.nu_0 * d2),
+        coupled_surfaces_C=4.0 / (sol.nu_m * sol.d1),
+    )
 
 
 def coupling_point(
@@ -248,18 +246,20 @@ def coupling_point(
     model: DielectricModel = SILVER,
 ) -> CouplingPoint:
     """Full conversion record at an explicit (omega, d1, d2)."""
-    return _point_from_solution(solve_k(branch, omega, d1, model), branch, d2, config, model)
+    sol = solve_k(branch, omega, d1, model)
+    return _point_from_solution(sol, branch, d2, _bandwidth(sol, branch, config.delta_omega, model), config, model)
 
 
 def _point_from_solution(
     sol: DispersionSolution,
     branch: BranchId,
     d2: float,
+    bandwidth: float,
     config: OptimizeConfig,
     model: DielectricModel,
 ) -> CouplingPoint:
     beta, theta, _ = _beta_from_solution(sol, branch, d2, config.eps_prism, model)
-    cons = _constraints_from_solution(sol, branch, d2, config.delta_omega, model)
+    cons = _constraints(sol, bandwidth, d2)
     g = math.asin(min(1.0, abs(beta)))
     return CouplingPoint(
         branch=branch,
@@ -301,7 +301,8 @@ def optimize_d2(
         return None
 
     # B and C do not depend on d2; P <= 1 sets the lower gap bound.
-    cons0 = _constraints_from_solution(sol, branch, config.d2_max, config.delta_omega, model)
+    bandwidth = _bandwidth(sol, branch, config.delta_omega, model)
+    cons0 = _constraints(sol, bandwidth, config.d2_max)
     if cons0.bandwidth_B < 1.0 or cons0.coupled_surfaces_C < 1.0:
         return None
     d2_lo = max(config.d2_min, 2.0 / sol.nu_0)
@@ -337,7 +338,7 @@ def optimize_d2(
     if value(d2_best) < best_v:
         d2_best = grid[best_i]
 
-    point = _point_from_solution(sol, branch, d2_best, config, model)
+    point = _point_from_solution(sol, branch, d2_best, bandwidth, config, model)
     return point if point.feasible else None
 
 

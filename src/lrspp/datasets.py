@@ -8,7 +8,9 @@ leading ``#`` comment lines so both formats hold the same information.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -16,36 +18,95 @@ SCHEMA_VERSION = 1
 Cell = float | int | str | None
 
 
+def _format(cells) -> list[str]:
+    """The text of each cell: NA for None, repr for a float, str otherwise."""
+    return ["NA" if c is None else repr(c) if isinstance(c, float) else str(c) for c in cells]
+
+
+#: Rows formatted together: cells are formatted a column at a time.
+_BATCH_ROWS = 1024
+#: Distinct cell objects a column memoises; a column that shows more is
+#: formatted cell by cell from then on.
+_MEMO_CAP = 4096
+
+
 @dataclass
 class Dataset:
+    """A table of cells.  ``rows`` is a list, or an iterator of rows that a
+    writer consumes once; the writers take it a batch of rows at a time."""
+
     command: str
     columns: list[str]
-    rows: list[list[Cell]]
+    rows: Iterable[list[Cell]]
     warnings: list[str] = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        if isinstance(self.rows, list):
+            _check_widths(self.rows, len(self.columns), 0)
 
 
-def _format_cell(value: Cell) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _check_widths(rows: list, width: int, first: int) -> None:
+    for i, row in enumerate(rows, first):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+
+
+def _batches(ds: Dataset) -> Iterator[list]:
+    """The rows of ds in lists of up to _BATCH_ROWS, each row's width checked."""
+    rows, done = iter(ds.rows), 0
+    while batch := list(itertools.islice(rows, _BATCH_ROWS)):
+        _check_widths(batch, len(ds.columns), done)
+        done += len(batch)
+        yield batch
+
+
+def _memo_texts(column: tuple, memo: dict, held: list) -> Iterable[str] | None:
+    """The texts of a batch's column through the column's memo (id -> text),
+    or None once the memo would pass _MEMO_CAP distinct objects.  New cells
+    are appended to held."""
+    ids = list(map(id, column))
+    fresh = set(ids).difference(memo)
+    if len(memo) + len(fresh) > _MEMO_CAP:
+        return None
+    if len(fresh) == len(ids):  # all new and distinct: format them in order
+        texts = _format(column)
+        memo.update(zip(ids, texts))
+        held.extend(column)
+        return texts
+    if fresh:
+        cells = dict(zip(ids, column))
+        new = [cells[k] for k in fresh]
+        memo.update(zip(fresh, _format(new)))
+        held.extend(new)
+    return map(memo.__getitem__, ids)
 
 
 def to_csv(ds: Dataset) -> str:
-    lines = [f"# schema={ds.schema_version}", f"# command={ds.command}"]
-    lines.extend(f"# warning={w}" for w in ds.warnings)
-    lines.append(",".join(ds.columns))
-    for row in ds.rows:
-        lines.append(",".join(_format_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
+    """The dataset as CSV: ``NA`` for None, ``repr`` for a float, ``str`` otherwise.
+
+    A column's cells are looked up by identity, never by value (0.0 == -0.0):
+    each distinct object is formatted once per call, until the column has
+    shown _MEMO_CAP distinct objects.  The memoised cells are held for the
+    call, so that no id is reused by another object.
+    """
+    width = len(ds.columns)
+    memos: list[dict | None] = [{} for _ in range(width)]
+    held: list = []
+    chunks = [f"# schema={ds.schema_version}", f"# command={ds.command}"]
+    chunks.extend(f"# warning={w}" for w in ds.warnings)
+    chunks.append(",".join(ds.columns))
+    for batch in _batches(ds):
+        texts = []
+        for j, column in enumerate(zip(*batch)):
+            text = None if memos[j] is None else _memo_texts(column, memos[j], held)
+            if text is None:
+                memos[j] = None
+                text = _format(column)
+            texts.append(text)
+        # With no columns every row is an empty line.
+        chunks.append("\n".join(map(",".join, zip(*texts))) if width else "\n" * (len(batch) - 1))
+    return "\n".join(chunks) + "\n"
 
 
 def to_json(ds: Dataset) -> str:
@@ -54,7 +115,7 @@ def to_json(ds: Dataset) -> str:
         "command": ds.command,
         "warnings": ds.warnings,
         "columns": ds.columns,
-        "rows": ds.rows,
+        "rows": [row for batch in _batches(ds) for row in batch],
     }
     return json.dumps(payload, indent=1) + "\n"
 

@@ -19,15 +19,17 @@ number-basis route (``fock``) is kept only as an independent oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 _DEGENERATE_AMPLITUDE = 1e-8
 
 
-def _norm_sq(overlap: float, phi: float) -> float:
+def _norm_sq(overlap: float, cos_phi: float) -> float:
     """2 + 2 overlap cos(phi): the squared norm of |v⟩ + e^{i phi}|-v⟩ when
     ⟨v|-v⟩ = overlap, and the trace of the cat state's four projector terms."""
-    return 2.0 + 2.0 * overlap * math.cos(phi)
+    return 2.0 + 2.0 * overlap * cos_phi
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class CatState:
         two_alpha_sq = 2.0 * self.alpha * self.alpha
         if not math.isfinite(two_alpha_sq):
             raise ValueError(f"cat amplitude alpha={self.alpha!r}: 2 alpha^2 is not a finite float")
-        val = _norm_sq(math.exp(-two_alpha_sq), self.phi)
+        val = _norm_sq(math.exp(-two_alpha_sq), math.cos(self.phi))
         if val < 1e-12:
             raise ValueError(
                 "degenerate superposition: the two components cancel "
@@ -58,8 +60,7 @@ class CatState:
         return 1.0 / math.sqrt(val)
 
 
-@dataclass(frozen=True)
-class CatDensity:
+class CatDensity(NamedTuple):
     """Rank-two surface-mode state in the +/- coherent-amplitude span.
 
     a_eff is the surviving coherent amplitude alpha sin(g) exp(-kappa0 x),
@@ -74,11 +75,53 @@ class CatDensity:
     entropy: float
 
 
-def _eigenvalues(a_eff: float, offdiag: float, dephasing: float, phi: float) -> tuple[float, float]:
-    """Eigenvalues of the rank-two cat state, the larger first.
+def von_neumann_entropy(lambda_plus: float, lambda_minus: float) -> float:
+    """Binary von Neumann entropy in nats, with 0 ln 0 = 0.
+
+    Raises ValueError unless both eigenvalues lie in [0, 1] and sum to 1
+    within 1e-9.
+    """
+    s = 0.0
+    for lam in (lambda_plus, lambda_minus):
+        if not -1e-12 <= lam <= 1.0 + 1e-12:
+            raise ValueError(f"eigenvalue {lam!r} outside [0, 1]")
+        if lam > 0.0:
+            s -= lam * math.log(lam)
+    if abs(lambda_plus + lambda_minus - 1.0) > 1e-9:
+        raise ValueError(f"eigenvalues sum to {lambda_plus + lambda_minus!r}, not 1")
+    return s if s > 0.0 else 0.0
+
+
+def _cat_factors(cat: CatState, g: float, kappa0: float) -> tuple:
+    """The factors of the state along x that do not depend on x, for
+    ``_density_at``: alpha sin g, -kappa0, -2 kappa0, 2 alpha^2 sin^2 g,
+    unobserved, c0 = exp(-unobserved), cos phi, sin phi and, used only when
+    cos phi < 0, 2 cos^2(phi/2)."""
+    if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
+        raise ValueError("g must lie in [0, pi/2]")
+    if kappa0 < 0.0:
+        raise ValueError("kappa0 and x must be non-negative")
+    alpha, phi = cat.alpha, cat.phi
+    s, c = math.sin(g), math.cos(g)
+    unobserved = 2.0 * alpha * alpha * c * c
+    cos_phi = math.cos(phi)
+    cos_half_sq = 2.0 * math.cos(0.5 * phi) ** 2 if cos_phi < 0.0 else 0.0
+    return (
+        alpha * s, -kappa0, -2.0 * kappa0, 2.0 * alpha * alpha * s * s,
+        unobserved, math.exp(-unobserved), cos_phi, math.sin(phi), cos_half_sq,
+    )
+
+
+def _density_at(factors: tuple, x: float) -> CatDensity:
+    """The state at x, from the factors of ``_cat_factors``.
+
+    a_eff = alpha sin(g) exp(-kappa0 x) and offdiag = c0 c(x) = exp(-dephasing),
+    where dephasing = unobserved + decayed, unobserved = 2 alpha^2 cos^2 g and
+    decayed = 2 alpha^2 sin^2 g (1 - exp(-2 kappa0 x)).  Each product keeps
+    the order of these formulas, so the hoisted factors change no bit.
 
     In the orthonormal even/odd basis of |+/- a_eff⟩, with q = exp(-2 a_eff^2)
-    and D = offdiag = exp(-dephasing), the state is T^-1 times
+    and D = offdiag, the state is T^-1 times
 
         [[(1 + D cos phi)(1 + q),   D sin phi sqrt(1 - q^2)],
          [D sin phi sqrt(1 - q^2),  (1 - D cos phi)(1 - q)]],   T = 2 + 2 D q cos phi.
@@ -92,59 +135,46 @@ def _eigenvalues(a_eff: float, offdiag: float, dephasing: float, phi: float) -> 
     not to the vacuum.  There 1 + D cos phi = 2 cos^2(phi/2) - cos phi (1 - D)
     and 1 - q are taken through expm1, and T as the sum of the diagonal.
     """
+    if x < 0.0:
+        raise ValueError("kappa0 and x must be non-negative")
+    alpha_s, minus_kappa0, minus_2kappa0, decay_scale, unobserved, c0, cos_phi, sin_phi, cos_half_sq = factors
+    a_eff = alpha_s * math.exp(minus_kappa0 * x)
+    decayed = decay_scale * -math.expm1(minus_2kappa0 * x)
+    offdiag = c0 * math.exp(-decayed)
     two_a_sq = 2.0 * a_eff * a_eff
     q = math.exp(-two_a_sq)
-    cos_phi = math.cos(phi)
     if cos_phi >= 0.0:
         if a_eff < _DEGENERATE_AMPLITUDE:
-            return 1.0, 0.0
+            return CatDensity(a_eff, offdiag, 1.0, 0.0, 0.0)
         even = (1.0 + offdiag * cos_phi) * (1.0 + q)
         odd = (1.0 - offdiag * cos_phi) * (1.0 - q)
-        trace = _norm_sq(offdiag * q, phi)
+        trace = _norm_sq(offdiag * q, cos_phi)
     else:
-        even = (2.0 * math.cos(0.5 * phi) ** 2 + cos_phi * math.expm1(-dephasing)) * (1.0 + q)
+        even = (cos_half_sq + cos_phi * math.expm1(-(unobserved + decayed))) * (1.0 + q)
         odd = -(1.0 - offdiag * cos_phi) * math.expm1(-two_a_sq)
         trace = even + odd
     even, odd = even / trace, odd / trace
-    cross = offdiag * math.sin(phi) * math.sqrt(-math.expm1(-2.0 * two_a_sq)) / trace
-    half_gap = 0.5 * abs(even - odd)
-    shift = 0.0 if cross == 0.0 else cross * cross / (math.hypot(half_gap, cross) + half_gap)
-    return max(even, odd) + shift, min(even, odd) - shift
-
-
-def von_neumann_entropy(lambda_plus: float, lambda_minus: float) -> float:
-    """Binary von Neumann entropy in nats, with 0 ln 0 = 0.
-
-    Raises ValueError unless both eigenvalues lie in [0, 1] and sum to 1
-    within 1e-9.
-    """
-    for lam in (lambda_plus, lambda_minus):
-        if not -1e-12 <= lam <= 1.0 + 1e-12:
-            raise ValueError(f"eigenvalue {lam!r} outside [0, 1]")
-    if abs(lambda_plus + lambda_minus - 1.0) > 1e-9:
-        raise ValueError(f"eigenvalues sum to {lambda_plus + lambda_minus!r}, not 1")
-    s = 0.0
-    for lam in (lambda_plus, lambda_minus):
-        if lam > 0.0:
-            s -= lam * math.log(lam)
-    return max(0.0, s)
+    shift = 0.0
+    if sin_phi != 0.0:  # else the off-diagonal entry is 0: the state is diagonal
+        cross = offdiag * sin_phi * math.sqrt(-math.expm1(-2.0 * two_a_sq)) / trace
+        if cross != 0.0:
+            half_gap = 0.5 * abs(even - odd)
+            shift = cross * cross / (math.hypot(half_gap, cross) + half_gap)
+    lam_p, lam_m = max(even, odd) + shift, min(even, odd) - shift
+    return CatDensity(a_eff, offdiag, lam_p, lam_m, von_neumann_entropy(lam_p, lam_m))
 
 
 def propagate_cat(cat: CatState, g: float, kappa0: float, x: float) -> CatDensity:
     """Surface-mode state after conversion with angle g and propagation to x."""
-    if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
-        raise ValueError("g must lie in [0, pi/2]")
-    if kappa0 < 0.0 or x < 0.0:
-        raise ValueError("kappa0 and x must be non-negative")
-    alpha = cat.alpha
-    s, c = math.sin(g), math.cos(g)
-    a_eff = alpha * s * math.exp(-kappa0 * x)
-    # offdiag = c0 c(x) = exp(-(unobserved + decayed))
-    unobserved = 2.0 * alpha * alpha * c * c
-    decayed = 2.0 * alpha * alpha * s * s * -math.expm1(-2.0 * kappa0 * x)
-    offdiag = math.exp(-unobserved) * math.exp(-decayed)
-    lam_p, lam_m = _eigenvalues(a_eff, offdiag, unobserved + decayed, cat.phi)
-    return CatDensity(a_eff, offdiag, lam_p, lam_m, von_neumann_entropy(lam_p, lam_m))
+    return _density_at(_cat_factors(cat, g, kappa0), x)
+
+
+def propagate_cat_along(cat: CatState, g: float, kappa0: float, xs: Iterable[float]) -> Iterator[CatDensity]:
+    """propagate_cat at each x of xs, bit for bit, with the factors that do
+    not depend on x computed once."""
+    factors = _cat_factors(cat, g, kappa0)
+    for x in xs:
+        yield _density_at(factors, x)
 
 
 def transfer_cat(cat: CatState, g: float) -> CatDensity:
@@ -160,4 +190,4 @@ def represented_trace(cat: CatState, density: CatDensity) -> float:
     degenerate odd cat: the result is 1 to about 1e-15 N^2, not better.
     """
     q = math.exp(-2.0 * density.a_eff * density.a_eff)
-    return cat.normalization() ** 2 * _norm_sq(density.offdiag * q, cat.phi)
+    return cat.normalization() ** 2 * _norm_sq(density.offdiag * q, math.cos(cat.phi))

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,25 @@ def sample_dataset() -> datasets.Dataset:
     )
 
 
+def cell_by_cell_csv(ds: datasets.Dataset) -> str:
+    """The CSV writer that formatted every cell of every row on its own,
+    kept as the reference for the bytes of datasets.to_csv."""
+
+    def cell(value):
+        if value is None:
+            return "NA"
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    lines = [f"# schema={ds.schema_version}", f"# command={ds.command}"]
+    lines.extend(f"# warning={w}" for w in ds.warnings)
+    lines.append(",".join(ds.columns))
+    for row in ds.rows:
+        lines.append(",".join(cell(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestDatasets:
     def test_csv_round_trip_lossless(self):
         ds = sample_dataset()
@@ -64,6 +85,54 @@ class TestDatasets:
     def test_row_width_validated(self):
         with pytest.raises(ValueError):
             datasets.Dataset(command="x", columns=["a", "b"], rows=[[1.0]])
+
+    def test_streamed_row_width_validated(self):
+        rows = ([1.0, 2.0] if i != 1500 else [1.0] for i in range(3000))
+        ds = datasets.Dataset(command="x", columns=["a", "b"], rows=rows)
+        with pytest.raises(ValueError, match="row 1500 has 1 cells"):
+            datasets.to_csv(ds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.integers(0, 4),
+        pool=st.lists(
+            st.one_of(
+                st.floats(), st.sampled_from([0.0, -0.0]), st.integers(), st.booleans(),
+                st.text(max_size=3), st.none(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        picks=st.lists(st.integers(0, 10**6), max_size=120),
+        memo_cap=st.integers(1, 6),
+        batch_rows=st.integers(1, 7),
+        streamed=st.booleans(),
+    )
+    def test_csv_equals_cell_by_cell_formatter(self, width, pool, picks, memo_cap, batch_rows, streamed):
+        # Rows pick their cells from a small pool, so the same objects repeat
+        # down a column; small caps and batches reach every branch of to_csv.
+        n_rows = len(picks) // width if width else len(picks) % 5
+        rows = [[pool[picks[r * width + j] % len(pool)] for j in range(width)] for r in range(n_rows)]
+        columns = [f"c{j}" for j in range(width)]
+        expected = cell_by_cell_csv(datasets.Dataset("lrspp x", columns, rows, ["w"]))
+        with mock.patch.object(datasets, "_MEMO_CAP", memo_cap), mock.patch.object(datasets, "_BATCH_ROWS", batch_rows):
+            ds = datasets.Dataset("lrspp x", columns, iter(rows) if streamed else rows, ["w"])
+            assert datasets.to_csv(ds) == expected
+
+    def test_memo_is_by_object_not_by_id_alone(self):
+        # Fresh floats freed after each row: their ids are reused by later
+        # objects of other values, which must not take a memoised text.
+        # Column b mixes them with a repeated object.
+        kept = 0.5
+
+        def rows():
+            for i in range(20000):
+                yield [float(i) / 7.0, kept if i % 3 else float(i) / 3.0, -0.0 if i % 2 else 0.0]
+
+        ds = datasets.Dataset("lrspp x", ["a", "b", "c"], list(rows()))
+        expected = cell_by_cell_csv(ds)
+        with mock.patch.object(datasets, "_MEMO_CAP", 10**6):
+            assert datasets.to_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], rows())) == expected
 
 
 class TestConfig:
@@ -146,6 +215,152 @@ class TestCliExitCodes:
     def test_unwritable_output_path(self, tmp_path):
         out = tmp_path / "missing" / "out.csv"
         assert cli.run(["g2", "--n", "1", "--out", str(out)]) == 1
+
+    def test_out_of_memory_is_one_line_exit_2(self, monkeypatch):
+        def exhausted(ds):
+            raise MemoryError
+
+        monkeypatch.setattr(datasets, "to_csv", exhausted)
+        code, out, err = run_cli(["g2", "--n", "2"])
+        assert (code, out, err) == (2, "", "numerical failure: out of memory\n")
+
+    def test_failure_mid_stream_prints_nothing(self, monkeypatch):
+        real = cli.statetransfer.propagate_cat_along
+
+        def failing(cat, g, kappa0, xs):
+            yield from real(cat, g, kappa0, xs[:3])
+            raise ValueError("eigenvalue nan outside [0, 1]")
+
+        monkeypatch.setattr(cli.statetransfer, "propagate_cat_along", failing)
+        argv = "cat-entropy --branch plus --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
+        code, out, err = run_cli(argv.split() + ["--d1-max-nm", "45", "--d1-steps", "2", "--d2-steps", "8"])
+        assert (code, out, err) == (2, "", "numerical failure: eigenvalue nan outside [0, 1]\n")
+
+
+class TestRunCap:
+    """A run is sized from its configuration and refused over cli.MAX_POINTS
+    before any grid is built."""
+
+    @pytest.fixture
+    def no_grids(self, monkeypatch):
+        def built(grid):
+            raise AssertionError(f"grid of {grid.steps} points built")
+
+        monkeypatch.setattr(GridSpec, "points", built)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "--z-steps", "1000000000"],
+            ["dispersion", "--k-steps", "10000000"],
+            ["material", "--omega-steps", "9007199254740992"],
+            ["optimize", "--d2-steps", "100000000"],
+            ["constraints", "--d1-steps", "1000", "--omega-steps", "1000", "--d2-steps", "20"],
+            ["propagate", "--x-steps", "100000000"],
+            ["cat-entropy", "--x-steps", "100000", "--alphas", "1,2,3,4,5,6,7,8,9,10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_over_the_cap_is_one_config_error(self, argv, no_grids):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("config error: grids: the run visits "), err
+
+    def test_fixed_gap_constraints_not_sized_by_the_gap_grid(self):
+        points = cli._COMMANDS["constraints"][2]
+        cfg = config_from_dict({"d2": 6e-8, "d2_steps": 2**53, "omega_steps": 2, "d1_steps": 3, "branch": "both"})
+        assert points(cfg) == 2 * 2 * 3
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("optimize", {}),  # per branch of the criterion-5 sweep; both below
+            ("optimize", {"branch": "both"}),
+            ("cat-entropy", {"branch": "both"}),
+            ("propagate", {"branch": "both", "x_max": 2e-5, "x_steps": 60}),
+            ("dispersion", {"branch": "both", "k_steps": 200}),
+            ("field", {"z_steps": 500}),
+        ],
+    )
+    def test_documented_runs_fit_well_inside(self, command, config):
+        handler, columns, points = cli._COMMANDS[command]
+        assert points(config_from_dict(config)) * 8 < cli.MAX_POINTS
+
+
+class TestAtomicOut:
+    """--out is written to a temporary file and renamed into place."""
+
+    ARGV = ["g2", "--n", "2", "--etas", "1.0,0.5"]
+
+    def old_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("earlier run\n")
+        out.chmod(0o640)
+        return out
+
+    def test_replaces_and_keeps_mode(self, tmp_path, capsys):
+        out = self.old_file(tmp_path)
+        assert cli.run(self.ARGV + ["--out", str(out)]) == 0
+        assert cli.run(self.ARGV) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        out = self.old_file(tmp_path)
+        link = tmp_path / "link.csv"
+        link.symlink_to(out)
+        assert cli.run(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink() and out.read_text().startswith("# schema=1")
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        out = self.old_file(tmp_path)
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+        code, _, err = run_cli(self.ARGV + ["--out", str(out)])
+        assert code == 1 and err.startswith("config error: out: cannot write") and "No space left" in err
+        assert out.read_text() == "earlier run\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failed_rename_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        def refused(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", refused)
+        new = tmp_path / "new.csv"
+        assert run_cli(self.ARGV + ["--out", str(new)])[0] == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        out = self.old_file(tmp_path)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.run(self.ARGV + ["--out", str(out)])
+        assert out.read_text() == "earlier run\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_output_directory_is_config_error(self, tmp_path):
+        assert cli.run(self.ARGV + ["--out", str(tmp_path)]) == 1
+        assert os.listdir(tmp_path) == []
 
 
 class TestCliDatasets:
@@ -479,8 +694,23 @@ class TestPinnedOutput:
                 "b16256c6438ba652147cfc94ce98f0fd5a1c976217525767918da70d86504600",
                 "",
             ),
+            (  # mean counts along x, the minus branch NA at the top frequency
+                "propagate --branch both --omega-min 2.6e15 --omega-max 5e15 --omega-steps 3"
+                " --d1-min-nm 15 --d1-max-nm 45 --d1-steps 3 --d2-steps 12 --x-steps 3",
+                "c8b6caafa191e62a41b3f3264ceea57341ca8d9c06c4fc9c6a7169875892635c",
+                "",
+            ),
+            (  # JSON rows of the along-x cat path, NA rows included
+                "cat-entropy --branch both --omega-min 2.6e15 --omega-max 5e15 --omega-steps 2"
+                " --d1-min-nm 15 --d1-max-nm 45 --d1-steps 2 --d2-steps 12 --x-steps 3 --alphas 1,2.5 --format json",
+                "156f2a377049ede3e18cc49bdb9cf76b5b855ba0bef58728cbbe5e751036234d",
+                "",
+            ),
         ],
-        ids=["dispersion", "angle", "constraints-fixed-d2", "angle-clipped", "optimize", "cat-entropy"],
+        ids=[
+            "dispersion", "angle", "constraints-fixed-d2", "angle-clipped", "optimize", "cat-entropy",
+            "propagate-na-frequency", "cat-entropy-json",
+        ],
     )
     def test_output_bytes(self, command, stdout_sha256, stderr):
         code, out, err = run_cli(command.split())

@@ -8,12 +8,52 @@ from lrspp import fock
 from lrspp.statetransfer import (
     CatState,
     propagate_cat,
+    propagate_cat_along,
     represented_trace,
     transfer_cat,
     von_neumann_entropy,
 )
 
 LN2 = math.log(2.0)
+
+
+def single_pass_propagate_cat(cat, g, kappa0, x):
+    """The single-pass propagate_cat that computed every factor at each x,
+    kept as written: the hoisted path must return its bits."""
+    if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
+        raise ValueError("g must lie in [0, pi/2]")
+    if kappa0 < 0.0 or x < 0.0:
+        raise ValueError("kappa0 and x must be non-negative")
+    alpha = cat.alpha
+    s, c = math.sin(g), math.cos(g)
+    a_eff = alpha * s * math.exp(-kappa0 * x)
+    unobserved = 2.0 * alpha * alpha * c * c
+    decayed = 2.0 * alpha * alpha * s * s * -math.expm1(-2.0 * kappa0 * x)
+    offdiag = math.exp(-unobserved) * math.exp(-decayed)
+    dephasing, phi = unobserved + decayed, cat.phi
+    two_a_sq = 2.0 * a_eff * a_eff
+    q = math.exp(-two_a_sq)
+    cos_phi = math.cos(phi)
+    if cos_phi >= 0.0:
+        if a_eff < 1e-8:
+            return a_eff, offdiag, 1.0, 0.0, von_neumann_entropy(1.0, 0.0)
+        even = (1.0 + offdiag * cos_phi) * (1.0 + q)
+        odd = (1.0 - offdiag * cos_phi) * (1.0 - q)
+        trace = 2.0 + 2.0 * (offdiag * q) * math.cos(phi)
+    else:
+        even = (2.0 * math.cos(0.5 * phi) ** 2 + cos_phi * math.expm1(-dephasing)) * (1.0 + q)
+        odd = -(1.0 - offdiag * cos_phi) * math.expm1(-two_a_sq)
+        trace = even + odd
+    even, odd = even / trace, odd / trace
+    cross = offdiag * math.sin(phi) * math.sqrt(-math.expm1(-2.0 * two_a_sq)) / trace
+    half_gap = 0.5 * abs(even - odd)
+    shift = 0.0 if cross == 0.0 else cross * cross / (math.hypot(half_gap, cross) + half_gap)
+    lam_p, lam_m = max(even, odd) + shift, min(even, odd) - shift
+    return a_eff, offdiag, lam_p, lam_m, von_neumann_entropy(lam_p, lam_m)
+
+
+def bits(values):
+    return [v.hex() for v in values]
 
 
 class TestClosedFormEndpoints:
@@ -109,6 +149,26 @@ class TestTraceAndEigenvalues:
         # was the largest seen in 300,000 random draws).
         norm_sq = cat.normalization() ** -2
         assert abs(represented_trace(cat, d) - 1.0) <= 1e-12 + 1e-14 / norm_sq
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
+        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+        g=st.floats(min_value=0.0, max_value=math.pi / 2),
+        kappa0=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e7)),
+        kxs=st.lists(st.floats(min_value=0.0, max_value=30.0), max_size=8),
+    )
+    def test_along_x_is_bitwise_single_pass(self, alpha, phi, g, kappa0, kxs):
+        try:
+            cat = CatState(alpha, phi)
+        except ValueError:  # the degenerate odd cat
+            return
+        xs = [0.0] + [kx / kappa0 if kappa0 else kx for kx in kxs]
+        expected = [single_pass_propagate_cat(cat, g, kappa0, x) for x in xs]
+        along = list(propagate_cat_along(cat, g, kappa0, xs))
+        assert [bits(d) for d in along] == [bits(e) for e in expected]
+        assert [bits(propagate_cat(cat, g, kappa0, x)) for x in xs] == [bits(e) for e in expected]
 
 
 class TestEntropyFunction:

@@ -31,7 +31,7 @@ import functools
 import os
 import stat
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from . import coupling, datasets, propagation, statetransfer
 from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
@@ -55,19 +55,6 @@ from .modes import four_layer_solve, lrspp_profile
 MAX_POINTS = 10**7
 
 Rows = Iterator[list]
-#: name -> (handler yielding the rows, columns, grid points of a run)
-_COMMANDS: dict[str, tuple] = {}
-
-
-def _command(columns: list[str], points: Callable[[RunConfig], int]):
-    """Register a row handler as the subcommand named after it (``_cmd_cat_entropy``
-    is ``cat-entropy``), with its columns and the grid points it visits."""
-
-    def register(handler):
-        _COMMANDS[handler.__name__.removeprefix("_cmd_").replace("_", "-")] = (handler, columns, points)
-        return handler
-
-    return register
 
 
 def _search_points(cfg: RunConfig) -> int:
@@ -104,7 +91,6 @@ def _optimize_config(cfg: RunConfig) -> coupling.OptimizeConfig:
     )
 
 
-@_command(["omega", "eps_lossless", "eps_lossy_re", "eps_lossy_im"], lambda cfg: cfg.omega_steps)
 def _cmd_material(cfg: RunConfig) -> Rows:
     """dielectric function over a frequency grid"""
     for w in cfg.omega.points():
@@ -112,10 +98,6 @@ def _cmd_material(cfg: RunConfig) -> Rows:
         yield [w, eps_lossless(cfg.material, w), e.real, e.imag]
 
 
-@_command(
-    ["branch", "d1", "k", "omega", "nu_m", "nu_0", "v_group", "kappa"],
-    lambda cfg: len(cfg.branches()) * cfg.k_steps,
-)
 def _cmd_dispersion(cfg: RunConfig) -> Rows:
     """dispersion rows over a wavevector grid"""
     d1 = cfg.fixed_d1
@@ -138,7 +120,6 @@ def _cmd_dispersion(cfg: RunConfig) -> Rows:
             yield [name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa]
 
 
-@_command(["branch", "d1", "omega", "k", "theta"], lambda cfg: len(cfg.branches()) * cfg.omega_steps)
 def _cmd_angle(cfg: RunConfig) -> Rows:
     """phase-matching angle over a frequency grid"""
     d1 = cfg.fixed_d1
@@ -153,7 +134,6 @@ def _cmd_angle(cfg: RunConfig) -> Rows:
             yield [name, d1, w, sol.k, theta]
 
 
-@_command(["z", "ex_re", "ex_im", "ez_re", "ez_im"], lambda cfg: cfg.z_steps)
 def _cmd_field(cfg: RunConfig) -> Rows:
     """sampled profile components over a z grid (single branch; 'both' falls back to 'plus')"""
     d1 = cfg.fixed_d1
@@ -181,11 +161,6 @@ def _cmd_field(cfg: RunConfig) -> Rows:
         yield [z, ex.real, ex.imag, ez.real, ez.imag]
 
 
-@_command(
-    ["branch", "omega", "d1", "d2", "B", "P", "C", "feasible"],
-    lambda cfg: len(cfg.branches()) * cfg.omega_steps * cfg.d1_steps if cfg.fixed_d2 is not None
-    else len(cfg.branches()) * cfg.omega_steps * cfg.d1_steps + _search_points(cfg),
-)
 def _cmd_constraints(cfg: RunConfig) -> Rows:
     """feasibility triple over an (omega, d1) grid"""
     opt_cfg = _optimize_config(cfg)
@@ -228,10 +203,6 @@ def _propagating(cfg: RunConfig):
             yield name, rec.omega, pt, kappa0
 
 
-@_command(
-    ["branch", "omega", "g_tilde", "d1", "d2", "theta", "beta_abs", "B", "P", "C"],
-    lambda cfg: len(cfg.branches()) * cfg.omega_steps + _search_points(cfg),
-)
 def _cmd_optimize(cfg: RunConfig) -> Rows:
     """constrained best coupling per frequency"""
     for name, _branch, path in _paths(cfg):
@@ -247,10 +218,6 @@ def _cmd_optimize(cfg: RunConfig) -> Rows:
             ]
 
 
-@_command(
-    ["branch", "omega", "x", "m_tilde"],
-    lambda cfg: len(cfg.branches()) * cfg.omega_steps * cfg.x_steps + _search_points(cfg),
-)
 def _cmd_propagate(cfg: RunConfig) -> Rows:
     """normalized detected counts along the strip"""
     xs = cfg.x.points()
@@ -264,7 +231,6 @@ def _cmd_propagate(cfg: RunConfig) -> Rows:
             yield [name, w, x, propagation.detected_mean(cfg.mu, kappa0, x, beta_sq)]
 
 
-@_command(["n", "eta", "g2"], lambda cfg: len(cfg.etas))
 def _cmd_g2(cfg: RunConfig) -> Rows:
     """second-order coherence invariance table"""
     n = cfg.n_photons
@@ -272,10 +238,6 @@ def _cmd_g2(cfg: RunConfig) -> Rows:
         yield [n, eta, propagation.g2_zero(n, beta_sq=eta)]
 
 
-@_command(
-    ["branch", "omega", "x", "alpha", "lambda_plus", "lambda_minus", "entropy"],
-    lambda cfg: len(cfg.branches()) * cfg.omega_steps * cfg.x_steps * len(cfg.alphas) + _search_points(cfg),
-)
 def _cmd_cat_entropy(cfg: RunConfig) -> Rows:
     """cat-state eigenvalues and entropy along the strip"""
     xs = cfg.x.points()
@@ -290,25 +252,101 @@ def _cmd_cat_entropy(cfg: RunConfig) -> Rows:
                 yield [name, w, x, alpha, dens.lambda_plus, dens.lambda_minus, dens.entropy]
 
 
+def _constraints_points(cfg: RunConfig) -> int:
+    cells = len(cfg.branches()) * cfg.omega_steps * cfg.d1_steps
+    return cells if cfg.fixed_d2 is not None else cells + _search_points(cfg)
+
+
+#: name -> (handler yielding the rows, columns, grid points the run visits)
+_COMMANDS = {
+    "material": (
+        _cmd_material,
+        ["omega", "eps_lossless", "eps_lossy_re", "eps_lossy_im"],
+        lambda cfg: cfg.omega_steps,
+    ),
+    "dispersion": (
+        _cmd_dispersion,
+        ["branch", "d1", "k", "omega", "nu_m", "nu_0", "v_group", "kappa"],
+        lambda cfg: len(cfg.branches()) * cfg.k_steps,
+    ),
+    "angle": (
+        _cmd_angle,
+        ["branch", "d1", "omega", "k", "theta"],
+        lambda cfg: len(cfg.branches()) * cfg.omega_steps,
+    ),
+    "field": (
+        _cmd_field,
+        ["z", "ex_re", "ex_im", "ez_re", "ez_im"],
+        lambda cfg: cfg.z_steps,
+    ),
+    "constraints": (
+        _cmd_constraints,
+        ["branch", "omega", "d1", "d2", "B", "P", "C", "feasible"],
+        _constraints_points,
+    ),
+    "optimize": (
+        _cmd_optimize,
+        ["branch", "omega", "g_tilde", "d1", "d2", "theta", "beta_abs", "B", "P", "C"],
+        lambda cfg: len(cfg.branches()) * cfg.omega_steps + _search_points(cfg),
+    ),
+    "propagate": (
+        _cmd_propagate,
+        ["branch", "omega", "x", "m_tilde"],
+        lambda cfg: len(cfg.branches()) * cfg.omega_steps * cfg.x_steps + _search_points(cfg),
+    ),
+    "g2": (
+        _cmd_g2,
+        ["n", "eta", "g2"],
+        lambda cfg: len(cfg.etas),
+    ),
+    "cat-entropy": (
+        _cmd_cat_entropy,
+        ["branch", "omega", "x", "alpha", "lambda_plus", "lambda_minus", "entropy"],
+        lambda cfg: len(cfg.branches()) * cfg.omega_steps * cfg.x_steps * len(cfg.alphas) + _search_points(cfg),
+    ),
+}
+
+
 @functools.cache
 def _parser():
     """The argparse front end, built once per process: parsing leaves it unchanged."""
-    return build_parser({name: cmd[0].__doc__ for name, cmd in _COMMANDS.items()}, __doc__.splitlines()[0])
+    return build_parser(
+        {name: handler.__doc__ for name, (handler, _columns, _points) in _COMMANDS.items()},
+        __doc__.splitlines()[0],
+    )
 
 
-def _write_replacing(path: str, text: str) -> None:
-    """Write text to path through a temporary file in the same directory,
-    renamed over path once complete: a failed or interrupted write leaves no
-    partial file and an earlier file as it was.  A symlink is written
-    through, and an earlier file keeps its permission bits."""
+def _write_out(path: str, text: str) -> None:
+    """Write text to path.  A new file, or an earlier regular file the user
+    may write, is written to a temporary file in the same directory, synced
+    and renamed over path once complete: a failed or interrupted write leaves
+    no partial file and an earlier file as it was.  A symlink is written
+    through, and an earlier file keeps its permission bits.  Anything else
+    (a device such as /dev/null, a pipe, a file the user may not write, a
+    directory the user may not add to) is opened and written directly, with
+    the errors that opening it gives."""
+    try:
+        mode = os.stat(path).st_mode  # through links, /dev/stdout's to a pipe too
+    except FileNotFoundError:
+        mode = None
     target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f".lrspp-{os.urandom(6).hex()}.tmp")
+    folder = os.path.dirname(target)
+    replaceable = os.access(folder, os.W_OK | os.X_OK) and (
+        mode is None or (stat.S_ISREG(mode) and os.access(target, os.W_OK))
+    )
+    if not replaceable:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    tmp = os.path.join(folder, f".lrspp-{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            if os.path.exists(target):
-                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -335,7 +373,7 @@ def run(argv: list[str]) -> int:
         text = datasets.to_json(dataset) if cfg.format == "json" else datasets.to_csv(dataset)
         if cfg.out:
             try:
-                _write_replacing(cfg.out, text)
+                _write_out(cfg.out, text)
             except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
                 raise ConfigError(f"out: cannot write {cfg.out}: {exc}") from exc
         else:

@@ -154,12 +154,9 @@ def _density_at(factors: tuple, x: float) -> CatDensity:
         odd = -(1.0 - offdiag * cos_phi) * math.expm1(-two_a_sq)
         trace = even + odd
     even, odd = even / trace, odd / trace
-    shift = 0.0
-    if sin_phi != 0.0:  # else the off-diagonal entry is 0: the state is diagonal
-        cross = offdiag * sin_phi * math.sqrt(-math.expm1(-2.0 * two_a_sq)) / trace
-        if cross != 0.0:
-            half_gap = 0.5 * abs(even - odd)
-            shift = cross * cross / (math.hypot(half_gap, cross) + half_gap)
+    cross = offdiag * sin_phi * math.sqrt(-math.expm1(-2.0 * two_a_sq)) / trace
+    half_gap = 0.5 * abs(even - odd)
+    shift = 0.0 if cross == 0.0 else cross * cross / (math.hypot(half_gap, cross) + half_gap)
     lam_p, lam_m = max(even, odd) + shift, min(even, odd) - shift
     return CatDensity(a_eff, offdiag, lam_p, lam_m, von_neumann_entropy(lam_p, lam_m))
 

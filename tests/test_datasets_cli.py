@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from unittest import mock
 
 import pytest
@@ -267,7 +268,7 @@ class TestRunCap:
         assert len(err.splitlines()) == 1 and err.startswith("config error: grids: the run visits "), err
 
     def test_fixed_gap_constraints_not_sized_by_the_gap_grid(self):
-        points = cli._COMMANDS["constraints"][2]
+        _handler, _columns, points = cli._COMMANDS["constraints"]
         cfg = config_from_dict({"d2": 6e-8, "d2_steps": 2**53, "omega_steps": 2, "d1_steps": 3, "branch": "both"})
         assert points(cfg) == 2 * 2 * 3
 
@@ -283,7 +284,7 @@ class TestRunCap:
         ],
     )
     def test_documented_runs_fit_well_inside(self, command, config):
-        handler, columns, points = cli._COMMANDS[command]
+        _handler, _columns, points = cli._COMMANDS[command]
         assert points(config_from_dict(config)) * 8 < cli.MAX_POINTS
 
 
@@ -361,6 +362,49 @@ class TestAtomicOut:
     def test_output_directory_is_config_error(self, tmp_path):
         assert cli.run(self.ARGV + ["--out", str(tmp_path)]) == 1
         assert os.listdir(tmp_path) == []
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            assert cli.run(self.ARGV + ["--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=10)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+        assert cli.run(self.ARGV) == 0
+        assert got == [capsys.readouterr().out]
+
+    def test_stdout_pipe_is_written_in_place(self, capsys):
+        src = os.path.dirname(os.path.dirname(lrspp.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "lrspp.cli", *self.ARGV, "--out", "/dev/stdout"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert cli.run(self.ARGV) == 0
+        assert done.stdout == capsys.readouterr().out
+
+    def test_read_only_file_is_config_error(self, tmp_path):
+        out = self.old_file(tmp_path)
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):
+            pytest.skip("this user may write a read-only file")
+        code, _, err = run_cli(self.ARGV + ["--out", str(out)])
+        assert code == 1 and err.startswith("config error: out: cannot write")
+        assert out.read_text() == "earlier run\n" and stat.S_IMODE(out.stat().st_mode) == 0o444
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_file_the_user_may_not_write_is_opened_directly(self, tmp_path, monkeypatch):
+        out = self.old_file(tmp_path)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != os.path.realpath(out))
+        monkeypatch.setattr(cli.os, "replace", lambda src, dst: pytest.fail("renamed over"))
+        assert cli.run(self.ARGV + ["--out", str(out)]) == 0
+        assert out.read_text().startswith("# schema=1")
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestCliDatasets:

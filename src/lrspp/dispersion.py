@@ -15,16 +15,19 @@ dielectric function.
 
 Both directions, k at fixed omega (solve_k) and omega at fixed k
 (solve_omega), go through one root routine: bracket a sign change of a
-pole-free form of the equation, bisect it, then polish with a few Newton
+pole-free form H of the equation, bisect it, then polish with a few Newton
 steps on the log residual
 
     G = -nu_m d1 - ln[ +/- (nu_m + eps_m nu_0)/(nu_m - eps_m nu_0) ],
 
-whose slope along k or omega follows by the chain rule.  The polish keeps
-the relative residual of the defining equation near machine precision up
-to nu_m d1 of about 13.  Beyond that exp(-nu_m d1) drops below the rounding
-of the right-hand side: both branches coincide with the single-interface
-mode to double precision, and the residual can no longer be resolved.
+whose slope along k or omega follows by the chain rule.  Each solve computes
+the terms fixed along its unknown (eps_m and (w/c)^2 for k, k^2 for omega)
+once, and H keeps the float operations of computing them per evaluation, so
+the roots are the same bit for bit.  The polish keeps the relative residual
+of the defining equation near machine precision up to nu_m d1 of about 13.
+Beyond that exp(-nu_m d1) drops below the rounding of the right-hand side:
+both branches coincide with the single-interface mode to double precision,
+and the residual can no longer be resolved.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ from .materials import DielectricModel, _eps_derivative, eps_lossless, eps_lossy
 #: prism-coupled setup cannot reach (the phase-matching angle does not
 #: exist), and are reported as NoBoundMode.
 KMAX_FACTOR = 2.0
+
+#: Stopping rules of the bisection (bracket / its top) and of the complex
+#: Newton iteration (step / |K|); group_velocity's half step / omega.
+BISECT_REL_TOL, BISECT_MAX_ITER = 1e-15, 200
+COMPLEX_REL_TOL, COMPLEX_MAX_ITER = 1e-12, 100
+GROUP_VELOCITY_REL_STEP = 1e-5
 
 
 class BranchId(enum.Enum):
@@ -98,17 +107,18 @@ def _decay_constants(k: float, omega: float, em: float) -> tuple[float, float] |
     return math.sqrt(nm2), math.sqrt(n02)
 
 
-def _poly_residual(sign: int, k: float, omega: float, d1: float, model: DielectricModel) -> float:
-    """Pole-free residual H = e^{-nu_m d1}(nu_m - em nu_0) - sign*(nu_m + em nu_0).
+def _poly_residual(sign: int, kk: float, woc2: float, em: float, d1: float) -> float:
+    """Pole-free residual H = e^{-nu_m d1}(nu_m - em nu_0) - sign*(nu_m + em nu_0)
+    from kk = k^2, woc2 = (w/c)^2 and em = eps_m(w).
 
-    Vanishes exactly at branch roots; safe for bisection.  +inf outside the
-    bound-mode domain.
+    Vanishes exactly at branch roots; safe for bisection, whose inner loop it
+    is (hence _decay_constants inlined).  +inf outside the bound-mode domain.
     """
-    em = eps_lossless(model, omega)
-    nus = _decay_constants(k, omega, em)
-    if nus is None:
+    n02 = kk - woc2
+    nm2 = kk - em * woc2
+    if n02 <= 0.0 or nm2 <= 0.0:
         return math.inf
-    nu_m, nu_0 = nus
+    nu_m, nu_0 = math.sqrt(nm2), math.sqrt(n02)
     u = math.exp(-nu_m * d1)
     return u * (nu_m - em * nu_0) - sign * (nu_m + em * nu_0)
 
@@ -142,9 +152,8 @@ def _log_residual(
     return g, -d1 * dnu_m - dnum / (nu_m + em * nu_0) + dden / den
 
 
-def _bisect(f, lo: float, hi: float, rel_tol: float = 1e-15, max_iter: int = 200) -> float:
-    flo = f(lo)
-    for _ in range(max_iter):
+def _bisect(f, lo: float, hi: float, flo: float) -> float:
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -153,7 +162,7 @@ def _bisect(f, lo: float, hi: float, rel_tol: float = 1e-15, max_iter: int = 200
             lo, flo = mid, fm
         else:
             hi = mid
-        if hi - lo <= rel_tol * abs(hi):
+        if hi - lo <= BISECT_REL_TOL * abs(hi):
             break
     return 0.5 * (lo + hi)
 
@@ -182,11 +191,11 @@ def _solve(
         intervals = []
         for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
             if fa == 0.0 or (fa < 0.0) != (fb < 0.0):
-                intervals.append((a, b))
+                intervals.append((a, b, fa))
         if not intervals:
             raise NoBoundMode(no_root())
-        bracket = intervals[-1 if along_omega else 0]
-    x = _bisect(f, *bracket)
+        *bracket, flo = intervals[-1 if along_omega else 0]
+    x = _bisect(f, *bracket, flo)
     x_max = min(bracket[1] * 1.5, C_LIGHT * k) if along_omega else bracket[1] * 1.5
 
     def point(x: float) -> tuple[float, float]:
@@ -207,8 +216,7 @@ def _solve(
         if abs(step) <= 2.3e-16 * x:
             break
     k, omega = point(x)
-    em = eps_lossless(model, omega)
-    nus = _decay_constants(k, omega, em)
+    nus = _decay_constants(k, omega, eps_lossless(model, omega))
     if nus is None:
         raise ConvergenceError(f"root polished outside the bound-mode domain at k={k:.6g}")
     return DispersionSolution(branch=branch, k=k, omega=omega, nu_m=nus[0], nu_0=nus[1], d1=d1)
@@ -221,17 +229,18 @@ def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -
     branch has no bound solution below the surface-mode limit at this k
     (the antisymmetric branch sits above it for intermediate k at small d1).
     """
-    if k <= 0.0:
-        raise ValueError("k must be positive")
-    if d1 <= 0.0:
-        raise ValueError("d1 must be positive")
+    if not k > 0.0:
+        raise ValueError(f"k must be positive, got {k!r}")
+    if not d1 > 0.0:
+        raise ValueError(f"d1 must be positive, got {d1!r}")
     w_sp = surface_plasma_frequency(model)
     hi = min(C_LIGHT * k * (1.0 - 1e-9), w_sp * (1.0 - 1e-6))
     lo = 1e-3 * hi
     sign = branch.sign
+    kk = k * k
 
     def f(w: float) -> float:
-        return _poly_residual(sign, k, w, d1, model)
+        return _poly_residual(sign, kk, (w / C_LIGHT) ** 2, eps_lossless(model, w), d1)
 
     return _solve(branch, k, None, d1, model, f, lo, hi, lambda: (
         f"{branch.value} branch has no bound mode below the surface-mode "
@@ -253,19 +262,23 @@ def solve_k(
     symmetric branch needs exponentially large k near the surface-mode
     limit, which is reported as unreachable.
     """
-    if d1 <= 0.0:
-        raise ValueError("d1 must be positive")
+    if not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega!r}")
+    if not d1 > 0.0:
+        raise ValueError(f"d1 must be positive, got {d1!r}")
     w_sp = surface_plasma_frequency(model)
-    if not 0.0 < omega < w_sp:
+    if not omega < w_sp:
         raise NoBoundMode(
             f"omega={omega:.6g} rad/s outside the bound-mode band (0, {w_sp:.6g})"
         )
     k_lo = omega / C_LIGHT * (1.0 + 1e-9)
     k_hi = omega / C_LIGHT * kmax_factor
     sign = branch.sign
+    em = eps_lossless(model, omega)
+    woc2 = (omega / C_LIGHT) ** 2
 
     def f(k: float) -> float:
-        return _poly_residual(sign, k, omega, d1, model)
+        return _poly_residual(sign, k * k, woc2, em, d1)
 
     return _solve(branch, None, omega, d1, model, f, k_lo, k_hi, lambda: (
         f"{branch.value} branch cannot reach omega={omega:.6g} rad/s at "
@@ -279,15 +292,13 @@ def complex_wavenumber(
     d1: float,
     model: DielectricModel,
     kmax_factor: float = KMAX_FACTOR,
-    max_iter: int = 100,
-    rel_tol: float = 1e-12,
 ) -> ComplexWavenumber:
     """Complex root K = k + i*kappa of the dispersion equation with the
     lossy dielectric function, seeded from the lossless solution.
 
     Newton iteration in complex k with a numerically differentiated
     residual; raises ConvergenceError with diagnostics if the iteration
-    does not settle within ``max_iter`` steps.
+    does not settle within COMPLEX_MAX_ITER steps.
     """
     seed = solve_k(branch, omega, d1, model.lossless(), kmax_factor=kmax_factor)
     em = eps_lossy(model, omega)
@@ -300,14 +311,14 @@ def complex_wavenumber(
         return cmath.exp(-nu_m * d1) - sign * (nu_m + em * nu_0) / (nu_m - em * nu_0)
 
     kc = complex(seed.k, 0.0)
-    for _ in range(max_iter):
+    for _ in range(COMPLEX_MAX_ITER):
         h = 1e-7 * abs(kc)
         df = (f(kc + h) - f(kc - h)) / (2.0 * h)
         if df == 0:
             raise ConvergenceError(f"flat residual derivative at K={kc!r}")
         step = f(kc) / df
         kc -= step
-        if abs(step) <= rel_tol * abs(kc):
+        if abs(step) <= COMPLEX_REL_TOL * abs(kc):
             break
     else:
         raise ConvergenceError(
@@ -330,7 +341,6 @@ def group_velocity(
     omega: float,
     d1: float,
     model: DielectricModel,
-    rel_step: float = 1e-5,
     kmax_factor: float = KMAX_FACTOR,
 ) -> float:
     """d(omega)/dk by central differencing of the inverse solver.
@@ -338,7 +348,7 @@ def group_velocity(
     Raises StencilError if the branch vanishes inside the stencil or the
     difference quotient leaves the physical range (0, c).
     """
-    h = rel_step * omega
+    h = GROUP_VELOCITY_REL_STEP * omega
     try:
         k_plus = solve_k(branch, omega + h, d1, model, kmax_factor=kmax_factor).k
         k_minus = solve_k(branch, omega - h, d1, model, kmax_factor=kmax_factor).k

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lrspp import dispersion
 from lrspp.constants import C_LIGHT
 from lrspp.dispersion import (
     BranchId,
@@ -172,6 +173,130 @@ def test_solver_input_validation():
         solve_omega(BranchId.SYMMETRIC, 1e7, -20e-9, SILVER)
     with pytest.raises(NoBoundMode):
         solve_k(BranchId.SYMMETRIC, 6e15, 20e-9, SILVER)  # above the band
+
+
+def residual_from_scratch(sign: int, k: float, omega: float, d1: float, model) -> float:
+    """Oracle: H with eps_m, (w/c)^2 and k^2 computed afresh on every call,
+    as eps_lossless -> decay constants -> exp."""
+    em = eps_lossless(model, omega)
+    woc2 = (omega / C_LIGHT) ** 2
+    n02 = k * k - woc2
+    nm2 = k * k - em * woc2
+    if n02 <= 0.0 or nm2 <= 0.0:
+        return math.inf
+    nu_m, nu_0 = math.sqrt(nm2), math.sqrt(n02)
+    u = math.exp(-nu_m * d1)
+    return u * (nu_m - em * nu_0) - sign * (nu_m + em * nu_0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    branch=st.sampled_from(BRANCHES),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+    wfrac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    kfrac=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+)
+def test_residual_from_hoisted_terms_is_bitwise(branch, d1, wfrac, kfrac):
+    """H from k^2, (w/c)^2 and eps_m computed once per solve is the float H
+    computed from scratch, or +inf on both sides (kfrac < 1 lies above the
+    light line).  Where eps_lossless raises (omega^2 underflows to 0), both
+    raise the same."""
+
+    def outcome(residual) -> str:
+        try:
+            return residual().hex()
+        except ArithmeticError as exc:
+            return type(exc).__name__
+
+    omega = wfrac * W_SP
+    k = kfrac * omega / C_LIGHT
+    sign = branch.sign
+    got = outcome(lambda: dispersion._poly_residual(
+        sign, k * k, (omega / C_LIGHT) ** 2, eps_lossless(SILVER, omega), d1))
+    assert got == outcome(lambda: residual_from_scratch(sign, k, omega, d1, SILVER))
+
+
+#: Residual evaluations per solve, keyed by (solver, branch, d1, omega or k).
+#: A root costs the two window ends plus the bisection steps, which reuse the
+#: value at the bracket's low end; NoBoundMode costs the two ends plus the 65
+#: points of the sign-change scan.
+RESIDUALS_PER_SOLVE = {
+    ("k", "plus", 10e-9, 2e15): 52, ("k", "plus", 10e-9, 3.5e15): 52, ("k", "plus", 10e-9, 5e15): 52,
+    ("k", "plus", 60e-9, 2e15): 52, ("k", "plus", 60e-9, 3.5e15): 52, ("k", "plus", 60e-9, 5e15): 52,
+    ("k", "minus", 10e-9, 2e15): 52, ("k", "minus", 10e-9, 3.5e15): 52, ("k", "minus", 10e-9, 5e15): 67,
+    ("k", "minus", 60e-9, 2e15): 52, ("k", "minus", 60e-9, 3.5e15): 52, ("k", "minus", 60e-9, 5e15): 52,
+    ("omega", "plus", 10e-9, 1e7): 53, ("omega", "plus", 10e-9, 2e7): 67, ("omega", "plus", 10e-9, 5e7): 67,
+    ("omega", "plus", 60e-9, 1e7): 52, ("omega", "plus", 60e-9, 2e7): 52, ("omega", "plus", 60e-9, 5e7): 52,
+    ("omega", "minus", 10e-9, 1e7): 53, ("omega", "minus", 10e-9, 2e7): 53, ("omega", "minus", 10e-9, 5e7): 52,
+    ("omega", "minus", 60e-9, 1e7): 52, ("omega", "minus", 60e-9, 2e7): 52, ("omega", "minus", 60e-9, 5e7): 52,
+}
+
+
+def test_residual_evaluations_per_solve(monkeypatch):
+    calls = [0]
+    residual = dispersion._poly_residual
+
+    def counting(*args):
+        calls[0] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(dispersion, "_poly_residual", counting)
+    solvers = {"k": solve_k, "omega": solve_omega}
+    counted = {}
+    for key in RESIDUALS_PER_SOLVE:
+        solver, branch, d1, x = key
+        calls[0] = 0
+        try:
+            solvers[solver](BranchId(branch), x, d1, SILVER)
+        except NoBoundMode:
+            pass
+        counted[key] = calls[0]
+    assert counted == RESIDUALS_PER_SOLVE
+
+
+def test_scan_bracket_passes_its_low_value(monkeypatch):
+    """Where the window does not bracket a sign change, the scan's interval
+    goes to the bisection with the residual at its low end: the last root
+    for omega, the first for k, with no further evaluation of that end."""
+    monkeypatch.setattr(dispersion, "_log_residual", lambda *args: None)  # no Newton polish
+    for k, omega, lo, hi, root in ((2e7, None, 1e15, 5e15, 3.9e15), (None, 4e15, 1.5e7, 3e7, 2e7)):
+        evaluated = []
+
+        def f(x: float) -> float:
+            evaluated.append(x)
+            return (x - 0.5 * root) * (x - root) if omega is None else (x - root) * (x - 1.25 * root)
+
+        sol = dispersion._solve(BranchId.ANTISYMMETRIC, k, omega, 20e-9, SILVER, f, lo, hi, lambda: "none")
+        assert (sol.omega if omega is None else sol.k) == pytest.approx(root, rel=1e-14)
+        scan, bisection = evaluated[2:67], evaluated[67:]
+        assert max(x for x in scan if x < root) not in bisection
+
+
+#: solve_k(branch, 4e15, inf) and solve_omega(branch, 1.5e7, inf): the
+#: single-interface mode, the same bits on both branches.
+INFINITE_STRIP = {
+    "k": ("0x1.b01c7bdb8ac0fp+23", "0x1.c6bf526340000p+51"),
+    "omega": ("0x1.c9c3800000000p+23", "0x1.dc6ca02df2ee8p+51"),
+}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("solver, x", [("k", 4e15), ("omega", 1.5e7)])
+def test_non_finite_inputs(branch, solver, x):
+    """NaN or a non-positive argument is a ValueError naming it; omega =
+    +inf is above the band and k = +inf has no bound mode below it; an
+    infinitely thick strip returns the single-interface mode."""
+    solve, name = (solve_k, "omega") if solver == "k" else (solve_omega, "k")
+    for bad in (math.nan, -math.inf, 0.0, -0.0):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got "):
+            solve(branch, bad, 20e-9, SILVER)
+        with pytest.raises(ValueError, match="^d1 must be positive, got "):
+            solve(branch, x, bad, SILVER)
+    with pytest.raises(NoBoundMode):
+        solve(branch, math.inf, 20e-9, SILVER)
+    sol = solve(branch, x, math.inf, SILVER)
+    assert (sol.k.hex(), sol.omega.hex()) == INFINITE_STRIP[solver]
+    assert sol.d1 == math.inf
 
 
 class TestComplexWavenumber:

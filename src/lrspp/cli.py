@@ -31,7 +31,7 @@ import functools
 import os
 import stat
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import coupling, datasets, propagation, statetransfer
 from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
@@ -54,7 +54,10 @@ from .modes import four_layer_solve, lrspp_profile
 #: 2 x 120 x 60 x 80 = 1,152,000 search points.
 MAX_POINTS = 10**7
 
-Rows = Iterator[list]
+#: What a handler yields: datasets blocks.  A tuple of single cells is one
+#: row; an along-strip handler gives each curve as list columns over the x
+#: grid, cut into lists of at most datasets.BLOCK_ROWS points.
+Blocks = Iterator[datasets.Block]
 
 
 def _search_points(cfg: RunConfig) -> int:
@@ -91,14 +94,14 @@ def _optimize_config(cfg: RunConfig) -> coupling.OptimizeConfig:
     )
 
 
-def _cmd_material(cfg: RunConfig) -> Rows:
+def _cmd_material(cfg: RunConfig) -> Blocks:
     """dielectric function over a frequency grid"""
     for w in cfg.omega.points():
         e = eps_lossy(cfg.material, w)
-        yield [w, eps_lossless(cfg.material, w), e.real, e.imag]
+        yield w, eps_lossless(cfg.material, w), e.real, e.imag
 
 
-def _cmd_dispersion(cfg: RunConfig) -> Rows:
+def _cmd_dispersion(cfg: RunConfig) -> Blocks:
     """dispersion rows over a wavevector grid"""
     d1 = cfg.fixed_d1
     for name, branch in cfg.branches():
@@ -106,7 +109,7 @@ def _cmd_dispersion(cfg: RunConfig) -> Rows:
             try:
                 sol = solve_omega(branch, k, d1, cfg.material)
             except NoBoundMode:
-                yield [name, d1, k, None, None, None, None, None]
+                yield name, d1, k, None, None, None, None, None
                 continue
             window = max(2.0, 1.1 * C_LIGHT * k / sol.omega)
             try:
@@ -117,10 +120,10 @@ def _cmd_dispersion(cfg: RunConfig) -> Rows:
                 kappa = complex_wavenumber(branch, sol.omega, d1, cfg.material, kmax_factor=window).kappa
             except LrsppError:
                 kappa = None
-            yield [name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa]
+            yield name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa
 
 
-def _cmd_angle(cfg: RunConfig) -> Rows:
+def _cmd_angle(cfg: RunConfig) -> Blocks:
     """phase-matching angle over a frequency grid"""
     d1 = cfg.fixed_d1
     for name, branch in cfg.branches():
@@ -129,12 +132,12 @@ def _cmd_angle(cfg: RunConfig) -> Rows:
                 sol = solve_k(branch, w, d1, cfg.material)
                 theta = coupling_angle(w, sol.k, cfg.eps_prism)
             except (NoBoundMode, NoMatchingAngle):
-                yield [name, d1, w, None, None]
+                yield name, d1, w, None, None
                 continue
-            yield [name, d1, w, sol.k, theta]
+            yield name, d1, w, sol.k, theta
 
 
-def _cmd_field(cfg: RunConfig) -> Rows:
+def _cmd_field(cfg: RunConfig) -> Blocks:
     """sampled profile components over a z grid (single branch; 'both' falls back to 'plus')"""
     d1 = cfg.fixed_d1
     d2 = cfg.fixed_d2 if cfg.fixed_d2 is not None else 500.0 * NM
@@ -154,14 +157,14 @@ def _cmd_field(cfg: RunConfig) -> Rows:
         raise ConfigError("z: min must be below max")
     for z in GridSpec(z_lo, z_hi, cfg.z_steps).points():
         if z < profile.z_lo:
-            yield [z, None, None, None, None]
+            yield z, None, None, None, None
             continue
         ex = profile.eval_x(z)
         ez = profile.eval_z(z)
-        yield [z, ex.real, ex.imag, ez.real, ez.imag]
+        yield z, ex.real, ex.imag, ez.real, ez.imag
 
 
-def _cmd_constraints(cfg: RunConfig) -> Rows:
+def _cmd_constraints(cfg: RunConfig) -> Blocks:
     """feasibility triple over an (omega, d1) grid"""
     opt_cfg = _optimize_config(cfg)
     d2 = cfg.fixed_d2
@@ -177,13 +180,13 @@ def _cmd_constraints(cfg: RunConfig) -> Rows:
                     pt = coupling.optimize_d2(branch, w, d1, opt_cfg, cfg.material)
                     d2, cons = (None, None) if pt is None else (pt.d2, pt.constraints)
                 if cons is None:
-                    yield [name, w, d1, d2, None, None, None, 0]
+                    yield name, w, d1, d2, None, None, None, 0
                     continue
-                yield [
+                yield (
                     name, w, d1, d2,
                     cons.bandwidth_B, cons.penetration_P, cons.coupled_surfaces_C,
                     int(cons.feasible),
-                ]
+                )
 
 
 def _paths(cfg: RunConfig):
@@ -203,53 +206,61 @@ def _propagating(cfg: RunConfig):
             yield name, rec.omega, pt, kappa0
 
 
-def _cmd_optimize(cfg: RunConfig) -> Rows:
+def _cmd_optimize(cfg: RunConfig) -> Blocks:
     """constrained best coupling per frequency"""
     for name, _branch, path in _paths(cfg):
         for rec in path.records:
             if rec.point is None:
-                yield [name, rec.omega] + [None] * 8
+                yield (name, rec.omega) + (None,) * 8
                 continue
             pt = rec.point
             c = pt.constraints
-            yield [
+            yield (
                 name, rec.omega, pt.g_tilde, pt.d1, pt.d2, pt.theta, abs(pt.beta),
                 c.bandwidth_B, c.penetration_P, c.coupled_surfaces_C,
-            ]
+            )
 
 
-def _cmd_propagate(cfg: RunConfig) -> Rows:
+def _x_lists(cfg: RunConfig) -> list[list[float]]:
+    """The x grid in lists of at most datasets.BLOCK_ROWS points: the x
+    column of every along-strip block, the same objects for every curve."""
+    xs, n = cfg.x.points(), datasets.BLOCK_ROWS
+    return [xs[i:i + n] for i in range(0, len(xs), n)]
+
+
+def _cmd_propagate(cfg: RunConfig) -> Blocks:
     """normalized detected counts along the strip"""
-    xs = cfg.x.points()
+    x_lists = _x_lists(cfg)
     for name, w, pt, kappa0 in _propagating(cfg):
         if pt is None:
-            for x in xs:
-                yield [name, w, x, None]
+            for xs in x_lists:
+                yield name, w, xs, None
             continue
         beta_sq = abs(pt.beta) ** 2
-        for x in xs:
-            yield [name, w, x, propagation.detected_mean(cfg.mu, kappa0, x, beta_sq)]
+        for xs in x_lists:
+            yield name, w, xs, [propagation.detected_mean(cfg.mu, kappa0, x, beta_sq) for x in xs]
 
 
-def _cmd_g2(cfg: RunConfig) -> Rows:
+def _cmd_g2(cfg: RunConfig) -> Blocks:
     """second-order coherence invariance table"""
     n = cfg.n_photons
     for eta in cfg.etas:
-        yield [n, eta, propagation.g2_zero(n, beta_sq=eta)]
+        yield n, eta, propagation.g2_zero(n, beta_sq=eta)
 
 
-def _cmd_cat_entropy(cfg: RunConfig) -> Rows:
+def _cmd_cat_entropy(cfg: RunConfig) -> Blocks:
     """cat-state eigenvalues and entropy along the strip"""
-    xs = cfg.x.points()
+    x_lists = _x_lists(cfg)
+    cats = [statetransfer.CatState(alpha) for alpha in cfg.alphas]
     for name, w, pt, kappa0 in _propagating(cfg):
-        for alpha in cfg.alphas:
-            cat = statetransfer.CatState(alpha)
-            if pt is None:
-                for x in xs:
-                    yield [name, w, x, alpha, None, None, None]
-                continue
-            for x, dens in zip(xs, statetransfer.propagate_cat_along(cat, pt.g, kappa0, xs)):
-                yield [name, w, x, alpha, dens.lambda_plus, dens.lambda_minus, dens.entropy]
+        # The factors that depend on x only, shared by every amplitude.
+        decays = None if pt is None else [statetransfer.decay_along(kappa0, xs) for xs in x_lists]
+        for cat in cats:
+            for i, xs in enumerate(x_lists):
+                if decays is None:
+                    yield name, w, xs, cat.alpha, None, None, None
+                else:
+                    yield name, w, xs, cat.alpha, *statetransfer.cat_columns(cat, pt.g, decays[i])
 
 
 def _constraints_points(cfg: RunConfig) -> int:
@@ -257,7 +268,7 @@ def _constraints_points(cfg: RunConfig) -> int:
     return cells if cfg.fixed_d2 is not None else cells + _search_points(cfg)
 
 
-#: name -> (handler yielding the rows, columns, grid points the run visits)
+#: name -> (handler yielding the blocks, columns, grid points the run visits)
 _COMMANDS = {
     "material": (
         _cmd_material,
@@ -316,15 +327,16 @@ def _parser():
     )
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write text to path.  A new file, or an earlier regular file the user
-    may write, is written to a temporary file in the same directory, synced
-    and renamed over path once complete: a failed or interrupted write leaves
-    no partial file and an earlier file as it was.  A symlink is written
-    through, and an earlier file keeps its permission bits.  Anything else
-    (a device such as /dev/null, a pipe, a file the user may not write, a
-    directory the user may not add to) is opened and written directly, with
-    the errors that opening it gives."""
+def _write_out(path: str, chunks: Iterable[str]) -> None:
+    """Write the text of chunks to path.  A new file, or an earlier regular
+    file the user may write, gets each chunk as it is made, in a temporary
+    file in the same directory, synced and renamed over path once complete:
+    a failed or interrupted run leaves no partial file and an earlier file
+    as it was.  A symlink is written through, and an earlier file keeps its
+    permission bits.  Anything else (a device such as /dev/null, a pipe, a
+    file the user may not write, a directory the user may not add to) is
+    opened once the whole text is made and written directly, with the
+    errors that opening it gives."""
     try:
         mode = os.stat(path).st_mode  # through links, /dev/stdout's to a pipe too
     except FileNotFoundError:
@@ -335,6 +347,7 @@ def _write_out(path: str, text: str) -> None:
         mode is None or (stat.S_ISREG(mode) and os.access(target, os.W_OK))
     )
     if not replaceable:
+        text = "".join(chunks)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
@@ -344,7 +357,8 @@ def _write_out(path: str, text: str) -> None:
         with fh:
             if mode is not None:
                 os.chmod(tmp, stat.S_IMODE(mode))
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
@@ -359,9 +373,9 @@ def run(argv: list[str]) -> int:
 
     Returns 0 on success, 1 on configuration errors (including unknown
     flags, malformed config files and runs over MAX_POINTS), 2 on
-    numerical failures and on running out of memory.  The rows stream
-    from the handler into the writer; nothing is written unless all of
-    them are.
+    numerical failures and on running out of memory.  The blocks stream
+    from the handler into the writer; nothing is written to stdout unless
+    all of them are, and --out is written as set out in _write_out.
     """
     try:
         args = _parser().parse_args(argv)
@@ -369,15 +383,15 @@ def run(argv: list[str]) -> int:
         handler, columns, points = _COMMANDS[args.command]
         if (n := points(cfg)) > MAX_POINTS:
             raise ConfigError(f"grids: the run visits {n} grid points, more than the {MAX_POINTS} accepted")
-        dataset = datasets.Dataset(_echo(argv), columns, handler(cfg), warnings)
-        text = datasets.to_json(dataset) if cfg.format == "json" else datasets.to_csv(dataset)
+        dataset = datasets.Dataset(_echo(argv), columns, warnings=warnings, blocks=handler(cfg))
+        json_format = cfg.format == "json"
         if cfg.out:
             try:
-                _write_out(cfg.out, text)
-            except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+                _write_out(cfg.out, (datasets.json_chunks if json_format else datasets.csv_chunks)(dataset))
+            except OSError as exc:
                 raise ConfigError(f"out: cannot write {cfg.out}: {exc}") from exc
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(datasets.to_json(dataset) if json_format else datasets.to_csv(dataset))
     except SystemExit:  # --help, the only exit argparse takes without an error
         return 0
     except ConfigError as exc:

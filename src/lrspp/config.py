@@ -88,6 +88,8 @@ _READERS = {_integer: int, _number: float, _numbers: lambda t: [float(a) for a i
 
 # Checks: (predicate on a typed value, the rule it enforces).
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
+# A frequency whose square underflows to 0 would divide by zero in the permittivity.
+_FREQUENCY = (lambda v: v > 0.0 and v * v > 0.0, "must be positive, with a square that does not underflow to 0")
 _COUNT = (lambda v: v >= 1, "must be a positive integer")
 _STEPS = (lambda v: v >= 2, "needs at least 2 steps")
 
@@ -135,21 +137,21 @@ _X_GRID = ("propagate", "cat-entropy")
 
 PARAMS: tuple[Param, ...] = (
     Param("material", _material, SILVER, ()),
-    Param("out", _text, None, _ALL, help="output path (default: stdout)"),
+    Param("out", _text, None, _ALL, (lambda v: "\0" not in v, "must not hold a NUL byte"), help="output path (default: stdout)"),
     Param("format", _text, "csv", _ALL, _one_of("csv", "json")),
     Param("threads", _integer, 1, _ALL, _COUNT, help=f"accepted; runs are serial (default: ${THREADS_ENV_VAR}, else 1)"),
     Param("branch", _text, "both", _ALL, _one_of(*_BRANCH_IDS, "both")),
     Param("delta_omega", _number, DEFAULT_DELTA_OMEGA, _ALL, _POSITIVE),
     Param("eps_prism", _number, DEFAULT_EPS_PRISM, _ALL, (lambda v: v > 1.0, "must exceed 1")),
     Param("mu", _number, 0.65, _ALL, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
-    *_grid("omega", 2e15, 5.4e15, 120, _OMEGA_GRID, _POSITIVE),
+    *_grid("omega", 2e15, 5.4e15, 120, _OMEGA_GRID, _FREQUENCY),
     *_grid("k", 2e6, 1.8e7, 200, ("dispersion",), _POSITIVE),
     *_grid("d1", 10e-9, 100e-9, 60, _STRIP_GRIDS, _POSITIVE, NM),
     *_grid("d2", 50e-9, 3e-6, 80, _STRIP_GRIDS, _POSITIVE, NM),
     *_grid("x", 0.0, 10e-6, 50, _X_GRID, (lambda v: v >= 0.0, "must be non-negative")),
     # None: the field command spans the profile it samples.
     *_grid("z", None, None, 400, ("field",), None, NM),
-    Param("omega", _number, 4e15, ("field",), _POSITIVE, attr="fixed_omega"),
+    Param("omega", _number, 4e15, ("field",), _FREQUENCY, attr="fixed_omega"),
     Param("d1", _number, 20.0 * NM, ("dispersion", "angle", "field"), _POSITIVE, NM, attr="fixed_d1"),
     Param("d2", _number, None, ("field", "constraints"), _POSITIVE, NM, attr="fixed_d2",
           help="fixed gap; default: 500 nm for field, optimize over the gap grid for constraints"),

@@ -4,44 +4,57 @@ Numbers are written in full round-trip precision (`repr`); infeasible
 cells are the literal token ``NA`` in CSV and ``null`` in JSON.  The CSV
 flavor carries the schema version, the command echo and any warnings as
 leading ``#`` comment lines so both formats hold the same information.
+
+The writers take a table a *block* of rows at a time.  A block holds one
+column per dataset column, each either a list of the block's cells or a
+single cell that stands for every row of the block; a block with no list
+column is one row.  A single cell is formatted once per block, and a list
+that recurs as the same object (an x grid shared by several curves) once
+per call.  A dataset built from rows is cut into blocks of at most
+BLOCK_ROWS rows.  ``csv_chunks`` and ``json_chunks`` give the text a block
+at a time, so that it can be written without being held whole.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterable, Iterator
+import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
 Cell = float | int | str | None
+#: A column of a block: a list of the block's cells, or one cell for every row.
+Column = list[Cell] | Cell
+#: One column per dataset column; a block with no list column is one row.
+Block = tuple[Column, ...]
 
-
-def _format(cells) -> list[str]:
-    """The text of each cell: NA for None, repr for a float, str otherwise."""
-    return ["NA" if c is None else repr(c) if isinstance(c, float) else str(c) for c in cells]
-
-
-#: Rows formatted together: cells are formatted a column at a time.
-_BATCH_ROWS = 1024
-#: Distinct cell objects a column memoises; a column that shows more is
-#: formatted cell by cell from then on.
-_MEMO_CAP = 4096
+#: Most rows in a block: the batch of a row-built dataset, and the longest
+#: list the command-line front end puts in a block.
+BLOCK_ROWS = 4096
+#: Cells of the list columns one writer call memoises: the first lists seen
+#: that fit are held, with their texts, for the rest of the call.
+_MEMO_CELLS = BLOCK_ROWS
 
 
 @dataclass
 class Dataset:
-    """A table of cells.  ``rows`` is a list, or an iterator of rows that a
-    writer consumes once; the writers take it a batch of rows at a time."""
+    """A table of cells, given as ``rows`` or as ``blocks``.  Either is a
+    list, or an iterator that a writer consumes once.  A list column of a
+    block must not change once the block is given to a writer."""
 
     command: str
     columns: list[str]
-    rows: Iterable[list[Cell]]
+    rows: Iterable[list[Cell]] = ()
     warnings: list[str] = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
+    blocks: Iterable[Block] | None = None
 
     def __post_init__(self) -> None:
+        if self.blocks is not None and self.rows != ():
+            raise ValueError("a dataset takes rows or blocks, not both")
         if isinstance(self.rows, list):
             _check_widths(self.rows, len(self.columns), 0)
 
@@ -52,72 +65,122 @@ def _check_widths(rows: list, width: int, first: int) -> None:
             raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
 
 
-def _batches(ds: Dataset) -> Iterator[list]:
-    """The rows of ds in lists of up to _BATCH_ROWS, each row's width checked."""
-    rows, done = iter(ds.rows), 0
-    while batch := list(itertools.islice(rows, _BATCH_ROWS)):
-        _check_widths(batch, len(ds.columns), done)
-        done += len(batch)
-        yield batch
+def _gathered(rows: list, width: int, first: int) -> tuple[int, Block]:
+    """Rows, their widths checked, as one block of list columns."""
+    _check_widths(rows, width, first)
+    return len(rows), tuple(map(list, zip(*rows)))
 
 
-def _memo_texts(column: tuple, memo: dict, held: list) -> Iterable[str] | None:
-    """The texts of a batch's column through the column's memo (id -> text),
-    or None once the memo would pass _MEMO_CAP distinct objects.  New cells
-    are appended to held."""
-    ids = list(map(id, column))
-    fresh = set(ids).difference(memo)
-    if len(memo) + len(fresh) > _MEMO_CAP:
-        return None
-    if len(fresh) == len(ids):  # all new and distinct: format them in order
-        texts = _format(column)
-        memo.update(zip(ids, texts))
-        held.extend(column)
-        return texts
-    if fresh:
-        cells = dict(zip(ids, column))
-        new = [cells[k] for k in fresh]
-        memo.update(zip(fresh, _format(new)))
-        held.extend(new)
-    return map(memo.__getitem__, ids)
+def _sized_blocks(ds: Dataset) -> Iterator[tuple[int, Block]]:
+    """(row count, block) for each block of ds, its shape checked.  The rows
+    of a row-built dataset, and runs of one-row blocks, are gathered into
+    blocks of up to BLOCK_ROWS rows."""
+    width, done, rows = len(ds.columns), 0, []
+    row_built = ds.blocks is None
+    for block in ds.rows if row_built else ds.blocks:
+        if row_built or list not in map(type, block):
+            rows.append(block)
+            if len(rows) == BLOCK_ROWS:
+                yield _gathered(rows, width, done)
+                done, rows = done + len(rows), []
+            continue
+        if rows:
+            yield _gathered(rows, width, done)
+            done, rows = done + len(rows), []
+        if len(block) != width:
+            raise ValueError(f"block at row {done} has {len(block)} columns, expected {width}")
+        lengths = {len(column) for column in block if type(column) is list}
+        if len(lengths) > 1:
+            raise ValueError(f"block at row {done} has list columns of lengths {sorted(lengths)}")
+        n = lengths.pop()
+        yield n, block
+        done += n
+    if rows:
+        yield _gathered(rows, width, done)
 
 
-def to_csv(ds: Dataset) -> str:
-    """The dataset as CSV: ``NA`` for None, ``repr`` for a float, ``str`` otherwise.
-
-    A column's cells are looked up by identity, never by value (0.0 == -0.0):
-    each distinct object is formatted once per call, until the column has
-    shown _MEMO_CAP distinct objects.  The memoised cells are held for the
-    call, so that no id is reused by another object.
-    """
-    width = len(ds.columns)
-    memos: list[dict | None] = [{} for _ in range(width)]
-    held: list = []
-    chunks = [f"# schema={ds.schema_version}", f"# command={ds.command}"]
-    chunks.extend(f"# warning={w}" for w in ds.warnings)
-    chunks.append(",".join(ds.columns))
-    for batch in _batches(ds):
-        texts = []
-        for j, column in enumerate(zip(*batch)):
-            text = None if memos[j] is None else _memo_texts(column, memos[j], held)
-            if text is None:
-                memos[j] = None
-                text = _format(column)
-            texts.append(text)
-        # With no columns every row is an empty line.
-        chunks.append("\n".join(map(",".join, zip(*texts))) if width else "\n" * (len(batch) - 1))
-    return "\n".join(chunks) + "\n"
+def _csv_texts(cells: list[Cell]) -> list[str]:
+    """The CSV text of each cell: NA for None, repr for a float, str otherwise."""
+    return ["NA" if c is None else repr(c) if isinstance(c, float) else str(c) for c in cells]
 
 
-def to_json(ds: Dataset) -> str:
-    payload = {
+def _json_texts(cells: list[Cell]) -> list[str]:
+    """The JSON text of each cell, as json.dumps writes it."""
+    return [repr(c) if type(c) is float and math.isfinite(c) else json.dumps(c) for c in cells]
+
+
+def _lines(ds: Dataset, texts_of: Callable[[list[Cell]], list[str]], sep: str) -> Iterator[Iterable[str]]:
+    """Per non-empty block of ds, the texts of its rows: the texts_of their
+    cells joined by sep.  A single cell is formatted once per block, a list
+    column once per call while the memo has room: the memo holds the lists
+    it keeps, so that no other list takes their ids, up to _MEMO_CELLS cells
+    in all."""
+    memo: dict[int, tuple[list, list[str]]] = {}
+    room = _MEMO_CELLS
+    for n, block in _sized_blocks(ds):
+        if not n:
+            continue
+        texts: list[str | None] = []
+        lists: list[list[str]] = []
+        for column in block:
+            if type(column) is not list:
+                texts.append(texts_of([column])[0])
+                continue
+            texts.append(None)
+            hit = memo.get(id(column))
+            if hit is None:
+                hit = (column, texts_of(column))
+                if len(column) <= room:
+                    memo[id(column)] = hit
+                    room -= len(column)
+            lists.append(hit[1])
+        if not lists:  # no columns
+            yield itertools.repeat("", n)
+            continue
+        template = sep.join("{}" if t is None else t.replace("{", "{{").replace("}", "}}") for t in texts)
+        yield map(template.format, *lists)
+
+
+def _header(ds: Dataset) -> str:
+    lines = [f"# schema={ds.schema_version}", f"# command={ds.command}"]
+    lines.extend(f"# warning={w}" for w in ds.warnings)
+    lines.append(",".join(ds.columns))
+    return "\n".join(lines) + "\n"
+
+
+def csv_chunks(ds: Dataset) -> Iterator[str]:
+    """The CSV text of ds in pieces: the header, then each block's rows."""
+    yield _header(ds)
+    for rows in _lines(ds, _csv_texts, ","):
+        yield "\n".join(rows)
+        yield "\n"
+
+
+def json_chunks(ds: Dataset) -> Iterator[str]:
+    """The text of ``json.dumps`` of the dataset with indent=1, in pieces."""
+    head = {
         "schema_version": ds.schema_version,
         "command": ds.command,
         "warnings": ds.warnings,
         "columns": ds.columns,
-        "rows": [row for batch in _batches(ds) for row in batch],
     }
-    return json.dumps(payload, indent=1) + "\n"
+    # json.dumps of the head ends in "\n}": the rows go before it.
+    yield json.dumps(head, indent=1)[:-2] + ',\n "rows": ['
+    row = "[\n   {}\n  ]" if ds.columns else "[]"
+    any_rows = False
+    for rows in _lines(ds, _json_texts, ",\n   "):
+        yield (",\n  " if any_rows else "\n  ") + ",\n  ".join(map(row.format, rows))
+        any_rows = True
+    yield "\n ]\n}\n" if any_rows else "]\n}\n"
+
+
+def to_csv(ds: Dataset) -> str:
+    """The dataset as CSV: ``NA`` for None, ``repr`` for a float, ``str`` otherwise."""
+    return "".join(csv_chunks(ds))
+
+
+def to_json(ds: Dataset) -> str:
+    return "".join(json_chunks(ds))
 
 
 def _parse_cell(text: str) -> Cell:

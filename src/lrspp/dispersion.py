@@ -153,6 +153,9 @@ def _log_residual(
 
 
 def _bisect(f, lo: float, hi: float, flo: float) -> float:
+    """A root of f in [lo, hi], given flo = f(lo): lo itself when flo is 0."""
+    if flo == 0.0:
+        return lo
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)

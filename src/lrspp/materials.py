@@ -57,9 +57,17 @@ SILVER = DielectricModel(
 )
 
 
+#: The largest float whose square rounds to 0, where wp^2 / omega^2 would
+#: divide by zero.
+_OMEGA_SQUARE_UNDERFLOW = 1.5717277847026285e-162
+
+
 def _check_omega(omega: float) -> None:
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    """Raise ValueError unless omega > 0 and omega^2 does not underflow to 0."""
+    if not omega > _OMEGA_SQUARE_UNDERFLOW:  # one comparison on the solvers' hot path
+        if not omega > 0.0:
+            raise ValueError(f"omega must be positive, got {omega!r}")
+        raise ValueError(f"omega={omega!r}: its square underflows to 0")
 
 
 def eps_lossless(model: DielectricModel, omega: float) -> float:

@@ -14,12 +14,15 @@ away.  At every phase phi the state stays in the span of |+/- a_eff⟩, so
 its two eigenvalues follow in closed form from a 2 x 2 matrix in the
 even/odd cat basis, and the von Neumann entropy from them.  The truncated
 number-basis route (``fock``) is kept only as an independent oracle.
+
+Along an x grid, ``decay_along`` computes the factors that depend on x
+only, once for every cat, and ``cat_columns`` the eigenvalues and entropy
+of one cat a column at a time, bit for bit those of ``propagate_cat``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,9 +97,9 @@ def von_neumann_entropy(lambda_plus: float, lambda_minus: float) -> float:
 
 def _cat_factors(cat: CatState, g: float, kappa0: float) -> tuple:
     """The factors of the state along x that do not depend on x, for
-    ``_density_at``: alpha sin g, -kappa0, -2 kappa0, 2 alpha^2 sin^2 g,
-    unobserved, c0 = exp(-unobserved), cos phi, sin phi and, used only when
-    cos phi < 0, 2 cos^2(phi/2)."""
+    ``_density_at`` and ``cat_columns``: alpha sin g, -kappa0, -2 kappa0,
+    2 alpha^2 sin^2 g, unobserved, c0 = exp(-unobserved), cos phi, sin phi
+    and, used only when cos phi < 0, 2 cos^2(phi/2)."""
     if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
         raise ValueError("g must lie in [0, pi/2]")
     if kappa0 < 0.0:
@@ -166,12 +169,78 @@ def propagate_cat(cat: CatState, g: float, kappa0: float, x: float) -> CatDensit
     return _density_at(_cat_factors(cat, g, kappa0), x)
 
 
-def propagate_cat_along(cat: CatState, g: float, kappa0: float, xs: Iterable[float]) -> Iterator[CatDensity]:
-    """propagate_cat at each x of xs, bit for bit, with the factors that do
-    not depend on x computed once."""
-    factors = _cat_factors(cat, g, kappa0)
-    for x in xs:
-        yield _density_at(factors, x)
+class Decay(NamedTuple):
+    """The factors of the state along an x grid that depend on x only, so
+    every cat on that grid shares them: exp(-kappa0 x) scales the amplitude
+    and 1 - exp(-2 kappa0 x) the dephasing."""
+
+    kappa0: float
+    amplitude: list[float]
+    dephasing: list[float]
+
+
+def decay_along(kappa0: float, xs: list[float]) -> Decay:
+    """The Decay of each x of xs, with the float operations of ``_density_at``."""
+    if kappa0 < 0.0 or any(x < 0.0 for x in xs):
+        raise ValueError("kappa0 and x must be non-negative")
+    minus_kappa0, minus_2kappa0 = -kappa0, -2.0 * kappa0
+    exp, expm1 = math.exp, math.expm1
+    return Decay(kappa0, [exp(minus_kappa0 * x) for x in xs], [-expm1(minus_2kappa0 * x) for x in xs])
+
+
+def cat_columns(cat: CatState, g: float, decay: Decay) -> tuple[list[float], list[float], list[float]]:
+    """lambda_plus, lambda_minus and the entropy of propagate_cat at each x
+    of a Decay, bit for bit: the loop of ``_density_at`` and
+    ``von_neumann_entropy`` over x, with their float operations, branches
+    and checks."""
+    alpha_s, _, _, decay_scale, unobserved, c0, cos_phi, sin_phi, cos_half_sq = _cat_factors(cat, g, decay.kappa0)
+    exp, expm1, sqrt, hypot, log = math.exp, math.expm1, math.sqrt, math.hypot, math.log
+    lam_hi = 1.0 + 1e-12
+    lambda_plus: list[float] = []
+    lambda_minus: list[float] = []
+    entropy: list[float] = []
+    for amplitude, dephasing in zip(decay.amplitude, decay.dephasing):
+        a_eff = alpha_s * amplitude
+        decayed = decay_scale * dephasing
+        offdiag = c0 * exp(-decayed)
+        two_a_sq = 2.0 * a_eff * a_eff
+        q = exp(-two_a_sq)
+        if cos_phi >= 0.0:
+            if a_eff < _DEGENERATE_AMPLITUDE:
+                lambda_plus.append(1.0)
+                lambda_minus.append(0.0)
+                entropy.append(0.0)
+                continue
+            even = (1.0 + offdiag * cos_phi) * (1.0 + q)
+            odd = (1.0 - offdiag * cos_phi) * (1.0 - q)
+            trace = 2.0 + 2.0 * (offdiag * q) * cos_phi
+        else:
+            even = (cos_half_sq + cos_phi * expm1(-(unobserved + decayed))) * (1.0 + q)
+            odd = -(1.0 - offdiag * cos_phi) * expm1(-two_a_sq)
+            trace = even + odd
+        even, odd = even / trace, odd / trace
+        shift = 0.0
+        if sin_phi:  # else the cross term is 0 and so is the shift
+            cross = offdiag * sin_phi * sqrt(-expm1(-2.0 * two_a_sq)) / trace
+            if cross != 0.0:
+                half_gap = 0.5 * abs(even - odd)
+                shift = cross * cross / (hypot(half_gap, cross) + half_gap)
+        lam_p, lam_m = max(even, odd) + shift, min(even, odd) - shift
+        s = 0.0
+        if not -1e-12 <= lam_p <= lam_hi:
+            raise ValueError(f"eigenvalue {lam_p!r} outside [0, 1]")
+        if lam_p > 0.0:
+            s -= lam_p * log(lam_p)
+        if not -1e-12 <= lam_m <= lam_hi:
+            raise ValueError(f"eigenvalue {lam_m!r} outside [0, 1]")
+        if lam_m > 0.0:
+            s -= lam_m * log(lam_m)
+        if abs(lam_p + lam_m - 1.0) > 1e-9:
+            raise ValueError(f"eigenvalues sum to {lam_p + lam_m!r}, not 1")
+        lambda_plus.append(lam_p)
+        lambda_minus.append(lam_m)
+        entropy.append(s if s > 0.0 else 0.0)
+    return lambda_plus, lambda_minus, entropy
 
 
 def transfer_cat(cat: CatState, g: float) -> CatDensity:

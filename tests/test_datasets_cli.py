@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -60,6 +62,26 @@ def cell_by_cell_csv(ds: datasets.Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+CELLS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0]), st.integers(), st.booleans(), st.text(max_size=3), st.none(),
+    st.sampled_from(["{", "}", "{0}", "{}"]),
+)
+
+
+def first_difference(got: str, expected: str):
+    """None, or the first line where two texts differ, as (index, got, expected)."""
+    pairs = itertools.zip_longest(got.splitlines(True), expected.splitlines(True))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
+def rows_of(blocks, width: int):
+    """The rows of blocks: a block's single cells repeat down its rows; a
+    block with no list column is one row."""
+    for block in blocks:
+        n = next((len(c) for c in block if isinstance(c, list)), 1)
+        yield from zip(*(c if isinstance(c, list) else [c] * n for c in block)) if width else [()] * n
+
+
 class TestDatasets:
     def test_csv_round_trip_lossless(self):
         ds = sample_dataset()
@@ -93,47 +115,81 @@ class TestDatasets:
         with pytest.raises(ValueError, match="row 1500 has 1 cells"):
             datasets.to_csv(ds)
 
+    def test_block_shape_validated(self):
+        blocks = [(1.0, [1.0, 2.0]), ([1.0, 2.0, 3.0], [1.0, 2.0])]
+        with pytest.raises(ValueError, match="block at row 2 has list columns of lengths"):
+            datasets.to_csv(datasets.Dataset("x", ["a", "b"], blocks=blocks))
+        with pytest.raises(ValueError, match="block at row 0 has 1 columns, expected 2"):
+            datasets.to_csv(datasets.Dataset("x", ["a", "b"], blocks=[([1.0],)]))
+        with pytest.raises(ValueError, match="rows or blocks"):
+            datasets.Dataset("x", ["a"], [[1.0]], blocks=[])
+
     @settings(max_examples=300, deadline=None)
     @given(
         width=st.integers(0, 4),
-        pool=st.lists(
-            st.one_of(
-                st.floats(), st.sampled_from([0.0, -0.0]), st.integers(), st.booleans(),
-                st.text(max_size=3), st.none(),
-            ),
-            min_size=1,
-            max_size=12,
+        pool=st.lists(CELLS, min_size=1, max_size=12),
+        shapes=st.lists(
+            st.tuples(st.integers(0, 5), st.lists(st.integers(0, 2), min_size=4, max_size=4)), max_size=12
         ),
-        picks=st.lists(st.integers(0, 10**6), max_size=120),
-        memo_cap=st.integers(1, 6),
-        batch_rows=st.integers(1, 7),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=160),
+        block_rows=st.integers(1, 7),
+        memo_cells=st.integers(0, 10),
+        from_rows=st.booleans(),
         streamed=st.booleans(),
     )
-    def test_csv_equals_cell_by_cell_formatter(self, width, pool, picks, memo_cap, batch_rows, streamed):
-        # Rows pick their cells from a small pool, so the same objects repeat
-        # down a column; small caps and batches reach every branch of to_csv.
-        n_rows = len(picks) // width if width else len(picks) % 5
-        rows = [[pool[picks[r * width + j] % len(pool)] for j in range(width)] for r in range(n_rows)]
+    def test_csv_equals_cell_by_cell_formatter(
+        self, width, pool, shapes, picks, block_rows, memo_cells, from_rows, streamed
+    ):
+        # Blocks of 0-5 rows whose columns are single cells, fresh lists or
+        # lists that recur as the same object, all picking cells from a
+        # small pool; the same rows also go in as a row-built dataset.
+        # Small blocks and memo caps reach every branch of the writers.
+        draw = itertools.cycle(picks)
+        shared: dict[int, list] = {}
+        blocks = []
+        for n, kinds in shapes:
+            n = n if any(kind < 2 for kind in kinds[:width]) else 1
+            block = []
+            for kind in kinds[:width]:
+                if kind == 0 or not n:
+                    block.append([pool[next(draw) % len(pool)] for _ in range(n)])
+                elif kind == 1:
+                    block.append(shared.setdefault(n, [pool[next(draw) % len(pool)] for _ in range(n)]))
+                else:
+                    block.append(pool[next(draw) % len(pool)])
+            blocks.append(tuple(block))
+        rows = [list(row) for row in rows_of(blocks, width)]
         columns = [f"c{j}" for j in range(width)]
         expected = cell_by_cell_csv(datasets.Dataset("lrspp x", columns, rows, ["w"]))
-        with mock.patch.object(datasets, "_MEMO_CAP", memo_cap), mock.patch.object(datasets, "_BATCH_ROWS", batch_rows):
-            ds = datasets.Dataset("lrspp x", columns, iter(rows) if streamed else rows, ["w"])
-            assert datasets.to_csv(ds) == expected
+        expected_json = json.dumps(
+            {"schema_version": 1, "command": "lrspp x", "warnings": ["w"], "columns": columns, "rows": rows},
+            indent=1,
+        ) + "\n"
+
+        def dataset():
+            if from_rows:
+                return datasets.Dataset("lrspp x", columns, iter(rows) if streamed else rows, ["w"])
+            return datasets.Dataset("lrspp x", columns, warnings=["w"], blocks=iter(blocks) if streamed else blocks)
+
+        with mock.patch.object(datasets, "BLOCK_ROWS", block_rows), mock.patch.object(datasets, "_MEMO_CELLS", memo_cells):
+            assert datasets.to_csv(dataset()) == expected
+            assert datasets.to_json(dataset()) == expected_json
 
     def test_memo_is_by_object_not_by_id_alone(self):
-        # Fresh floats freed after each row: their ids are reused by later
-        # objects of other values, which must not take a memoised text.
-        # Column b mixes them with a repeated object.
-        kept = 0.5
+        # Fresh lists freed after each block: their ids are reused by later
+        # lists of other values, which must not take memoised texts.  Column
+        # b recurs as one object; column c mixes 0.0 and -0.0.
+        kept = [0.5, 1.5, 2.5]
 
-        def rows():
-            for i in range(20000):
-                yield [float(i) / 7.0, kept if i % 3 else float(i) / 3.0, -0.0 if i % 2 else 0.0]
+        def blocks():
+            for i in range(5000):
+                yield [i / 7.0, i / 11.0, i / 13.0], kept if i % 3 else [i / 3.0] * 3, -0.0 if i % 2 else 0.0
 
-        ds = datasets.Dataset("lrspp x", ["a", "b", "c"], list(rows()))
-        expected = cell_by_cell_csv(ds)
-        with mock.patch.object(datasets, "_MEMO_CAP", 10**6):
-            assert datasets.to_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], rows())) == expected
+        expected = cell_by_cell_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], list(rows_of(blocks(), 3))))
+        for cells in (0, 10**6):
+            with mock.patch.object(datasets, "_MEMO_CELLS", cells):
+                got = datasets.to_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], blocks=blocks()))
+            assert first_difference(got, expected) is None
 
 
 class TestConfig:
@@ -225,17 +281,55 @@ class TestCliExitCodes:
         code, out, err = run_cli(["g2", "--n", "2"])
         assert (code, out, err) == (2, "", "numerical failure: out of memory\n")
 
+    #: A cat-entropy run of two frequencies and the default two amplitudes.
+    MID_STREAM = (
+        "cat-entropy --branch plus --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
+        " --d1-max-nm 45 --d1-steps 2 --d2-steps 8"
+    ).split()
+
+    @staticmethod
+    def fail_on_third_curve(monkeypatch):
+        """Make the third cat column block of a run raise, as a NaN eigenvalue would."""
+        real, calls = cli.statetransfer.cat_columns, []
+
+        def failing(cat, g, decay):
+            calls.append(cat)
+            if len(calls) == 3:
+                raise ValueError("eigenvalue nan outside [0, 1]")
+            return real(cat, g, decay)
+
+        monkeypatch.setattr(cli.statetransfer, "cat_columns", failing)
+
     def test_failure_mid_stream_prints_nothing(self, monkeypatch):
-        real = cli.statetransfer.propagate_cat_along
-
-        def failing(cat, g, kappa0, xs):
-            yield from real(cat, g, kappa0, xs[:3])
-            raise ValueError("eigenvalue nan outside [0, 1]")
-
-        monkeypatch.setattr(cli.statetransfer, "propagate_cat_along", failing)
-        argv = "cat-entropy --branch plus --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
-        code, out, err = run_cli(argv.split() + ["--d1-max-nm", "45", "--d1-steps", "2", "--d2-steps", "8"])
+        self.fail_on_third_curve(monkeypatch)
+        code, out, err = run_cli(self.MID_STREAM)
         assert (code, out, err) == (2, "", "numerical failure: eigenvalue nan outside [0, 1]\n")
+
+    def test_failure_mid_stream_leaves_out_file_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_text("earlier run\n")
+        self.fail_on_third_curve(monkeypatch)
+        code, _, err = run_cli(self.MID_STREAM + ["--out", str(out)])
+        assert (code, err) == (2, "numerical failure: eigenvalue nan outside [0, 1]\n")
+        assert out.read_text() == "earlier run\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "material --omega-min 1e-170 --omega-max 1e15 --omega-steps 2",
+            "angle --omega-min 1e-170 --omega-max 1e15 --omega-steps 2",
+            "field --omega 1e-170",
+        ],
+    )
+    def test_frequency_whose_square_underflows_is_config_error(self, argv):
+        code, out, err = run_cli(argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("config error: omega") and "underflow" in err and len(err.splitlines()) == 1, err
+
+    def test_nul_byte_in_out_path_is_config_error(self):
+        code, _, err = run_cli(["g2", "--out", "a\0b"])
+        assert (code, err) == (1, "config error: out: must not hold a NUL byte, got 'a\\x00b'\n")
 
 
 class TestRunCap:
@@ -397,6 +491,28 @@ class TestAtomicOut:
         assert code == 1 and err.startswith("config error: out: cannot write")
         assert out.read_text() == "earlier run\n" and stat.S_IMODE(out.stat().st_mode) == 0o444
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_out_is_written_a_block_at_a_time(self, tmp_path, monkeypatch, capsys):
+        # Small blocks and memo, so that what a block holds is small next to
+        # the 0.9 MB of output: the text is never held whole.
+        monkeypatch.setattr(datasets, "BLOCK_ROWS", 128)
+        monkeypatch.setattr(datasets, "_MEMO_CELLS", 128)
+        argv = (
+            "cat-entropy --branch plus --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
+            " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --alphas 1,2,3,4,5 --x-steps"
+        ).split()
+        out = tmp_path / "out.csv"
+        assert cli.run(argv + ["2", "--out", str(out)]) == 0  # caches filled outside the trace
+        tracemalloc.start()
+        try:
+            code = cli.run(argv + ["800", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert code == 0 and size > 800_000 and peak < size / 3, (size, peak)
+        assert cli.run(argv + ["800"]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_file_the_user_may_not_write_is_opened_directly(self, tmp_path, monkeypatch):
         out = self.old_file(tmp_path)
@@ -750,10 +866,31 @@ class TestPinnedOutput:
                 "156f2a377049ede3e18cc49bdb9cf76b5b855ba0bef58728cbbe5e751036234d",
                 "",
             ),
+            # The three below have 4,100 x points: more than the 4,096 rows of a
+            # block, so each curve takes two blocks.
+            (
+                "propagate --branch both --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
+                " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --x-steps 4100",
+                "b3f94e10d6a8e6faa9bb4d3d6f1c8cb132beaacd017bf1a26866c466ce0141f7",
+                "",
+            ),
+            (  # NA rows at the top frequency
+                "cat-entropy --branch minus --omega-min 2.6e15 --omega-max 5e15 --omega-steps 2 --d1-min-nm 15"
+                " --d1-max-nm 45 --d1-steps 2 --d2-steps 12 --x-max 2e-5 --x-steps 4100 --alphas 1,2.5",
+                "051910ad7002de74bdca94013c321fb2cd4d988d817ea1b04844986d014e24a4",
+                "",
+            ),
+            (
+                "cat-entropy --branch plus --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
+                " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --x-steps 4100 --alphas 2 --format json",
+                "1338d0ea3666dd471dc8ded45bbcab3e1f820b163a1e9bc41a686be48412ab2a",
+                "",
+            ),
         ],
         ids=[
             "dispersion", "angle", "constraints-fixed-d2", "angle-clipped", "optimize", "cat-entropy",
-            "propagate-na-frequency", "cat-entropy-json",
+            "propagate-na-frequency", "cat-entropy-json", "propagate-two-blocks", "cat-entropy-two-blocks",
+            "cat-entropy-json-two-blocks",
         ],
     )
     def test_output_bytes(self, command, stdout_sha256, stderr):

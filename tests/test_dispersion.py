@@ -199,14 +199,14 @@ def residual_from_scratch(sign: int, k: float, omega: float, d1: float, model) -
 def test_residual_from_hoisted_terms_is_bitwise(branch, d1, wfrac, kfrac):
     """H from k^2, (w/c)^2 and eps_m computed once per solve is the float H
     computed from scratch, or +inf on both sides (kfrac < 1 lies above the
-    light line).  Where eps_lossless raises (omega^2 underflows to 0), both
-    raise the same."""
+    light line).  Where omega^2 underflows to 0, eps_lossless raises the
+    same ValueError on both sides."""
 
     def outcome(residual) -> str:
         try:
             return residual().hex()
-        except ArithmeticError as exc:
-            return type(exc).__name__
+        except ValueError as exc:
+            return str(exc)
 
     omega = wfrac * W_SP
     k = kfrac * omega / C_LIGHT
@@ -270,6 +270,18 @@ def test_scan_bracket_passes_its_low_value(monkeypatch):
         assert (sol.omega if omega is None else sol.k) == pytest.approx(root, rel=1e-14)
         scan, bisection = evaluated[2:67], evaluated[67:]
         assert max(x for x in scan if x < root) not in bisection
+
+
+def test_scan_point_that_is_a_root_is_returned(monkeypatch):
+    """A root that falls exactly on a point of the sign-change scan is the
+    chosen interval's low end, where f is 0: the bisection returns it."""
+    monkeypatch.setattr(dispersion, "_log_residual", lambda *args: None)  # no Newton polish
+    # 4e15 = 1e15 + 48/64 of [1e15, 5e15]; 2.25e7 = 1.5e7 + 32/64 of [1.5e7, 3e7].
+    for k, omega, lo, hi, root in ((2e7, None, 1e15, 5e15, 4e15), (None, 4e15, 1.5e7, 3e7, 2.25e7)):
+        sol = dispersion._solve(
+            BranchId.ANTISYMMETRIC, k, omega, 20e-9, SILVER, lambda x: (x - root) ** 2, lo, hi, lambda: "none"
+        )
+        assert (sol.omega if omega is None else sol.k) == root
 
 
 #: solve_k(branch, 4e15, inf) and solve_omega(branch, 1.5e7, inf): the

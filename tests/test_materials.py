@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lrspp import materials
 from lrspp.materials import DielectricModel, SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
 
 # Frozen with exact rational arithmetic (Fraction) ahead of the build:
@@ -77,6 +78,13 @@ def test_domain_errors():
         eps_lossless(SILVER, -1e15)
     with pytest.raises(ValueError):
         eps_lossy(SILVER, -1e15)
+    floor = materials._OMEGA_SQUARE_UNDERFLOW
+    assert floor * floor == 0.0 and math.nextafter(floor, 1.0) ** 2 > 0.0
+    for eps in (eps_lossless, eps_lossy):  # omega^2 underflows to 0
+        for omega in (5e-324, floor):
+            with pytest.raises(ValueError, match=f"^omega={omega!r}: its square underflows to 0"):
+                eps(SILVER, omega)
+        eps(SILVER, math.nextafter(floor, 1.0))  # the smallest omega accepted
 
 
 def test_model_validation():

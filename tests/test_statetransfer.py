@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from lrspp import fock
 from lrspp.statetransfer import (
     CatState,
+    _cat_factors,
+    _density_at,
+    cat_columns,
+    decay_along,
     propagate_cat,
-    propagate_cat_along,
     represented_trace,
     transfer_cat,
     von_neumann_entropy,
@@ -166,9 +169,52 @@ class TestTraceAndEigenvalues:
             return
         xs = [0.0] + [kx / kappa0 if kappa0 else kx for kx in kxs]
         expected = [single_pass_propagate_cat(cat, g, kappa0, x) for x in xs]
-        along = list(propagate_cat_along(cat, g, kappa0, xs))
-        assert [bits(d) for d in along] == [bits(e) for e in expected]
+        along = cat_columns(cat, g, decay_along(kappa0, xs))
+        assert [bits(row) for row in zip(*along)] == [bits(e[2:]) for e in expected]
         assert [bits(propagate_cat(cat, g, kappa0, x)) for x in xs] == [bits(e) for e in expected]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        alphas=st.lists(st.floats(min_value=0.0, max_value=40.0, exclude_min=True), min_size=1, max_size=4),
+        phi=st.one_of(
+            st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]),
+            st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+        ),
+        g=st.floats(min_value=0.0, max_value=math.pi / 2),
+        kappa0=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e7)),
+        kxs=st.lists(st.floats(min_value=0.0, max_value=30.0), max_size=8),
+    )
+    def test_columns_are_bitwise_density_at(self, alphas, phi, g, kappa0, kxs):
+        """Several amplitudes share one Decay; each column equals _density_at
+        at every x, on every phase branch (cos phi < 0 included), or both
+        raise the same error."""
+
+        def outcome(compute):
+            try:
+                return compute()
+            except ValueError as exc:
+                return str(exc)
+
+        xs = [kx / kappa0 if kappa0 else kx for kx in kxs]
+        decay = decay_along(kappa0, xs)
+        for alpha in alphas:
+            try:
+                cat = CatState(alpha, phi)
+            except ValueError:  # the degenerate odd cat
+                continue
+            factors = _cat_factors(cat, g, kappa0)
+
+            def rows():
+                return [bits(d[2:]) for d in (_density_at(factors, x) for x in xs)]
+
+            got = outcome(lambda: [bits(row) for row in zip(*cat_columns(cat, g, decay))])
+            assert got == outcome(rows)
+
+    def test_decay_along_checks_its_grid(self):
+        assert decay_along(0.0, []) == (0.0, [], [])
+        for kappa0, xs in ((-1.0, [0.0]), (1.0, [0.0, -1e-9])):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                decay_along(kappa0, xs)
 
 
 class TestEntropyFunction:

@@ -8,7 +8,10 @@ The conversion amplitude at a matched frequency is
 over z in [-d2, +inf): the reflection-dip amplitude tau of the lossy
 four-layer stack times the normalized overlap of the strip mode with the
 transmitted field.  Both norms use the same domain, so the overlap is
-bounded by 1 and |beta| <= |tau|.
+bounded by 1 and |beta| <= |tau|.  One closed form, built once per
+(branch, omega, d1) as a function of d2 (_beta_of_gap), computes every beta
+reported here: the gap search, optimize_d2's point, overlap_beta and
+coupling_point.
 
 Three dimensionless feasibility parameters gate the optimization:
 
@@ -36,6 +39,9 @@ _INF = math.inf
 DEFAULT_DELTA_OMEGA = 3.02e13
 #: Prism dielectric constant.
 DEFAULT_EPS_PRISM = 1.51
+#: Width (m) at which the golden-section refine of the gap stops.  It must
+#: exceed the float spacing of d2, or the window never shrinks below it.
+D2_REFINE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,6 @@ class OptimizeConfig:
     d2_min: float = 50e-9
     d2_max: float = 3e-6
     d2_steps: int = 80
-    d2_refine: float = 1e-10  # golden-section window, m
     delta_omega: float = DEFAULT_DELTA_OMEGA
     eps_prism: float = DEFAULT_EPS_PRISM
 
@@ -115,37 +120,20 @@ def overlap_beta(
 ) -> complex:
     """Conversion amplitude beta at a matched frequency.
 
-    Raises NoBoundMode / NoMatchingAngle when the branch or the
-    phase-matching angle does not exist, and NormalizationError when the
-    computed |beta| exceeds 1 beyond roundoff (inconsistent norms).
+    Raises ValueError unless d2 > 0, NoBoundMode / NoMatchingAngle when the
+    branch or the phase-matching angle does not exist, and
+    NormalizationError when the computed |beta| exceeds 1 beyond roundoff
+    (inconsistent norms).
     """
+    _require_positive("d2", d2)
     sol = solve_k(branch, omega, d1, model)
-    beta, _, _ = _beta_from_solution(sol, branch, d2, eps_prism, model)
-    return beta
-
-
-def _beta_from_solution(
-    sol: DispersionSolution,
-    branch: BranchId,
-    d2: float,
-    eps_prism: float,
-    model: DielectricModel,
-):
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
-    phi = modes.lrspp_profile(branch, sol, model)
-    fl = modes.four_layer_solve(sol.omega, theta, sol.d1, d2, eps_prism, model, lossy=True)
-    n1 = modes.profile_norm(phi, -d2, _INF)
-    n2 = modes.profile_norm(fl.profile, -d2, _INF)
-    overlap = modes.overlap_integral(phi, fl.profile, -d2, _INF) / math.sqrt(n1 * n2)
-    beta = -(fl.tau * overlap).conjugate()
-    _check_beta(abs(beta), sol, d2)
-    return beta, theta, fl
+    return _beta_of_gap(sol, branch, theta, eps_prism, model)(d2)
 
 
-def _check_beta(beta_abs: float, sol: DispersionSolution, d2: float) -> float:
-    if beta_abs > 1.0 + 1e-9:
-        raise NormalizationError(f"|beta| = {beta_abs:.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}")
-    return beta_abs
+def _require_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _gap_integral(rate: float, d2: float) -> float:
@@ -156,19 +144,18 @@ def _gap_integral(rate: float, d2: float) -> float:
     return -math.expm1(-rate * d2) / rate
 
 
-def _gap_objective(sol: DispersionSolution, branch: BranchId, eps_prism: float, model: DielectricModel):
-    """|beta| as a function of the gap d2 at a fixed dispersion solution.
+def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_prism: float, model: DielectricModel):
+    """beta as a function of the gap d2 at a fixed dispersion solution and
+    its matching angle theta: the one beta formula of the library.
 
-    Equal to abs(_beta_from_solution(...)[0]) up to roundoff.  Only the
-    prism match and the [-d2, 0] part of the integrals depend on d2: the
-    strip mode, the stack above z = 0 and the [0, inf) parts of N1, N2 and
-    the overlap are computed once here.  The transmitted field is kept at
-    unit amplitude in the top air, since k5 cancels in
-    |beta| = |tau| |overlap| / sqrt(N1 N2).  In the gap the strip mode is
-    exp(nu_0 z) (1, -i k/nu_0) and the field a1 exp(-g0 z) (1, i kx/g0)
-    + k2 exp(g0 z) (1, -i kx/g0).
+    Only the prism match and the [-d2, 0] part of the integrals depend on d2:
+    the strip mode, the stack above z = 0 and the [0, inf) parts of N1, N2
+    and the overlap are computed once here.  The transmitted field is kept
+    at unit amplitude in the top air; the field for unit incidence is k5
+    times it, so the normalized overlap gains the phase k5/|k5|.  In the
+    gap the strip mode is exp(nu_0 z) (1, -i k/nu_0) and the field
+    a1 exp(-g0 z) (1, i kx/g0) + k2 exp(g0 z) (1, -i kx/g0).
     """
-    theta = coupling_angle(sol.omega, sol.k, eps_prism)
     phi = modes.lrspp_profile(branch, sol, model)
     st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model, lossy=True)
     psi = modes._upper_profile(st, sol.d1, 1.0)
@@ -186,14 +173,19 @@ def _gap_objective(sol: DispersionSolution, branch: BranchId, eps_prism: float, 
     o_w1 = (1.0 - k_nu * kx_g) * a1
     o_w2 = (1.0 + k_nu * kx_g) * k2
 
-    def value(d2: float) -> float:
-        _, _, _, tau = modes._prism_match(st, d2)
+    def beta(d2: float) -> complex:
+        _, k5, _, tau = modes._prism_match(st, d2)
         n1 = n1_up + n1_w * _gap_integral(2.0 * nu0, d2)
         n2 = n2_up + n2_w1 * _gap_integral(-2.0 * g0, d2) + n2_w2 * _gap_integral(2.0 * g0, d2) + n2_cross_w * d2
         overlap = o_up + o_w1 * _gap_integral(nu0 - g0, d2) + o_w2 * _gap_integral(nu0 + g0, d2)
-        return _check_beta(abs(tau) * abs(overlap) / math.sqrt(n1 * n2), sol, d2)
+        value = -(tau * (k5 / abs(k5)) * overlap / math.sqrt(n1 * n2)).conjugate()
+        if abs(value) > 1.0 + 1e-9:  # inconsistent norms
+            raise NormalizationError(
+                f"|beta| = {abs(value):.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
+            )
+        return value
 
-    return value
+    return beta
 
 
 def constraint_set(
@@ -212,14 +204,14 @@ def constraint_set(
     bound mode at that k, simultaneous excitation is impossible and
     B = +inf.
     """
-    if delta_omega <= 0.0:
-        raise ValueError("delta_omega must be positive")
+    _require_positive("d2", d2)
     sol = solve_k(branch, omega, d1, model)
     return _constraints(sol, _bandwidth(sol, branch, delta_omega, model), d2)
 
 
 def _bandwidth(sol: DispersionSolution, branch: BranchId, delta_omega: float, model: DielectricModel) -> float:
     """B at the solution's wavevector: one root solve on the other branch."""
+    _require_positive("delta_omega", delta_omega)
     try:
         other = solve_omega(branch.other, sol.k, sol.d1, model)
     except NoBoundMode:
@@ -246,19 +238,16 @@ def coupling_point(
     model: DielectricModel = SILVER,
 ) -> CouplingPoint:
     """Full conversion record at an explicit (omega, d1, d2)."""
+    _require_positive("d2", d2)
     sol = solve_k(branch, omega, d1, model)
-    return _point_from_solution(sol, branch, d2, _bandwidth(sol, branch, config.delta_omega, model), config, model)
+    theta = coupling_angle(sol.omega, sol.k, config.eps_prism)
+    beta = _beta_of_gap(sol, branch, theta, config.eps_prism, model)(d2)
+    return _point_from_solution(sol, branch, d2, theta, beta, _bandwidth(sol, branch, config.delta_omega, model))
 
 
 def _point_from_solution(
-    sol: DispersionSolution,
-    branch: BranchId,
-    d2: float,
-    bandwidth: float,
-    config: OptimizeConfig,
-    model: DielectricModel,
+    sol: DispersionSolution, branch: BranchId, d2: float, theta: float, beta: complex, bandwidth: float
 ) -> CouplingPoint:
-    beta, theta, _ = _beta_from_solution(sol, branch, d2, config.eps_prism, model)
     cons = _constraints(sol, bandwidth, d2)
     g = math.asin(min(1.0, abs(beta)))
     return CouplingPoint(
@@ -293,11 +282,8 @@ def optimize_d2(
     """
     try:
         sol = solve_k(branch, omega, d1, model)
-    except NoBoundMode:
-        return None
-    try:
-        coupling_angle(sol.omega, sol.k, config.eps_prism)
-    except NoMatchingAngle:
+        theta = coupling_angle(sol.omega, sol.k, config.eps_prism)
+    except (NoBoundMode, NoMatchingAngle):
         return None
 
     # B and C do not depend on d2; P <= 1 sets the lower gap bound.
@@ -310,7 +296,11 @@ def optimize_d2(
     if d2_lo > d2_hi:
         return None
 
-    value = _gap_objective(sol, branch, config.eps_prism, model)
+    beta = _beta_of_gap(sol, branch, theta, config.eps_prism, model)
+
+    def value(d2: float) -> float:
+        return abs(beta(d2))
+
     n = max(config.d2_steps, 4)
     ratio = d2_hi / d2_lo
     best_i, best_v = 0, -1.0
@@ -325,7 +315,7 @@ def optimize_d2(
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = value(c), value(d)
-    while b - a > config.d2_refine:
+    while b - a > D2_REFINE:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -335,10 +325,12 @@ def optimize_d2(
             d = a + _GOLDEN * (b - a)
             fd = value(d)
     d2_best = 0.5 * (a + b)
-    if value(d2_best) < best_v:
+    beta_best = beta(d2_best)
+    if abs(beta_best) < best_v:
         d2_best = grid[best_i]
+        beta_best = beta(d2_best)
 
-    point = _point_from_solution(sol, branch, d2_best, bandwidth, config, model)
+    point = _point_from_solution(sol, branch, d2_best, theta, beta_best, bandwidth)
     return point if point.feasible else None
 
 

@@ -15,9 +15,9 @@ from lrspp.coupling import (
     overlap_beta,
 )
 from lrspp.dispersion import BranchId, coupling_angle, solve_k
-from lrspp.errors import LrsppError
+from lrspp.errors import LrsppError, SingularSystemError
 from lrspp.materials import SILVER, surface_plasma_frequency
-from lrspp.modes import four_layer_solve, lrspp_profile
+from lrspp.modes import four_layer_solve, lrspp_profile, overlap_integral, profile_norm
 
 INF = math.inf
 
@@ -44,6 +44,19 @@ def beta_quadrature_oracle(branch, w, d1, d2, eps_prism=1.51, model=SILVER):
 
     ov = complex(piece(lambda z: integrand(z).real), piece(lambda z: integrand(z).imag))
     return -(fl.tau * ov / math.sqrt(n1 * n2)).conjugate()
+
+
+def beta_generic_oracle(branch, sol, d2, eps_prism=1.51, model=SILVER):
+    """beta from the full four-layer solve at unit incidence and three
+    piecewise closed-form integrals over [-d2, inf): independent of the gap
+    algebra of the closed form in coupling."""
+    theta = coupling_angle(sol.omega, sol.k, eps_prism)
+    phi = lrspp_profile(branch, sol, model)
+    fl = four_layer_solve(sol.omega, theta, sol.d1, d2, eps_prism, model, lossy=True)
+    n1 = profile_norm(phi, -d2, INF)
+    n2 = profile_norm(fl.profile, -d2, INF)
+    overlap = overlap_integral(phi, fl.profile, -d2, INF) / math.sqrt(n1 * n2)
+    return -(fl.tau * overlap).conjugate()
 
 
 FEASIBLE_CASES = [
@@ -106,6 +119,22 @@ class TestConstraintSet:
             constraint_set(BranchId.ANTISYMMETRIC, 4e15, 20e-9, 600e-9, delta_omega=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, -50e-9], ids=["nan", "zero", "negative-zero", "negative"])
+def test_gap_and_bandwidth_must_be_positive(bad):
+    """The public entry points name a bad gap or bandwidth instead of
+    dividing by zero, returning NaN or reporting a degenerate system."""
+    args = (BranchId.ANTISYMMETRIC, 4e15, 40e-9)
+    for call in (overlap_beta, coupling_point, constraint_set):
+        with pytest.raises(ValueError, match=f"^d2 must be positive, got {bad!r}$"):
+            call(*args, bad)
+    with pytest.raises(ValueError, match=f"^delta_omega must be positive, got {bad!r}$"):
+        constraint_set(*args, 600e-9, delta_omega=bad)
+    with pytest.raises(ValueError, match="^delta_omega must be positive"):
+        coupling_point(*args, 600e-9, OptimizeConfig(delta_omega=bad))
+    with pytest.raises(SingularSystemError, match="gap too wide"):
+        overlap_beta(*args, INF)
+
+
 class TestCouplingPoint:
     def test_mixing_angle_identity(self):
         pt = coupling_point(BranchId.ANTISYMMETRIC, 4e15, 60e-9, 500e-9)
@@ -131,6 +160,18 @@ class TestOptimizeD2:
     def test_violated_constraints_return_none(self):
         assert optimize_d2(BranchId.ANTISYMMETRIC, 2.2e15, 95e-9) is None
 
+    @pytest.mark.parametrize(
+        "branch,w,d1", [(BranchId.ANTISYMMETRIC, 4e15, 60e-9), (BranchId.SYMMETRIC, 3.1e15, 40e-9)]
+    )
+    def test_reported_point_is_coupling_point(self, branch, w, d1):
+        """The optimum is reported through the same beta formula as the
+        explicit-gap entry points, bit for bit."""
+        pt = optimize_d2(branch, w, d1)
+        assert pt is not None
+        assert pt == coupling_point(branch, w, d1, pt.d2)
+        beta = overlap_beta(branch, w, d1, pt.d2)
+        assert (pt.beta.real.hex(), pt.beta.imag.hex()) == (beta.real.hex(), beta.imag.hex())
+
     def test_gap_respects_penetration_bound(self):
         pt = optimize_d2(BranchId.ANTISYMMETRIC, 4.8e15, 30e-9)
         assert pt is not None
@@ -145,9 +186,9 @@ class TestOptimizeD2:
     gap=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_gap_objective_matches_beta(branch, frac, d1, gap):
-    """The search objective of optimize_d2 is |beta| of the generic route, at
-    any bound-band frequency, strip from 5 to 200 nm and gap from the
-    penetration bound 2/nu_0 to 3 um."""
+    """The closed-form beta(d2) of coupling, phase included, is the beta of
+    the generic four-layer route at any bound-band frequency, strip from 5
+    to 200 nm and gap from the penetration bound 2/nu_0 to 3 um."""
     omega = frac * surface_plasma_frequency(SILVER)
     try:
         sol = solve_k(branch, omega, d1, SILVER)
@@ -155,12 +196,13 @@ def test_gap_objective_matches_beta(branch, frac, d1, gap):
         if d2_lo > 3e-6:
             return
         d2 = d2_lo * (3e-6 / d2_lo) ** gap
-        value = coupling._gap_objective(sol, branch, 1.51, SILVER)(d2)
+        theta = coupling_angle(omega, sol.k, 1.51)
+        beta = coupling._beta_of_gap(sol, branch, theta, 1.51, SILVER)(d2)
     except LrsppError:
         return
-    beta, _, _ = coupling._beta_from_solution(sol, branch, d2, 1.51, SILVER)
-    assert abs(value - abs(beta)) <= 1e-12
-    assert value <= 1.0
+    oracle = beta_generic_oracle(branch, sol, d2)
+    assert abs(beta - oracle) <= 1e-12 * abs(oracle)
+    assert abs(beta) <= 1.0
 
 
 class TestOptimizePath:

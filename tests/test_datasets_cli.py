@@ -846,24 +846,24 @@ class TestPinnedOutput:
             ),
             (  # gap grid, golden-section refine and the fall-back to the grid point
                 "optimize --branch both --omega-steps 8 --d1-steps 4 --d2-steps 24",
-                "7f761231e00bf2c129f2334b9180a3321386cd9e32acebb143596b36522bc50c",
+                "f077e83ce2c9491c53f25482a5bb1336bd07900571a5b58bdb1eeeb2f2f5ef5e",
                 "",
             ),
             (  # phi = 0 cat eigenvalues and entropy, NA rows included
                 "cat-entropy --omega-steps 4 --d1-steps 2 --d2-steps 16 --x-steps 5 --alphas 1,3",
-                "b16256c6438ba652147cfc94ce98f0fd5a1c976217525767918da70d86504600",
+                "faa1ef65796a4f179a0a9e7133b308e939f3a9c9e1a52e2b3ea4329227f477fa",
                 "",
             ),
             (  # mean counts along x, the minus branch NA at the top frequency
                 "propagate --branch both --omega-min 2.6e15 --omega-max 5e15 --omega-steps 3"
                 " --d1-min-nm 15 --d1-max-nm 45 --d1-steps 3 --d2-steps 12 --x-steps 3",
-                "c8b6caafa191e62a41b3f3264ceea57341ca8d9c06c4fc9c6a7169875892635c",
+                "d78475159054c3d3bfa91defcd5678493200bdcc0bdefa315ad7e9d12a130f4b",
                 "",
             ),
             (  # JSON rows of the along-x cat path, NA rows included
                 "cat-entropy --branch both --omega-min 2.6e15 --omega-max 5e15 --omega-steps 2"
                 " --d1-min-nm 15 --d1-max-nm 45 --d1-steps 2 --d2-steps 12 --x-steps 3 --alphas 1,2.5 --format json",
-                "156f2a377049ede3e18cc49bdb9cf76b5b855ba0bef58728cbbe5e751036234d",
+                "913f4fec6113701edbd9f40c5c5f2ddc21d052a1f573cd2bdf5d5faaef6c9eb5",
                 "",
             ),
             # The three below have 4,100 x points: more than the 4,096 rows of a
@@ -871,13 +871,13 @@ class TestPinnedOutput:
             (
                 "propagate --branch both --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
                 " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --x-steps 4100",
-                "b3f94e10d6a8e6faa9bb4d3d6f1c8cb132beaacd017bf1a26866c466ce0141f7",
+                "0e3acb15be38cca62fdae726cc55fe4800b3950288615e7bbccbfcb67abef998",
                 "",
             ),
             (  # NA rows at the top frequency
                 "cat-entropy --branch minus --omega-min 2.6e15 --omega-max 5e15 --omega-steps 2 --d1-min-nm 15"
                 " --d1-max-nm 45 --d1-steps 2 --d2-steps 12 --x-max 2e-5 --x-steps 4100 --alphas 1,2.5",
-                "051910ad7002de74bdca94013c321fb2cd4d988d817ea1b04844986d014e24a4",
+                "a2dcfc51256059bcc5eda98c9e63bd8af3ada6f51501a7b1f56db96447271c0d",
                 "",
             ),
             (

@@ -8,7 +8,7 @@ efficiency 0.65, frequency window [2e15, 5.4e15] rad/s, strip thickness
 10-100 nm and prism gap 50 nm - 3 um.
 
 A value comes from the first of: its flag, the ``--config`` JSON file,
-``LRSPP_THREADS`` (``threads`` only), the default.
+the default.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from typing import Any, Callable, NamedTuple
@@ -26,7 +25,6 @@ from .dispersion import BranchId
 from .errors import ConfigError
 from .materials import DielectricModel, SILVER, surface_plasma_frequency
 
-THREADS_ENV_VAR = "LRSPP_THREADS"
 #: Meters per nanometer: the scale of every ``-nm`` flag.
 NM = 1e-9
 #: Integers beyond 2**53 are not exact once a JSON reader takes them as doubles.
@@ -49,7 +47,7 @@ class GridSpec:
 
 # Value kinds: each takes a decoded JSON value and returns it typed, or
 # raises ValueError (OverflowError for an integer beyond the float range).
-# Flag and environment text is first read by the kind's _READERS entry.
+# Flag text is first read by the kind's _READERS entry.
 
 
 def _integer(v: Any) -> int:
@@ -83,7 +81,7 @@ def _material(v: Any) -> DielectricModel:
     return replace(SILVER, **{key: _number(x) for key, x in v.items() if x is not None})
 
 
-#: How flag and environment text is read, by kind; lists are comma-separated.
+#: How flag text is read, by kind; lists are comma-separated.
 _READERS = {_integer: int, _number: float, _numbers: lambda t: [float(a) for a in t.split(",") if a], _text: str}
 
 # Checks: (predicate on a typed value, the rule it enforces).
@@ -139,7 +137,7 @@ PARAMS: tuple[Param, ...] = (
     Param("material", _material, SILVER, ()),
     Param("out", _text, None, _ALL, (lambda v: "\0" not in v, "must not hold a NUL byte"), help="output path (default: stdout)"),
     Param("format", _text, "csv", _ALL, _one_of("csv", "json")),
-    Param("threads", _integer, 1, _ALL, _COUNT, help=f"accepted; runs are serial (default: ${THREADS_ENV_VAR}, else 1)"),
+    Param("threads", _integer, 1, _ALL, _COUNT, help="accepted; runs are serial (default: 1)"),
     Param("branch", _text, "both", _ALL, _one_of(*_BRANCH_IDS, "both")),
     Param("delta_omega", _number, DEFAULT_DELTA_OMEGA, _ALL, _POSITIVE),
     Param("eps_prism", _number, DEFAULT_EPS_PRISM, _ALL, (lambda v: v > 1.0, "must exceed 1")),
@@ -219,12 +217,12 @@ def build_parser(commands: dict[str, str | None], description: str = "") -> argp
     return parser
 
 
-def _read(row: Param, text: str, source: str) -> Any:
-    """The value of a flag or environment variable, scaled to SI."""
+def _read(row: Param, text: str) -> Any:
+    """The value of a flag, scaled to SI."""
     try:
         value = _READERS[row.kind](text)
     except ValueError:
-        raise ConfigError(f"{row.name}: cannot read {text!r} from {source}") from None
+        raise ConfigError(f"{row.name}: cannot read {text!r} from the command line") from None
     return value * row.scale if row.scale else value
 
 
@@ -233,24 +231,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     raw = load_config_file(args.config) if getattr(args, "config", None) else {}
     for name, text in vars(args).items():
         if name in _BY_NAME:
-            raw[name] = _read(_BY_NAME[name], text, "the command line")
+            raw[name] = _read(_BY_NAME[name], text)
     return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from a flat dict of JSON keys (SI units).
 
-    A missing or null key takes its default; ``threads`` first falls back
-    to LRSPP_THREADS.  Raises ConfigError naming the key for an unknown key
-    or a value of the wrong type; validate_config checks the ranges.
+    A missing or null key takes its default.  Raises ConfigError naming the
+    key for an unknown key or a value of the wrong type; validate_config
+    checks the ranges.
     """
     unknown = sorted(str(k) for k in raw if k not in _BY_NAME)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values: dict[str, Any] = {}
-    env = os.environ.get(THREADS_ENV_VAR)
-    if raw.get("threads") is None and env is not None:
-        values["threads"] = _read(_BY_NAME["threads"], env, THREADS_ENV_VAR)
     for name, value in raw.items():
         if value is None:
             continue

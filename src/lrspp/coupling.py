@@ -79,13 +79,29 @@ class CouplingPoint:
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Search grids and tolerances for the constrained optimization."""
+    """Search grids and tolerances for the constrained optimization.
+
+    Raises ValueError naming the field unless 0 < d2_min < d2_max < inf,
+    d2_steps is an integer of at least 2, delta_omega is positive and
+    finite, and eps_prism is finite and exceeds 1.
+    """
 
     d2_min: float = 50e-9
     d2_max: float = 3e-6
     d2_steps: int = 80
     delta_omega: float = DEFAULT_DELTA_OMEGA
     eps_prism: float = DEFAULT_EPS_PRISM
+
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+            ("d2_min", 0.0 < self.d2_min < _INF, "must be positive and finite"),
+            ("d2_max", self.d2_min < self.d2_max < _INF, "must be finite and exceed d2_min"),
+            ("d2_steps", type(self.d2_steps) is int and self.d2_steps >= 2, "must be an integer of at least 2"),
+            ("delta_omega", 0.0 < self.delta_omega < _INF, "must be positive and finite"),
+            ("eps_prism", 1.0 < self.eps_prism < _INF, "must be finite and exceed 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -205,13 +221,13 @@ def constraint_set(
     B = +inf.
     """
     _require_positive("d2", d2)
+    _require_positive("delta_omega", delta_omega)
     sol = solve_k(branch, omega, d1, model)
     return _constraints(sol, _bandwidth(sol, branch, delta_omega, model), d2)
 
 
 def _bandwidth(sol: DispersionSolution, branch: BranchId, delta_omega: float, model: DielectricModel) -> float:
     """B at the solution's wavevector: one root solve on the other branch."""
-    _require_positive("delta_omega", delta_omega)
     try:
         other = solve_omega(branch.other, sol.k, sol.d1, model)
     except NoBoundMode:

@@ -14,20 +14,24 @@ separately by continuing the root into the complex plane with the lossy
 dielectric function.
 
 Both directions, k at fixed omega (solve_k) and omega at fixed k
-(solve_omega), go through one root routine: bracket a sign change of a
-pole-free form H of the equation, bisect it, then polish with a few Newton
-steps on the log residual
+(solve_omega), go through one root routine: the search window is the
+bracket when a pole-free form H of the equation changes sign across it
+(else the branch has no bound mode there); bisect it, then polish with a
+few Newton steps on the log residual
 
     G = -nu_m d1 - ln[ +/- (nu_m + eps_m nu_0)/(nu_m - eps_m nu_0) ],
 
-whose slope along k or omega follows by the chain rule.  Each solve computes
-the terms fixed along its unknown (eps_m and (w/c)^2 for k, k^2 for omega)
-once, and H keeps the float operations of computing them per evaluation, so
-the roots are the same bit for bit.  The polish keeps the relative residual
-of the defining equation near machine precision up to nu_m d1 of about 13.
-Beyond that exp(-nu_m d1) drops below the rounding of the right-hand side:
-both branches coincide with the single-interface mode to double precision,
-and the residual can no longer be resolved.
+whose slopes along k and omega follow by the chain rule.  The same
+slopes, taken of H, give the group velocity -(dH/dk)/(dH/domega): at a
+root it is the ratio for G, and unlike G it stays well conditioned once
+rounding swamps the numerator (nu_m d1 beyond about 36).  Each solve
+computes the terms fixed along its unknown (eps_m and (w/c)^2 for k, k^2
+for omega) once, and H keeps the float operations of computing them per
+evaluation, so the roots are the same bit for bit.  The polish keeps the
+relative residual of the defining equation near machine precision up to
+nu_m d1 of about 13.  Beyond that exp(-nu_m d1) drops below the rounding
+of the right-hand side: both branches coincide with the single-interface
+mode to double precision, and the residual can no longer be resolved.
 """
 
 from __future__ import annotations
@@ -48,10 +52,9 @@ from .materials import DielectricModel, _eps_derivative, eps_lossless, eps_lossy
 KMAX_FACTOR = 2.0
 
 #: Stopping rules of the bisection (bracket / its top) and of the complex
-#: Newton iteration (step / |K|); group_velocity's half step / omega.
+#: Newton iteration (step / |K|).
 BISECT_REL_TOL, BISECT_MAX_ITER = 1e-15, 200
 COMPLEX_REL_TOL, COMPLEX_MAX_ITER = 1e-12, 100
-GROUP_VELOCITY_REL_STEP = 1e-5
 
 
 class BranchId(enum.Enum):
@@ -127,8 +130,7 @@ def _log_residual(
     sign: int, k: float, omega: float, d1: float, model: DielectricModel, along_omega: bool = False
 ) -> tuple[float, float] | None:
     """(G, dG/dx) with G = ln(lhs) - ln(rhs) and x = omega or k; None where
-    rhs has the wrong sign.  eps does not depend on k, so its term drops out
-    of the k slope."""
+    rhs has the wrong sign."""
     em = eps_lossless(model, omega)
     nus = _decay_constants(k, omega, em)
     if nus is None:
@@ -139,6 +141,15 @@ def _log_residual(
     if num <= 0.0 or den <= 0.0:
         return None
     g = -nu_m * d1 - math.log(num) + math.log(den)
+    dnu_m, dnum, dden = _slopes(k, omega, em, nu_m, nu_0, model, along_omega)
+    return g, -d1 * dnu_m - dnum / (nu_m + em * nu_0) + dden / den
+
+
+def _slopes(
+    k: float, omega: float, em: float, nu_m: float, nu_0: float, model: DielectricModel, along_omega: bool
+) -> tuple[float, float, float]:
+    """The slopes of nu_m, nu_m + eps_m nu_0 and nu_m - eps_m nu_0 along
+    x = omega or k at a bound point.  eps_m does not depend on k."""
     if along_omega:
         emp = _eps_derivative(model, omega)
         dnu_m = -(emp * omega * omega + 2.0 * em * omega) / (2.0 * C_LIGHT**2 * nu_m)
@@ -147,9 +158,7 @@ def _log_residual(
         emp = 0.0
         dnu_m = k / nu_m
         dnu_0 = k / nu_0
-    dnum = dnu_m + emp * nu_0 + em * dnu_0
-    dden = dnu_m - emp * nu_0 - em * dnu_0
-    return g, -d1 * dnu_m - dnum / (nu_m + em * nu_0) + dden / den
+    return dnu_m, dnu_m + emp * nu_0 + em * dnu_0, dnu_m - emp * nu_0 - em * dnu_0
 
 
 def _bisect(f, lo: float, hi: float, flo: float) -> float:
@@ -175,31 +184,19 @@ def _solve(
     f, lo: float, hi: float, no_root,
 ) -> DispersionSolution:
     """The branch's bound point whose unknown, k or omega (passed as None),
-    is the root of the pole-free residual f in [lo, hi].
+    is the root of the pole-free residual f in the window [lo, hi].
 
-    The bracket is the window itself when f changes sign across it, else
-    one interval of a 64-interval sign-change scan: the last for omega, the
-    first for k.  Without one, raises NoBoundMode with the message no_root().
-    Bisection of f is followed by at most 6 Newton steps on the log
-    residual G, kept inside the bracket widened by half and, for omega,
-    below the light line c k.
+    The window is the bracket: unless f(lo) is 0 or f changes sign across
+    it, raises NoBoundMode with the message no_root().  Bisection of f is
+    followed by at most 6 Newton steps on the log residual G, kept inside
+    the window widened by half and, for omega, below the light line c k.
     """
     along_omega = omega is None
-    flo, fhi = f(lo), f(hi)
-    if (flo < 0.0) != (fhi < 0.0):
-        bracket = (lo, hi)
-    else:
-        xs = [lo + (hi - lo) * i / 64 for i in range(65)]
-        vals = [f(x) for x in xs]
-        intervals = []
-        for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
-            if fa == 0.0 or (fa < 0.0) != (fb < 0.0):
-                intervals.append((a, b, fa))
-        if not intervals:
-            raise NoBoundMode(no_root())
-        *bracket, flo = intervals[-1 if along_omega else 0]
-    x = _bisect(f, *bracket, flo)
-    x_max = min(bracket[1] * 1.5, C_LIGHT * k) if along_omega else bracket[1] * 1.5
+    flo = f(lo)
+    if flo != 0.0 and (flo < 0.0) == (f(hi) < 0.0):
+        raise NoBoundMode(no_root())
+    x = _bisect(f, lo, hi, flo)
+    x_max = min(hi * 1.5, C_LIGHT * k) if along_omega else hi * 1.5
 
     def point(x: float) -> tuple[float, float]:
         return (k, x) if along_omega else (x, omega)
@@ -213,7 +210,7 @@ def _solve(
             break
         step = g / dg
         x_new = x - step
-        if not (bracket[0] * 0.5 <= x_new <= x_max):
+        if not (lo * 0.5 <= x_new <= x_max):
             break
         x = x_new
         if abs(step) <= 2.3e-16 * x:
@@ -346,21 +343,23 @@ def group_velocity(
     model: DielectricModel,
     kmax_factor: float = KMAX_FACTOR,
 ) -> float:
-    """d(omega)/dk by central differencing of the inverse solver.
+    """d(omega)/dk = -(dH/dk)/(dH/domega) at the branch's bound point at
+    omega, from the analytic slopes of the pole-free residual H.
 
-    Raises StencilError if the branch vanishes inside the stencil or the
-    difference quotient leaves the physical range (0, c).
+    Raises NoBoundMode where solve_k finds no bound point, and StencilError
+    where the slopes give no velocity in the physical range (0, c).
     """
-    h = GROUP_VELOCITY_REL_STEP * omega
-    try:
-        k_plus = solve_k(branch, omega + h, d1, model, kmax_factor=kmax_factor).k
-        k_minus = solve_k(branch, omega - h, d1, model, kmax_factor=kmax_factor).k
-    except NoBoundMode as exc:
-        raise StencilError(f"branch vanished inside the group-velocity stencil: {exc}") from exc
-    dk = k_plus - k_minus
-    if dk <= 0.0:
-        raise StencilError(f"non-monotonic dispersion inside stencil at omega={omega:.6g}")
-    v = 2.0 * h / dk
+    sol = solve_k(branch, omega, d1, model, kmax_factor=kmax_factor)
+    em = eps_lossless(model, omega)
+    u = math.exp(-sol.nu_m * d1)
+    du = -u * d1 if u else 0.0  # du/dnu_m of u = exp(-nu_m d1); 0, not NaN, at d1 = inf
+
+    def slope(along_omega: bool) -> float:
+        dnu_m, dnum, dden = _slopes(sol.k, omega, em, sol.nu_m, sol.nu_0, model, along_omega)
+        return u * dden + du * dnu_m * (sol.nu_m - em * sol.nu_0) - branch.sign * dnum
+
+    dh_dw = slope(True)
+    v = -slope(False) / dh_dw if dh_dw else math.nan
     if not 0.0 < v < C_LIGHT:
         raise StencilError(f"group velocity {v:.6g} m/s outside (0, c) at omega={omega:.6g}")
     return v
@@ -373,9 +372,9 @@ def coupling_angle(omega: float, k: float, eps_prism: float) -> float:
     for any bound mode since c k / w > 1.  Raises NoMatchingAngle when the
     prism index is too low to reach k.
     """
-    if eps_prism <= 1.0:
-        raise ValueError("eps_prism must exceed 1")
-    if omega <= 0.0 or k <= 0.0:
+    if not 1.0 < eps_prism < math.inf:
+        raise ValueError(f"eps_prism must be finite and exceed 1, got {eps_prism!r}")
+    if not (omega > 0.0 and k > 0.0):
         raise ValueError("omega and k must be positive")
     s = C_LIGHT * k / (omega * math.sqrt(eps_prism))
     if s > 1.0:

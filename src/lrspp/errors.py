@@ -16,8 +16,8 @@ class ConvergenceError(LrsppError):
 
 
 class StencilError(LrsppError):
-    """A finite-difference stencil could not be evaluated because the mode
-    branch vanishes inside it."""
+    """The slopes of the dispersion residual at a bound point give no group
+    velocity in the physical range (0, c)."""
 
 
 class NoMatchingAngle(LrsppError):

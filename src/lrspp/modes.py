@@ -213,8 +213,8 @@ def _upper_stack(
     omega: float, theta: float, d1: float, eps_prism: float, model: DielectricModel, lossy: bool
 ) -> _UpperStack:
     """Backward pass of the stack from the top air down to z = 0."""
-    if eps_prism <= 1.0:
-        raise ValueError("eps_prism must exceed 1")
+    if not 1.0 < eps_prism < math.inf:
+        raise ValueError(f"eps_prism must be finite and exceed 1, got {eps_prism!r}")
     woc = omega / C_LIGHT
     kx = math.sqrt(eps_prism) * woc * math.sin(theta)
     g0_sq = kx * kx - woc * woc

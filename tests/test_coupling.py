@@ -135,6 +135,21 @@ def test_gap_and_bandwidth_must_be_positive(bad):
         overlap_beta(*args, INF)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("d2_min", v) for v in (math.nan, INF, -INF, 0.0, -50e-9)]
+    + [("d2_max", v) for v in (math.nan, INF, -INF, 50e-9, 10e-9)]
+    + [("d2_steps", v) for v in (-3, 0, 1, 2.5, True)]
+    + [("delta_omega", v) for v in (math.nan, INF, -INF, 0.0, -3.02e13)]
+    + [("eps_prism", v) for v in (math.nan, INF, -INF, 1.0, 0.5)],
+)
+def test_optimize_config_names_a_bad_field(field, bad):
+    """NaN, an infinity or a value out of range in any OptimizeConfig field is
+    a ValueError naming that field, before any solve can run on it."""
+    with pytest.raises(ValueError, match=f"^{field} .*, got {bad!r}$"):
+        OptimizeConfig(**{field: bad})
+
+
 class TestCouplingPoint:
     def test_mixing_angle_identity(self):
         pt = coupling_point(BranchId.ANTISYMMETRIC, 4e15, 60e-9, 500e-9)

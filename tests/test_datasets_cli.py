@@ -581,12 +581,6 @@ class TestCliDatasets:
         mags = [abs(complex(r[1], r[2])) for r in ds.rows]
         assert max(mags) > 0.5  # the mode is actually sampled
 
-    def test_threads_env_default(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LRSPP_THREADS", "2")
-        assert cli.run(["g2", "--n", "2"]) == 0
-        ds = datasets.from_csv(capsys.readouterr().out)
-        assert ds.rows[0][2] == 0.5
-
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -673,8 +667,7 @@ class TestParamTable:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
 
-    def test_threads_precedence(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LRSPP_THREADS", "2")
+    def test_threads_precedence(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"threads": 3}))
         parser = build_parser({"g2": None})
@@ -682,7 +675,6 @@ class TestParamTable:
         def threads(argv):
             return config_from_args(parser.parse_args(argv)).threads
 
-        assert threads(["g2"]) == 2
         assert threads(["g2", "--config", str(path)]) == 3
         assert threads(["g2", "--config", str(path), "--threads", "4"]) == 4
 
@@ -826,7 +818,7 @@ class TestPinnedOutput:
         [
             (
                 "dispersion --d1-nm 20 --k-steps 25",
-                "1244b9e7a9f9b70779387f4cf9d6f88845e098393b91a8386891f4b7844cfdab",
+                "290fee40410a676ec16b555d071d0f190cac5b3f0265677f4a0a96459ca2dd06",
                 "",
             ),
             (

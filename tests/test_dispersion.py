@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,14 +220,13 @@ def test_residual_from_hoisted_terms_is_bitwise(branch, d1, wfrac, kfrac):
 
 #: Residual evaluations per solve, keyed by (solver, branch, d1, omega or k).
 #: A root costs the two window ends plus the bisection steps, which reuse the
-#: value at the bracket's low end; NoBoundMode costs the two ends plus the 65
-#: points of the sign-change scan.
+#: value at the window's low end; NoBoundMode costs the two window ends.
 RESIDUALS_PER_SOLVE = {
     ("k", "plus", 10e-9, 2e15): 52, ("k", "plus", 10e-9, 3.5e15): 52, ("k", "plus", 10e-9, 5e15): 52,
     ("k", "plus", 60e-9, 2e15): 52, ("k", "plus", 60e-9, 3.5e15): 52, ("k", "plus", 60e-9, 5e15): 52,
-    ("k", "minus", 10e-9, 2e15): 52, ("k", "minus", 10e-9, 3.5e15): 52, ("k", "minus", 10e-9, 5e15): 67,
+    ("k", "minus", 10e-9, 2e15): 52, ("k", "minus", 10e-9, 3.5e15): 52, ("k", "minus", 10e-9, 5e15): 2,
     ("k", "minus", 60e-9, 2e15): 52, ("k", "minus", 60e-9, 3.5e15): 52, ("k", "minus", 60e-9, 5e15): 52,
-    ("omega", "plus", 10e-9, 1e7): 53, ("omega", "plus", 10e-9, 2e7): 67, ("omega", "plus", 10e-9, 5e7): 67,
+    ("omega", "plus", 10e-9, 1e7): 53, ("omega", "plus", 10e-9, 2e7): 2, ("omega", "plus", 10e-9, 5e7): 2,
     ("omega", "plus", 60e-9, 1e7): 52, ("omega", "plus", 60e-9, 2e7): 52, ("omega", "plus", 60e-9, 5e7): 52,
     ("omega", "minus", 10e-9, 1e7): 53, ("omega", "minus", 10e-9, 2e7): 53, ("omega", "minus", 10e-9, 5e7): 52,
     ("omega", "minus", 60e-9, 1e7): 52, ("omega", "minus", 60e-9, 2e7): 52, ("omega", "minus", 60e-9, 5e7): 52,
@@ -254,34 +255,29 @@ def test_residual_evaluations_per_solve(monkeypatch):
     assert counted == RESIDUALS_PER_SOLVE
 
 
-def test_scan_bracket_passes_its_low_value(monkeypatch):
-    """Where the window does not bracket a sign change, the scan's interval
-    goes to the bisection with the residual at its low end: the last root
-    for omega, the first for k, with no further evaluation of that end."""
+def test_window_low_end_that_is_a_root_is_returned(monkeypatch):
+    """A root exactly at the window's low end, where f is 0 and does not
+    change sign across the window, is returned bit for bit."""
     monkeypatch.setattr(dispersion, "_log_residual", lambda *args: None)  # no Newton polish
-    for k, omega, lo, hi, root in ((2e7, None, 1e15, 5e15, 3.9e15), (None, 4e15, 1.5e7, 3e7, 2e7)):
-        evaluated = []
-
-        def f(x: float) -> float:
-            evaluated.append(x)
-            return (x - 0.5 * root) * (x - root) if omega is None else (x - root) * (x - 1.25 * root)
-
-        sol = dispersion._solve(BranchId.ANTISYMMETRIC, k, omega, 20e-9, SILVER, f, lo, hi, lambda: "none")
-        assert (sol.omega if omega is None else sol.k) == pytest.approx(root, rel=1e-14)
-        scan, bisection = evaluated[2:67], evaluated[67:]
-        assert max(x for x in scan if x < root) not in bisection
-
-
-def test_scan_point_that_is_a_root_is_returned(monkeypatch):
-    """A root that falls exactly on a point of the sign-change scan is the
-    chosen interval's low end, where f is 0: the bisection returns it."""
-    monkeypatch.setattr(dispersion, "_log_residual", lambda *args: None)  # no Newton polish
-    # 4e15 = 1e15 + 48/64 of [1e15, 5e15]; 2.25e7 = 1.5e7 + 32/64 of [1.5e7, 3e7].
-    for k, omega, lo, hi, root in ((2e7, None, 1e15, 5e15, 4e15), (None, 4e15, 1.5e7, 3e7, 2.25e7)):
+    for k, omega, lo, hi in ((2e7, None, 1e15, 5e15), (None, 4e15, 1.5e7, 3e7)):
         sol = dispersion._solve(
-            BranchId.ANTISYMMETRIC, k, omega, 20e-9, SILVER, lambda x: (x - root) ** 2, lo, hi, lambda: "none"
+            BranchId.ANTISYMMETRIC, k, omega, 20e-9, SILVER, lambda x: (x - lo) ** 2, lo, hi, lambda: "none"
         )
-        assert (sol.omega if omega is None else sol.k) == root
+        assert (sol.omega if omega is None else sol.k) == lo
+
+
+def test_window_without_sign_change_has_no_root():
+    """f of one sign at both window ends is NoBoundMode at once, whatever
+    roots lie inside: the window is the only bracket."""
+    evaluated = []
+
+    def f(x: float) -> float:
+        evaluated.append(x)
+        return (x - 2e15) * (x - 3e15)
+
+    with pytest.raises(NoBoundMode, match="^none$"):
+        dispersion._solve(BranchId.ANTISYMMETRIC, 2e7, None, 20e-9, SILVER, f, 1e15, 5e15, lambda: "none")
+    assert evaluated == [1e15, 5e15]
 
 
 #: solve_k(branch, 4e15, inf) and solve_omega(branch, 1.5e7, inf): the
@@ -309,6 +305,34 @@ def test_non_finite_inputs(branch, solver, x):
     sol = solve(branch, x, math.inf, SILVER)
     assert (sol.k.hex(), sol.omega.hex()) == INFINITE_STRIP[solver]
     assert sol.d1 == math.inf
+
+
+#: SHA-256 of the outcomes of the 20,000 random solves of
+#: test_root_bits_are_pinned, recorded with glibc 2.36 libm.
+ROOT_BITS_SHA256 = "e77b69c0c4c5449be06be90c059a24bfeba97691bed290224e36f92dc2bfaf09"
+
+
+def test_root_bits_are_pinned():
+    """Roots are part of the contract, bit for bit.  Each draw picks a
+    branch and d1 log-uniform in [1 nm, 1 mm]; even draws solve k at omega
+    uniform in (0, w_sp), odd draws solve omega at k uniform in
+    (0, 3 w_sp/c).  One line per draw, k omega nu_m nu_0 as hex or the
+    exception's type and message, is hashed."""
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for i in range(20000):
+        branch = rng.choice(list(BranchId))
+        d1 = math.exp(rng.uniform(math.log(1e-9), math.log(1e-3)))
+        try:
+            if i % 2 == 0:
+                sol = solve_k(branch, rng.uniform(0.0, W_SP), d1, SILVER)
+            else:
+                sol = solve_omega(branch, rng.uniform(0.0, 3.0 * W_SP / C_LIGHT), d1, SILVER)
+            line = " ".join(x.hex() for x in (sol.k, sol.omega, sol.nu_m, sol.nu_0))
+        except NoBoundMode as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == ROOT_BITS_SHA256
 
 
 class TestComplexWavenumber:
@@ -387,6 +411,47 @@ class TestGroupVelocity:
             v = group_velocity(branch, w, d1, SILVER)
             assert v == pytest.approx(oracle, rel=1e-3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        branch=st.sampled_from(BRANCHES),
+        d1=st.floats(min_value=math.log(5e-9), max_value=math.log(200e-9)).map(math.exp),
+        frac=st.floats(min_value=0.3, max_value=0.95),
+    )
+    def test_richardson_oracle_over_whole_ranges(self, branch, d1, frac):
+        """Any strip from 5 to 200 nm, any frequency from 0.3 to 0.95 w_sp:
+        the velocity from the residual's slopes is the derivative of the
+        inverse solver to 1e-8, wherever the branch is bound."""
+        w = frac * W_SP
+        try:
+            oracle = richardson_velocity(lambda x: solve_k(branch, x, d1, SILVER).k, w)
+        except NoBoundMode:
+            return
+        assert group_velocity(branch, w, d1, SILVER) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("d1", [1e-6, 1e-5, 1e-3, math.inf])
+    def test_thick_strip_is_single_interface(self, d1):
+        """Where exp(-nu_m d1) is below the rounding of the equation, and on
+        an infinitely thick strip, both branches move at the group velocity
+        of the single interface, whose k(w) = (w/c) sqrt(eps/(eps + 1)) is
+        differentiated here without a root solve."""
+
+        def k_single(w: float) -> float:
+            em = eps_lossless(SILVER, w)
+            return (w / C_LIGHT) * math.sqrt(em / (em + 1.0))
+
+        for frac in (0.05, 0.3, 0.6, 0.9):
+            w = frac * W_SP
+            oracle = richardson_velocity(k_single, w)
+            for branch in BRANCHES:
+                assert group_velocity(branch, w, d1, SILVER) == pytest.approx(oracle, rel=1e-9)
+
+
+def richardson_velocity(k_of, w: float) -> float:
+    """Oracle: 1/(dk/dw) from k_of at w +- h and w +- 2h, h = 1e-4 w, by the
+    four-point Richardson formula."""
+    h = 1e-4 * w
+    return 12 * h / (-k_of(w + 2 * h) + 8 * k_of(w + h) - 8 * k_of(w - h) + k_of(w - 2 * h))
+
 
 class TestCouplingAngle:
     def test_grazing_limit(self):
@@ -428,3 +493,11 @@ class TestCouplingAngle:
             coupling_angle(4e15, 1e7, 0.9)
         with pytest.raises(ValueError):
             coupling_angle(-4e15, 1e7, 1.51)
+
+    def test_non_finite_input_rejected(self):
+        for eps_prism in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^eps_prism must be finite and exceed 1, got {eps_prism!r}$"):
+                coupling_angle(4e15, 1e7, eps_prism)
+        for omega, k in ((math.nan, 1e7), (4e15, math.nan)):
+            with pytest.raises(ValueError, match="^omega and k must be positive$"):
+                coupling_angle(omega, k, 1.51)

@@ -221,6 +221,11 @@ class TestFourLayer:
         with pytest.raises(ValueError):
             four_layer_solve(4e15, 0.3, 20e-9, 500e-9, 1.51, SILVER)
 
+    @pytest.mark.parametrize("eps_prism", [math.nan, math.inf, 1.0, 0.5])
+    def test_prism_not_above_air_rejected(self, eps_prism):
+        with pytest.raises(ValueError, match="^eps_prism must be finite and exceed 1, got "):
+            four_layer_solve(4e15, 1.2, 20e-9, 500e-9, eps_prism, SILVER)
+
 
 class TestNormsAndOverlaps:
     def test_norm_against_quadrature(self):

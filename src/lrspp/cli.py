@@ -22,16 +22,21 @@ everything else is SI (rad/s, rad/m, meters).
 
 A run is sized from its resolved configuration before any work: one that
 visits more than MAX_POINTS grid points is a configuration error.
+
+``--threads N`` runs the gap search of optimize, propagate, cat-entropy
+and constraints without ``--d2-nm`` in up to N forked worker processes
+(_fork_map); the datasets do not depend on N.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 import stat
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import coupling, datasets, propagation, statetransfer
 from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
@@ -58,6 +63,84 @@ MAX_POINTS = 10**7
 #: row; an along-strip handler gives each curve as list columns over the x
 #: grid, cut into lists of at most datasets.BLOCK_ROWS points.
 Blocks = Iterator[datasets.Block]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_map(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """[fn(t) for t in tasks], computed in min(workers, usable CPUs,
+    len(tasks)) processes and returned in task order.
+
+    Worker j takes tasks[j::workers]; the parent computes share 0 itself.
+    Each other share runs in a plain os.fork() child, which sends one
+    pickled (ok, result or exception) down its own pipe and always leaves
+    by os._exit: it never returns into the caller, runs no atexit hook and
+    flushes no inherited buffer (stdout, an open --out file).  The parent
+    reads each pipe to EOF, then reaps that child.  A child's exception is
+    raised again in the parent with its own type; a child that ends without
+    a result is an LrsppError naming it and its wait status.  If anything
+    raises in the parent, every child still running is killed and reaped
+    first.  With one worker, or without os.fork, nothing forks.
+    """
+    workers = min(workers, _usable_cpus(), len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(t) for t in tasks]
+    # Only a forking run pays for these imports.
+    import pickle
+    import signal
+
+    pids: dict[int, int] = {}  # worker -> pid, until reaped
+    fds: dict[int, int] = {}  # worker -> read end of its pipe, until opened
+    try:
+        for j in range(1, workers):
+            r, w = os.pipe()
+            fds[j] = r
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(w)
+                raise LrsppError(f"worker {j} of {workers} did not start: {exc}") from exc
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        payload = (True, [fn(t) for t in tasks[j::workers]])
+                    except Exception as exc:
+                        payload = (False, exc)
+                    with open(w, "wb") as fh:
+                        fh.write(pickle.dumps(payload))
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids[j] = pid
+            os.close(w)
+        results: list = [None] * len(tasks)
+        results[0::workers] = [fn(t) for t in tasks[0::workers]]
+        for j in range(1, workers):
+            with open(fds.pop(j), "rb") as fh:
+                data = fh.read()
+            _, status = os.waitpid(pids[j], 0)
+            del pids[j]
+            if status != 0 or not data:
+                raise LrsppError(f"worker {j} of {workers} ended without a result (wait status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[j::workers] = value
+        return results
+    except BaseException:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        for fd in fds.values():
+            os.close(fd)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+        raise
 
 
 def _search_points(cfg: RunConfig) -> int:
@@ -167,58 +250,67 @@ def _cmd_field(cfg: RunConfig) -> Blocks:
 def _cmd_constraints(cfg: RunConfig) -> Blocks:
     """feasibility triple over an (omega, d1) grid"""
     opt_cfg = _optimize_config(cfg)
-    d2 = cfg.fixed_d2
-    for name, branch in cfg.branches():
-        for w in cfg.omega.points():
-            for d1 in cfg.d1.points():
-                if cfg.fixed_d2 is not None:
-                    try:
-                        cons = coupling.constraint_set(branch, w, d1, d2, cfg.delta_omega, cfg.material)
-                    except NoBoundMode:
-                        cons = None
-                else:  # optimize_d2 returns feasible points only
-                    pt = coupling.optimize_d2(branch, w, d1, opt_cfg, cfg.material)
-                    d2, cons = (None, None) if pt is None else (pt.d2, pt.constraints)
-                if cons is None:
-                    yield name, w, d1, d2, None, None, None, 0
-                    continue
-                yield (
-                    name, w, d1, d2,
-                    cons.bandwidth_B, cons.penetration_P, cons.coupled_surfaces_C,
-                    int(cons.feasible),
-                )
+
+    def row(cell):
+        (name, branch), w, d1 = cell
+        d2 = cfg.fixed_d2
+        if d2 is not None:
+            try:
+                cons = coupling.constraint_set(branch, w, d1, d2, cfg.delta_omega, cfg.material)
+            except NoBoundMode:
+                cons = None
+        else:  # optimize_d2 returns feasible points only
+            pt = coupling.optimize_d2(branch, w, d1, opt_cfg, cfg.material)
+            d2, cons = (None, None) if pt is None else (pt.d2, pt.constraints)
+        if cons is None:
+            return name, w, d1, d2, None, None, None, 0
+        return (
+            name, w, d1, d2,
+            cons.bandwidth_B, cons.penetration_P, cons.coupled_surfaces_C,
+            int(cons.feasible),
+        )
+
+    cells = itertools.product(cfg.branches(), cfg.omega.points(), cfg.d1.points())
+    if cfg.fixed_d2 is not None:  # no gap search: each row streams as it is made
+        yield from map(row, cells)
+    else:
+        yield from _fork_map(row, list(cells), cfg.threads)
 
 
-def _paths(cfg: RunConfig):
+def _rows(cfg: RunConfig) -> list[tuple[str, coupling.BranchId, coupling.PathRecord]]:
+    """(branch name, branch, best-path record) per (branch, omega) row of
+    every requested branch, in grid order: the whole gap search, in one
+    fork map."""
     opt_cfg = _optimize_config(cfg)
-    for name, branch in cfg.branches():
-        path = coupling.optimize_path(branch, cfg.omega.points(), cfg.d1.points(), opt_cfg, cfg.material)
-        yield name, branch, path
+    d1s = cfg.d1.points()
+    rows = [(name, branch, w) for name, branch in cfg.branches() for w in cfg.omega.points()]
+    records = _fork_map(
+        lambda row: coupling._best_over_d1(row[1], row[2], d1s, opt_cfg, cfg.material), rows, cfg.threads
+    )
+    return [(name, branch, rec) for (name, branch, _w), rec in zip(rows, records)]
 
 
 def _propagating(cfg: RunConfig):
     """(branch name, omega, best point, kappa0) per frequency of the best
     paths; point and kappa0 are None where no point is feasible."""
-    for name, branch, path in _paths(cfg):
-        for rec in path.records:
-            pt = rec.point
-            kappa0 = None if pt is None else complex_wavenumber(branch, rec.omega, pt.d1, cfg.material).kappa
-            yield name, rec.omega, pt, kappa0
+    for name, branch, rec in _rows(cfg):
+        pt = rec.point
+        kappa0 = None if pt is None else complex_wavenumber(branch, rec.omega, pt.d1, cfg.material).kappa
+        yield name, rec.omega, pt, kappa0
 
 
 def _cmd_optimize(cfg: RunConfig) -> Blocks:
     """constrained best coupling per frequency"""
-    for name, _branch, path in _paths(cfg):
-        for rec in path.records:
-            if rec.point is None:
-                yield (name, rec.omega) + (None,) * 8
-                continue
-            pt = rec.point
-            c = pt.constraints
-            yield (
-                name, rec.omega, pt.g_tilde, pt.d1, pt.d2, pt.theta, abs(pt.beta),
-                c.bandwidth_B, c.penetration_P, c.coupled_surfaces_C,
-            )
+    for name, _branch, rec in _rows(cfg):
+        if rec.point is None:
+            yield (name, rec.omega) + (None,) * 8
+            continue
+        pt = rec.point
+        c = pt.constraints
+        yield (
+            name, rec.omega, pt.g_tilde, pt.d1, pt.d2, pt.theta, abs(pt.beta),
+            c.bandwidth_B, c.penetration_P, c.coupled_surfaces_C,
+        )
 
 
 def _x_lists(cfg: RunConfig) -> list[list[float]]:

@@ -137,7 +137,7 @@ PARAMS: tuple[Param, ...] = (
     Param("material", _material, SILVER, ()),
     Param("out", _text, None, _ALL, (lambda v: "\0" not in v, "must not hold a NUL byte"), help="output path (default: stdout)"),
     Param("format", _text, "csv", _ALL, _one_of("csv", "json")),
-    Param("threads", _integer, 1, _ALL, _COUNT, help="accepted; runs are serial (default: 1)"),
+    Param("threads", _integer, 1, _ALL, _COUNT, help="worker processes for gap searches (default: 1)"),
     Param("branch", _text, "both", _ALL, _one_of(*_BRANCH_IDS, "both")),
     Param("delta_omega", _number, DEFAULT_DELTA_OMEGA, _ALL, _POSITIVE),
     Param("eps_prism", _number, DEFAULT_EPS_PRISM, _ALL, (lambda v: v > 1.0, "must exceed 1")),

@@ -378,7 +378,8 @@ def optimize_path(
 ) -> OptimizationPath:
     """Best feasible conversion point at each frequency, maximized over the
     strip-thickness grid (each thickness itself optimized over the gap).
-    Cells run serially in grid order."""
+    Rows run serially in grid order; the command line runs the same row
+    function, _best_over_d1, in worker processes under --threads."""
     d1s = tuple(float(d) for d in d1_grid)
     records = tuple(_best_over_d1(branch, float(w), d1s, config, model) for w in omega_grid)
     return OptimizationPath(branch=branch, records=records)

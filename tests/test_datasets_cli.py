@@ -5,11 +5,13 @@ import itertools
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lrspp
-from lrspp import cli, datasets
+from lrspp import cli, coupling, datasets
 from lrspp.config import (
     PARAMS,
     GridSpec,
@@ -27,7 +29,7 @@ from lrspp.config import (
     config_from_dict,
     validate_config,
 )
-from lrspp.errors import ConfigError
+from lrspp.errors import ConfigError, NoBoundMode, NormalizationError
 
 
 def sample_dataset() -> datasets.Dataset:
@@ -898,3 +900,136 @@ def test_cli_import_leaves_numpy_out():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout == "False\n"
+
+
+def test_cli_import_leaves_fork_machinery_out():
+    """pickle is imported only by a run that forks workers, and multiprocessing never."""
+    src = os.path.dirname(os.path.dirname(lrspp.__file__))
+    code = "import sys, lrspp.cli; print(sorted({'pickle', 'multiprocessing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _gap_search_commands() -> list[str]:
+    """The pinned runs that search gaps, and a constraints run that does."""
+    (mark,) = TestPinnedOutput.test_output_bytes.pytestmark
+    pinned = [command for command, _sha256, _stderr in mark.args[1]]
+    searching = [c for c in pinned if c.split()[0] in ("optimize", "propagate", "cat-entropy")]
+    return searching + ["constraints --branch both --omega-steps 6 --d1-steps 3 --d2-steps 10"]
+
+
+class TestWorkers:
+    """--threads N forks up to N workers for the gap search; the bytes,
+    exit codes and stderr lines of a run do not depend on N, and no worker
+    outlives the run."""
+
+    #: Two frequencies per branch: one row for the parent, one for a worker.
+    SMALL = "optimize --branch both --omega-steps 2 --d1-steps 2 --d2-steps 6".split()
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the CPU count the worker cap sees."""
+        return lambda n: monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+
+    @pytest.mark.parametrize("threads, cpus_seen", [("2", None), ("9007199254740992", None), ("9007199254740992", 5)])
+    @pytest.mark.parametrize("command", _gap_search_commands())
+    def test_bytes_do_not_depend_on_workers(self, command, threads, cpus_seen, cpus):
+        serial = run_cli(command.split() + ["--threads", "1"])
+        if cpus_seen is not None:  # more workers than cores, shares of unequal length
+            cpus(cpus_seen)
+        assert run_cli(command.split() + ["--threads", threads]) == serial
+        assert serial[0] == 0
+        assert_no_child_left()
+
+    def test_out_file_open_across_the_fork(self, tmp_path, cpus):
+        """Workers fork while the --out file holds unwritten text; none of it is written twice."""
+        cpus(3)
+        command = _gap_search_commands()[1].split()  # cat-entropy
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"{threads}.csv"
+            assert run_cli(command + ["--threads", threads, "--out", str(out)]) == (0, "", "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert_no_child_left()
+
+    @staticmethod
+    def in_child_only(monkeypatch, action):
+        """Make the row function of the gap search call action() in a worker."""
+        parent, real = os.getpid(), coupling._best_over_d1
+
+        def row(*args):
+            if os.getpid() != parent:
+                action()
+            return real(*args)
+
+        monkeypatch.setattr(coupling, "_best_over_d1", row)
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (NoBoundMode("no bound mode in the window"), 2, "numerical failure: no bound mode in the window"),
+            (ConfigError("d1: too thick"), 1, "config error: d1: too thick"),
+            (NormalizationError("|beta| > 1"), 2, "numerical failure: |beta| > 1"),
+            ("exit", 2, "numerical failure: worker 1 of 2 ended without a result (wait status 768)"),
+            ("kill", 2, "numerical failure: worker 1 of 2 ended without a result (wait status 9)"),
+        ],
+        ids=["NoBoundMode", "ConfigError", "NormalizationError", "exit-3", "SIGKILL"],
+    )
+    def test_worker_failure_is_one_line(self, monkeypatch, cpus, error, code, prefix):
+        def fail():
+            if error == "exit":
+                os._exit(3)
+            if error == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise error
+
+        cpus(2)
+        self.in_child_only(monkeypatch, fail)
+        assert run_cli(self.SMALL + ["--threads", "2"]) == (code, "", prefix + "\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+    def test_parent_failure_kills_every_worker(self, monkeypatch, cpus, error):
+        """The parent's own share raises while its workers would run for a minute."""
+        parent, real = os.getpid(), coupling._best_over_d1
+
+        def row(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+                return real(*args)
+            raise error
+
+        cpus(4)
+        monkeypatch.setattr(coupling, "_best_over_d1", row)
+        start = time.monotonic()
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(self.SMALL + ["--threads", "4"])
+        else:
+            assert run_cli(self.SMALL + ["--threads", "4"]) == (2, "", "numerical failure: out of memory\n")
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_fork_refused_is_one_line(self, monkeypatch, cpus):
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        cpus(2)
+        monkeypatch.setattr(os, "fork", refused)
+        code, out, err = run_cli(self.SMALL + ["--threads", "2"])
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: worker 1 of 2 did not start: [Errno 11] Resource temporarily unavailable\n"
+
+    def test_one_worker_forks_nothing(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("forked at --threads 1")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        assert run_cli(self.SMALL + ["--threads", "1"])[0] == 0

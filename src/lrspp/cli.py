@@ -40,7 +40,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import coupling, datasets, propagation, statetransfer
 from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
-from .constants import C_LIGHT
 from .dispersion import (
     complex_wavenumber,
     coupling_angle,
@@ -194,13 +193,12 @@ def _cmd_dispersion(cfg: RunConfig) -> Blocks:
             except NoBoundMode:
                 yield name, d1, k, None, None, None, None, None
                 continue
-            window = max(2.0, 1.1 * C_LIGHT * k / sol.omega)
             try:
-                vg = group_velocity(branch, sol.omega, d1, cfg.material, kmax_factor=window)
-            except (StencilError, NoBoundMode):
+                vg = group_velocity(sol, cfg.material)
+            except StencilError:
                 vg = None
             try:
-                kappa = complex_wavenumber(branch, sol.omega, d1, cfg.material, kmax_factor=window).kappa
+                kappa = complex_wavenumber(sol, cfg.material).kappa
             except LrsppError:
                 kappa = None
             yield name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa
@@ -295,8 +293,8 @@ def _propagating(cfg: RunConfig):
     paths; point and kappa0 are None where no point is feasible."""
     for name, branch, rec in _rows(cfg):
         pt = rec.point
-        kappa0 = None if pt is None else complex_wavenumber(branch, rec.omega, pt.d1, cfg.material).kappa
-        yield name, rec.omega, pt, kappa0
+        sol = None if pt is None else solve_k(branch, rec.omega, pt.d1, cfg.material)
+        yield name, rec.omega, pt, None if sol is None else complex_wavenumber(sol, cfg.material).kappa
 
 
 def _cmd_optimize(cfg: RunConfig) -> Blocks:

@@ -21,10 +21,7 @@ few Newton steps on the log residual
 
     G = -nu_m d1 - ln[ +/- (nu_m + eps_m nu_0)/(nu_m - eps_m nu_0) ],
 
-whose slopes along k and omega follow by the chain rule.  The same
-slopes, taken of H, give the group velocity -(dH/dk)/(dH/domega): at a
-root it is the ratio for G, and unlike G it stays well conditioned once
-rounding swamps the numerator (nu_m d1 beyond about 36).  Each solve
+whose slopes along k and omega follow by the chain rule.  Each solve
 computes the terms fixed along its unknown (eps_m and (w/c)^2 for k, k^2
 for omega) once, and H keeps the float operations of computing them per
 evaluation, so the roots are the same bit for bit.  The polish keeps the
@@ -32,6 +29,13 @@ relative residual of the defining equation near machine precision up to
 nu_m d1 of about 13.  Beyond that exp(-nu_m d1) drops below the rounding
 of the right-hand side: both branches coincide with the single-interface
 mode to double precision, and the residual can no longer be resolved.
+
+One slope formula (_slopes; _h_slope for H) serves the polish, the group
+velocity -(dH/dk)/(dH/domega) and the complex continuation K = k + i kappa
+(Newton on H in complex k with the lossy eps_m).  The last two start from
+the bound point the caller holds and solve no root.  At a root H's ratio
+equals G's, but it stays well conditioned once rounding swamps G's
+numerator (nu_m d1 beyond about 36).
 """
 
 from __future__ import annotations
@@ -45,16 +49,20 @@ from .constants import C_LIGHT
 from .errors import ConvergenceError, NoBoundMode, NoMatchingAngle, StencilError
 from .materials import DielectricModel, _eps_derivative, eps_lossless, eps_lossy, surface_plasma_frequency
 
-#: Default inverse-problem search window: k in (w/c, KMAX_FACTOR * w/c].
+#: Top of the inverse-problem search window, k in (w/c, K_WINDOW_TOP * w/c].
 #: Roots beyond this window correspond to strongly electrostatic modes the
 #: prism-coupled setup cannot reach (the phase-matching angle does not
 #: exist), and are reported as NoBoundMode.
-KMAX_FACTOR = 2.0
+K_WINDOW_TOP = 2.0
 
 #: Stopping rules of the bisection (bracket / its top) and of the complex
-#: Newton iteration (step / |K|).
+#: Newton iteration.  A complex step's move is counted in units in the last
+#: place of k and of kappa, the larger count: once a step moves both by at
+#: most COMPLEX_SETTLED_ULPS (about 1e-9 of each), the iteration ends at
+#: the first step that moves them no less than the step before, the
+#: rounding floor of H.
 BISECT_REL_TOL, BISECT_MAX_ITER = 1e-15, 200
-COMPLEX_REL_TOL, COMPLEX_MAX_ITER = 1e-12, 100
+COMPLEX_SETTLED_ULPS, COMPLEX_MAX_ITER = 2**22, 100
 
 
 class BranchId(enum.Enum):
@@ -149,7 +157,8 @@ def _slopes(
     k: float, omega: float, em: float, nu_m: float, nu_0: float, model: DielectricModel, along_omega: bool
 ) -> tuple[float, float, float]:
     """The slopes of nu_m, nu_m + eps_m nu_0 and nu_m - eps_m nu_0 along
-    x = omega or k at a bound point.  eps_m does not depend on k."""
+    x = omega or k at a bound point.  eps_m does not depend on k, so along
+    k the same formula holds for complex k, eps_m and decay constants."""
     if along_omega:
         emp = _eps_derivative(model, omega)
         dnu_m = -(emp * omega * omega + 2.0 * em * omega) / (2.0 * C_LIGHT**2 * nu_m)
@@ -159,6 +168,15 @@ def _slopes(
         dnu_m = k / nu_m
         dnu_0 = k / nu_0
     return dnu_m, dnu_m + emp * nu_0 + em * dnu_0, dnu_m - emp * nu_0 - em * dnu_0
+
+
+def _h_slope(sign: int, k, omega: float, em, nu_m, nu_0, u, d1: float, model: DielectricModel, along_omega: bool):
+    """The slope of H = u (nu_m - em nu_0) - sign (nu_m + em nu_0), with
+    u = exp(-nu_m d1), along x = omega or k at (k, omega): real, or along k
+    complex, with complex k, em, decay constants and u."""
+    dnu_m, dnum, dden = _slopes(k, omega, em, nu_m, nu_0, model, along_omega)
+    du = -u * d1 if u else 0.0  # du/dnu_m of u = exp(-nu_m d1); 0, not NaN, at d1 = inf
+    return u * dden + du * dnu_m * (nu_m - em * nu_0) - sign * dnum
 
 
 def _bisect(f, lo: float, hi: float, flo: float) -> float:
@@ -248,16 +266,10 @@ def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -
     ))
 
 
-def solve_k(
-    branch: BranchId,
-    omega: float,
-    d1: float,
-    model: DielectricModel,
-    kmax_factor: float = KMAX_FACTOR,
-) -> DispersionSolution:
+def solve_k(branch: BranchId, omega: float, d1: float, model: DielectricModel) -> DispersionSolution:
     """Propagation constant of the given branch at frequency omega.
 
-    Searches k in (w/c, kmax_factor * w/c].  Raises NoBoundMode when the
+    Searches k in (w/c, K_WINDOW_TOP * w/c].  Raises NoBoundMode when the
     branch does not reach omega inside the window; at small d1 the
     symmetric branch needs exponentially large k near the surface-mode
     limit, which is reported as unreachable.
@@ -272,7 +284,7 @@ def solve_k(
             f"omega={omega:.6g} rad/s outside the bound-mode band (0, {w_sp:.6g})"
         )
     k_lo = omega / C_LIGHT * (1.0 + 1e-9)
-    k_hi = omega / C_LIGHT * kmax_factor
+    k_hi = omega / C_LIGHT * K_WINDOW_TOP
     sign = branch.sign
     em = eps_lossless(model, omega)
     woc2 = (omega / C_LIGHT) ** 2
@@ -282,47 +294,41 @@ def solve_k(
 
     return _solve(branch, None, omega, d1, model, f, k_lo, k_hi, lambda: (
         f"{branch.value} branch cannot reach omega={omega:.6g} rad/s at "
-        f"d1={d1:.4g} m within k <= {kmax_factor:g} w/c"
+        f"d1={d1:.4g} m within k <= {K_WINDOW_TOP:g} w/c"
     ))
 
 
-def complex_wavenumber(
-    branch: BranchId,
-    omega: float,
-    d1: float,
-    model: DielectricModel,
-    kmax_factor: float = KMAX_FACTOR,
-) -> ComplexWavenumber:
-    """Complex root K = k + i*kappa of the dispersion equation with the
-    lossy dielectric function, seeded from the lossless solution.
+def complex_wavenumber(solution: DispersionSolution, model: DielectricModel) -> ComplexWavenumber:
+    """Complex root K = k + i*kappa of H with the lossy dielectric function,
+    by Newton steps in complex k from the lossless bound point solution.
 
-    Newton iteration in complex k with a numerically differentiated
-    residual; raises ConvergenceError with diagnostics if the iteration
-    does not settle within COMPLEX_MAX_ITER steps.
+    The stopping rule (see COMPLEX_SETTLED_ULPS) resolves kappa to its own
+    precision, not only to that of |K|.  Raises ConvergenceError with
+    diagnostics if it takes more than COMPLEX_MAX_ITER steps, and where
+    the root is a growing mode.
     """
-    seed = solve_k(branch, omega, d1, model.lossless(), kmax_factor=kmax_factor)
-    em = eps_lossy(model, omega)
+    branch, omega, d1 = solution.branch, solution.omega, solution.d1
     sign = branch.sign
-    woc2 = (omega / C_LIGHT) ** 2
-
-    def f(kc: complex) -> complex:
-        nu_m = cmath.sqrt(kc * kc - em * woc2)
-        nu_0 = cmath.sqrt(kc * kc - woc2)
-        return cmath.exp(-nu_m * d1) - sign * (nu_m + em * nu_0) / (nu_m - em * nu_0)
-
-    kc = complex(seed.k, 0.0)
+    em = eps_lossy(model, omega)
+    woc = omega / C_LIGHT
+    woc2 = woc**2
+    kc, last = complex(solution.k, 0.0), math.inf
     for _ in range(COMPLEX_MAX_ITER):
-        h = 1e-7 * abs(kc)
-        df = (f(kc + h) - f(kc - h)) / (2.0 * h)
-        if df == 0:
-            raise ConvergenceError(f"flat residual derivative at K={kc!r}")
-        step = f(kc) / df
-        kc -= step
-        if abs(step) <= COMPLEX_REL_TOL * abs(kc):
+        nu_m = cmath.sqrt(kc * kc - em * woc2)
+        nu_0 = cmath.sqrt((kc - woc) * (kc + woc))  # no cancellation near the light line k = w/c
+        u = cmath.exp(-nu_m * d1)
+        dh = _h_slope(sign, kc, omega, em, nu_m, nu_0, u, d1, model, False)
+        if dh == 0:
+            raise ConvergenceError(f"flat residual slope at K={kc!r}")
+        new = kc - (u * (nu_m - em * nu_0) - sign * (nu_m + em * nu_0)) / dh
+        moved = max(abs(new.real - kc.real) / math.ulp(new.real), abs(new.imag - kc.imag) / math.ulp(new.imag))
+        kc = new
+        if moved >= last and last <= COMPLEX_SETTLED_ULPS:
             break
+        last = moved
     else:
         raise ConvergenceError(
-            f"complex root iteration did not converge: K={kc!r}, |F|={abs(f(kc)):.3e}, "
+            f"complex root iteration did not converge: K={kc!r}, last step {last:.3g} ulps, "
             f"omega={omega:.6g}, d1={d1:.4g}, branch={branch.value}"
         )
     kappa = kc.imag
@@ -336,32 +342,20 @@ def complex_wavenumber(
     return ComplexWavenumber(k=kc.real, kappa=kappa)
 
 
-def group_velocity(
-    branch: BranchId,
-    omega: float,
-    d1: float,
-    model: DielectricModel,
-    kmax_factor: float = KMAX_FACTOR,
-) -> float:
-    """d(omega)/dk = -(dH/dk)/(dH/domega) at the branch's bound point at
-    omega, from the analytic slopes of the pole-free residual H.
+def group_velocity(solution: DispersionSolution, model: DielectricModel) -> float:
+    """d(omega)/dk = -(dH/dk)/(dH/domega) at the bound point solution, from
+    the analytic slopes of the pole-free residual H.
 
-    Raises NoBoundMode where solve_k finds no bound point, and StencilError
-    where the slopes give no velocity in the physical range (0, c).
+    Raises StencilError where the slopes give no velocity in the physical
+    range (0, c).
     """
-    sol = solve_k(branch, omega, d1, model, kmax_factor=kmax_factor)
-    em = eps_lossless(model, omega)
-    u = math.exp(-sol.nu_m * d1)
-    du = -u * d1 if u else 0.0  # du/dnu_m of u = exp(-nu_m d1); 0, not NaN, at d1 = inf
-
-    def slope(along_omega: bool) -> float:
-        dnu_m, dnum, dden = _slopes(sol.k, omega, em, sol.nu_m, sol.nu_0, model, along_omega)
-        return u * dden + du * dnu_m * (sol.nu_m - em * sol.nu_0) - branch.sign * dnum
-
-    dh_dw = slope(True)
-    v = -slope(False) / dh_dw if dh_dw else math.nan
+    s = solution
+    em = eps_lossless(model, s.omega)
+    at = (s.branch.sign, s.k, s.omega, em, s.nu_m, s.nu_0, math.exp(-s.nu_m * s.d1), s.d1, model)
+    dh_dw = _h_slope(*at, True)
+    v = -_h_slope(*at, False) / dh_dw if dh_dw else math.nan
     if not 0.0 < v < C_LIGHT:
-        raise StencilError(f"group velocity {v:.6g} m/s outside (0, c) at omega={omega:.6g}")
+        raise StencilError(f"group velocity {v:.6g} m/s outside (0, c) at omega={s.omega:.6g}")
     return v
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 class DielectricModel:
     """Drude-type metal parameters.
 
-    Attributes:
+    Attributes (each finite; NaN or +/-inf is a ValueError naming it):
         plasma_frequency: bulk plasma frequency wp (rad/s), > 0
         damping_rate: electron collision rate Gamma (rad/s), >= 0
         real_correction_coeff: coefficient c_r of the w^2/wp^2 real correction
@@ -35,12 +35,14 @@ class DielectricModel:
     imag_correction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.plasma_frequency <= 0.0:
-            raise ValueError("plasma_frequency must be positive")
-        if self.damping_rate < 0.0:
-            raise ValueError("damping_rate must be non-negative")
-        if self.imag_correction < 0.0:
-            raise ValueError("imag_correction must be non-negative")
+        for name, ok, rule in (
+            ("plasma_frequency", 0.0 < self.plasma_frequency < math.inf, "must be positive and finite"),
+            ("damping_rate", 0.0 <= self.damping_rate < math.inf, "must be non-negative and finite"),
+            ("real_correction_coeff", abs(self.real_correction_coeff) < math.inf, "must be finite"),
+            ("imag_correction", 0.0 <= self.imag_correction < math.inf, "must be non-negative and finite"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
     def lossless(self) -> "DielectricModel":
         """The same metal with damping and imaginary offset removed."""

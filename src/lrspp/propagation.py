@@ -32,7 +32,7 @@ class Wavepacket:
     n: int = 1
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0.0 or self.delta_omega <= 0.0:
+        if not (self.omega0 > 0.0 and self.delta_omega > 0.0):  # NaN too
             raise ValueError("omega0 and delta_omega must be positive")
         if self.n < 0:
             raise ValueError("photon number must be non-negative")
@@ -70,11 +70,11 @@ class PropagationConfig:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kappa0 < 0.0:
+        if not self.kappa0 >= 0.0:  # NaN too, as below
             raise ValueError("kappa0 must be non-negative")
-        if self.v_group <= 0.0:
+        if not self.v_group > 0.0:
             raise ValueError("v_group must be positive")
-        if self.x < 0.0:
+        if not self.x >= 0.0:
             raise ValueError("x must be non-negative")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")

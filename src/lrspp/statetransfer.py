@@ -102,7 +102,7 @@ def _cat_factors(cat: CatState, g: float, kappa0: float) -> tuple:
     and, used only when cos phi < 0, 2 cos^2(phi/2)."""
     if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
         raise ValueError("g must lie in [0, pi/2]")
-    if kappa0 < 0.0:
+    if not kappa0 >= 0.0:  # NaN too
         raise ValueError("kappa0 and x must be non-negative")
     alpha, phi = cat.alpha, cat.phi
     s, c = math.sin(g), math.cos(g)
@@ -138,7 +138,7 @@ def _density_at(factors: tuple, x: float) -> CatDensity:
     not to the vacuum.  There 1 + D cos phi = 2 cos^2(phi/2) - cos phi (1 - D)
     and 1 - q are taken through expm1, and T as the sum of the diagonal.
     """
-    if x < 0.0:
+    if not x >= 0.0:  # NaN too
         raise ValueError("kappa0 and x must be non-negative")
     alpha_s, minus_kappa0, minus_2kappa0, decay_scale, unobserved, c0, cos_phi, sin_phi, cos_half_sq = factors
     a_eff = alpha_s * math.exp(minus_kappa0 * x)
@@ -181,7 +181,7 @@ class Decay(NamedTuple):
 
 def decay_along(kappa0: float, xs: list[float]) -> Decay:
     """The Decay of each x of xs, with the float operations of ``_density_at``."""
-    if kappa0 < 0.0 or any(x < 0.0 for x in xs):
+    if not kappa0 >= 0.0 or not all(x >= 0.0 for x in xs):  # NaN too
         raise ValueError("kappa0 and x must be non-negative")
     minus_kappa0, minus_2kappa0 = -kappa0, -2.0 * kappa0
     exp, expm1 = math.exp, math.expm1

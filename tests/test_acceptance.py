@@ -167,8 +167,10 @@ def test_criterion_07_propagation():
     cfg0 = PropagationConfig(kappa0=3e4, v_group=v_g, x=0.0, mu=0.65)
     assert mean_count(wp, cfg0, beta_sq) == 0.65 * beta_sq * wp.n
 
-    kappa_plus = complex_wavenumber(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER).kappa
-    kappa_minus = complex_wavenumber(BranchId.SYMMETRIC, 4e15, 20e-9, SILVER).kappa
+    kappa_plus, kappa_minus = (
+        complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER), SILVER).kappa
+        for b in (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
+    )
     assert kappa_plus < kappa_minus
     for x in (1e-7, 1e-6, 5e-6, 2e-5):
         decay_plus = math.exp(-2.0 * kappa_plus * x)

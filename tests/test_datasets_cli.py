@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lrspp
-from lrspp import cli, coupling, datasets
+from lrspp import cli, coupling, datasets, dispersion
 from lrspp.config import (
     PARAMS,
     GridSpec,
@@ -551,6 +551,29 @@ class TestCliDatasets:
         for p, m in zip(plus_rows, minus_rows):
             assert p[3] > m[3]  # omega+ above omega- at equal k
 
+    def test_dispersion_solves_one_root_per_row(self, monkeypatch, capsys):
+        """Each row's omega is solved once; v_group and kappa start from that
+        bound point, so no k is solved again."""
+        calls = {"solve_k": 0, "solve_omega": 0}
+
+        def counted(name):
+            solver = getattr(dispersion, name)
+
+            def solve(*args, **kwargs):
+                calls[name] += 1
+                return solver(*args, **kwargs)
+
+            return solve
+
+        for name in calls:
+            solve = counted(name)
+            for module in (dispersion, cli):
+                monkeypatch.setattr(module, name, solve)
+        assert cli.run(["dispersion", "--branch", "both", "--k-steps", "25"]) == 0
+        rows = datasets.from_csv(capsys.readouterr().out).rows
+        assert len(rows) == 50 and all(r[6] is not None and r[7] is not None for r in rows)
+        assert calls == {"solve_k": 0, "solve_omega": 50}
+
     def test_config_file_applies(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"omega_min": 2e15, "omega_max": 3e15, "omega_steps": 4}))
@@ -820,7 +843,7 @@ class TestPinnedOutput:
         [
             (
                 "dispersion --d1-nm 20 --k-steps 25",
-                "290fee40410a676ec16b555d071d0f190cac5b3f0265677f4a0a96459ca2dd06",
+                "c47facf1883f24c2f7a063892d1ace1246e621b56ec57c57b8707259a7fe1f0c",
                 "",
             ),
             (
@@ -845,19 +868,19 @@ class TestPinnedOutput:
             ),
             (  # phi = 0 cat eigenvalues and entropy, NA rows included
                 "cat-entropy --omega-steps 4 --d1-steps 2 --d2-steps 16 --x-steps 5 --alphas 1,3",
-                "faa1ef65796a4f179a0a9e7133b308e939f3a9c9e1a52e2b3ea4329227f477fa",
+                "8c837a688675255da2fd01fe446a0442d3cd3f5aafd48e5f79a83ed07dbb3679",
                 "",
             ),
             (  # mean counts along x, the minus branch NA at the top frequency
                 "propagate --branch both --omega-min 2.6e15 --omega-max 5e15 --omega-steps 3"
                 " --d1-min-nm 15 --d1-max-nm 45 --d1-steps 3 --d2-steps 12 --x-steps 3",
-                "d78475159054c3d3bfa91defcd5678493200bdcc0bdefa315ad7e9d12a130f4b",
+                "3f6857b40a8d685f6341b66d462009a553754b68d5f349e29a3a525bae6ce9c4",
                 "",
             ),
             (  # JSON rows of the along-x cat path, NA rows included
                 "cat-entropy --branch both --omega-min 2.6e15 --omega-max 5e15 --omega-steps 2"
                 " --d1-min-nm 15 --d1-max-nm 45 --d1-steps 2 --d2-steps 12 --x-steps 3 --alphas 1,2.5 --format json",
-                "913f4fec6113701edbd9f40c5c5f2ddc21d052a1f573cd2bdf5d5faaef6c9eb5",
+                "201afd82f91769601ec4ed6157b44263a7eaec14359030d442ddd60e50b7dfa5",
                 "",
             ),
             # The three below have 4,100 x points: more than the 4,096 rows of a
@@ -865,19 +888,19 @@ class TestPinnedOutput:
             (
                 "propagate --branch both --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
                 " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --x-steps 4100",
-                "0e3acb15be38cca62fdae726cc55fe4800b3950288615e7bbccbfcb67abef998",
+                "57bb676c274b3db7509b2e69edf370b78fef57eddf71030007620886798957ef",
                 "",
             ),
             (  # NA rows at the top frequency
                 "cat-entropy --branch minus --omega-min 2.6e15 --omega-max 5e15 --omega-steps 2 --d1-min-nm 15"
                 " --d1-max-nm 45 --d1-steps 2 --d2-steps 12 --x-max 2e-5 --x-steps 4100 --alphas 1,2.5",
-                "a2dcfc51256059bcc5eda98c9e63bd8af3ada6f51501a7b1f56db96447271c0d",
+                "1b672f0e9a64a55b070abf9734894c21525df0c194ac07df68f08bbdfedeb8a6",
                 "",
             ),
             (
                 "cat-entropy --branch plus --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
                 " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --x-steps 4100 --alphas 2 --format json",
-                "1338d0ea3666dd471dc8ded45bbcab3e1f820b163a1e9bc41a686be48412ab2a",
+                "8a88423b52fb38661f9e030c2a86c51edf53d35da4cee7f19f0d6c500190cb78",
                 "",
             ),
         ],

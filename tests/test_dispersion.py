@@ -1,7 +1,9 @@
+import cmath
 import hashlib
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +17,8 @@ from lrspp.dispersion import (
     solve_k,
     solve_omega,
 )
-from lrspp.errors import NoBoundMode, NoMatchingAngle
-from lrspp.materials import DielectricModel, SILVER, eps_lossless, surface_plasma_frequency
+from lrspp.errors import ConvergenceError, NoBoundMode, NoMatchingAngle
+from lrspp.materials import DielectricModel, SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
 
 BRANCHES = (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
 W_SP = surface_plasma_frequency(SILVER)
@@ -338,13 +340,12 @@ def test_root_bits_are_pinned():
 class TestComplexWavenumber:
     def test_loss_free_limit(self, silver_lossless):
         sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, silver_lossless)
-        cw = complex_wavenumber(BranchId.ANTISYMMETRIC, 4e15, 20e-9, silver_lossless)
+        cw = complex_wavenumber(sol, silver_lossless)
         assert cw.kappa == 0.0
         assert cw.k == pytest.approx(sol.k, rel=1e-12)
 
     def test_antisymmetric_is_long_range(self):
-        plus = complex_wavenumber(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
-        minus = complex_wavenumber(BranchId.SYMMETRIC, 4e15, 20e-9, SILVER)
+        plus, minus = (complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER), SILVER) for b in BRANCHES)
         assert 0.0 < plus.kappa < minus.kappa
 
     def test_perturbative_oracle_small_loss(self):
@@ -367,20 +368,49 @@ class TestComplexWavenumber:
             def resid(k: complex, em: complex) -> complex:
                 nu_m = (k * k - em * woc2) ** 0.5
                 nu_0 = (k * k - woc2) ** 0.5
-                import cmath
-
                 return cmath.exp(-nu_m * d1) - sign * (nu_m + em * nu_0) / (nu_m - em * nu_0)
 
             hk = 1e-6 * sol.k
             df_dk = (resid(sol.k + hk, em0) - resid(sol.k - hk, em0)) / (2 * hk)
             he = 1e-6 * abs(em0)
             df_de = (resid(sol.k, em0 + he) - resid(sol.k, em0 - he)) / (2 * he)
-            from lrspp.materials import eps_lossy
-
             delta_em = eps_lossy(weak, w) - em0
             kappa_pert = (-df_de * delta_em / df_dk).imag
-            kappa_full = complex_wavenumber(branch, w, d1, weak).kappa
+            kappa_full = complex_wavenumber(sol, weak).kappa
             assert kappa_full == pytest.approx(kappa_pert, rel=0.10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        branch=st.sampled_from(BRANCHES),
+        d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+        wfrac=st.floats(min_value=1e-100, max_value=1.0, exclude_max=True),
+    )
+    def test_mpmath_oracle_over_whole_ranges(self, branch, d1, wfrac):
+        """Any strip from 1 nm to 1 mm, any frequency in the bound band
+        (from 1e-100 w_sp, where w^2 is far from underflow): wherever both
+        the continuation and mpmath converge, kappa agrees to 1e-10."""
+        self.check_against_mpmath(branch, d1, wfrac * W_SP)
+
+    def test_mpmath_oracle_near_light_line(self):
+        """The plus branch of a 1.5 nm strip at 0.025 w_sp lies 6e-8 k above
+        the light line, with kappa/k about 3e-11: a centred difference of
+        step 1e-7 |K| straddles the branch point of nu_0 at k = w/c there,
+        and put kappa 1.7e-2 off."""
+        assert self.check_against_mpmath(BranchId.ANTISYMMETRIC, 1.526e-9, 0.02545 * W_SP)
+
+    @staticmethod
+    def check_against_mpmath(branch, d1: float, w: float) -> bool:
+        """Whether both solvers converge at (branch, d1, w); where they do,
+        assert that kappa agrees with mpmath's to 1e-10."""
+        try:
+            kw = complex_wavenumber(solve_k(branch, w, d1, SILVER), SILVER)
+        except (NoBoundMode, ConvergenceError):
+            return False
+        oracle = kappa_oracle(branch, w, d1, SILVER, complex(kw.k, kw.kappa))
+        if oracle is None:
+            return False
+        assert kw.kappa == pytest.approx(oracle, rel=1e-10)
+        return True
 
 
 class TestGroupVelocity:
@@ -388,7 +418,7 @@ class TestGroupVelocity:
         for w in (2.5e15, 3.5e15, 4.5e15):
             for branch in BRANCHES:
                 try:
-                    v = group_velocity(branch, w, 20e-9, SILVER)
+                    v = group_velocity(solve_k(branch, w, 20e-9, SILVER), SILVER)
                 except NoBoundMode:
                     continue
                 assert 0.0 < v < C_LIGHT
@@ -396,8 +426,7 @@ class TestGroupVelocity:
     def test_flat_band_near_limit(self, w_sp):
         # deep in the electrostatic regime the band flattens
         k = 30.0 * w_sp / C_LIGHT
-        sol = solve_omega(BranchId.ANTISYMMETRIC, k, 20e-9, SILVER)
-        v = group_velocity(BranchId.ANTISYMMETRIC, sol.omega, 20e-9, SILVER, kmax_factor=50.0)
+        v = group_velocity(solve_omega(BranchId.ANTISYMMETRIC, k, 20e-9, SILVER), SILVER)
         assert v < 0.05 * C_LIGHT
 
     def test_richardson_oracle(self):
@@ -408,7 +437,7 @@ class TestGroupVelocity:
             ks = {m: solve_k(branch, w + m * h, d1, SILVER).k for m in (-2, -1, 1, 2)}
             dk_dw = (-ks[2] + 8 * ks[1] - 8 * ks[-1] + ks[-2]) / (12 * h)
             oracle = 1.0 / dk_dw
-            v = group_velocity(branch, w, d1, SILVER)
+            v = group_velocity(solve_k(branch, w, d1, SILVER), SILVER)
             assert v == pytest.approx(oracle, rel=1e-3)
 
     @settings(max_examples=300, deadline=None)
@@ -426,7 +455,7 @@ class TestGroupVelocity:
             oracle = richardson_velocity(lambda x: solve_k(branch, x, d1, SILVER).k, w)
         except NoBoundMode:
             return
-        assert group_velocity(branch, w, d1, SILVER) == pytest.approx(oracle, rel=1e-8)
+        assert group_velocity(solve_k(branch, w, d1, SILVER), SILVER) == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("d1", [1e-6, 1e-5, 1e-3, math.inf])
     def test_thick_strip_is_single_interface(self, d1):
@@ -443,7 +472,7 @@ class TestGroupVelocity:
             w = frac * W_SP
             oracle = richardson_velocity(k_single, w)
             for branch in BRANCHES:
-                assert group_velocity(branch, w, d1, SILVER) == pytest.approx(oracle, rel=1e-9)
+                assert group_velocity(solve_k(branch, w, d1, SILVER), SILVER) == pytest.approx(oracle, rel=1e-9)
 
 
 def richardson_velocity(k_of, w: float) -> float:
@@ -451,6 +480,29 @@ def richardson_velocity(k_of, w: float) -> float:
     four-point Richardson formula."""
     h = 1e-4 * w
     return 12 * h / (-k_of(w + 2 * h) + 8 * k_of(w + h) - 8 * k_of(w - h) + k_of(w - 2 * h))
+
+
+def kappa_oracle(branch, w: float, d1: float, model, seed: complex) -> float | None:
+    """Oracle: kappa of the root of the pole-free H, with the lossy
+    permittivity of model at w, found by mpmath.findroot at 40 digits from
+    seed; None where findroot does not converge."""
+    with mpmath.workdps(40):
+        wp, gamma, c_r, de_i, omega, length = map(
+            mpmath.mpf,
+            (model.plasma_frequency, model.damping_rate, model.real_correction_coeff, model.imag_correction, w, d1),
+        )
+        em = 1 - wp * wp / (omega * (omega + 1j * gamma)) + c_r * (omega / wp) ** 2 + 1j * de_i
+        woc2 = (omega / mpmath.mpf(C_LIGHT)) ** 2
+
+        def h(k):
+            nu_m = mpmath.sqrt(k * k - em * woc2)
+            nu_0 = mpmath.sqrt(k * k - woc2)
+            return mpmath.exp(-nu_m * length) * (nu_m - em * nu_0) - branch.sign * (nu_m + em * nu_0)
+
+        try:
+            return float(mpmath.findroot(h, mpmath.mpc(seed)).imag)
+        except ValueError:  # no convergence
+            return None
 
 
 class TestCouplingAngle:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +95,15 @@ def test_model_validation():
         DielectricModel(plasma_frequency=1e16, damping_rate=-1.0)
     with pytest.raises(ValueError):
         DielectricModel(plasma_frequency=1e16, imag_correction=-0.1)
+
+
+@pytest.mark.parametrize("field", ["plasma_frequency", "damping_rate", "real_correction_coeff", "imag_correction"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_field(field, bad):
+    """NaN or +/-inf in any field is a ValueError naming it, not a band
+    edge of nan that solve_k reports as NoBoundMode."""
+    with pytest.raises(ValueError, match=f"^{field} must be [a-z -]*finite, got {bad!r}$"):
+        replace(SILVER, **{field: bad})
 
 
 def test_lossless_helper_strips_damping():

@@ -29,6 +29,22 @@ def test_wavepacket_validation():
         Wavepacket(omega0=1e15, delta_omega=1e13, n=-1)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Wavepacket(omega0=math.nan, delta_omega=1e13), "omega0 and delta_omega must be positive"),
+        (lambda: Wavepacket(omega0=4e15, delta_omega=math.nan), "omega0 and delta_omega must be positive"),
+        (lambda: PropagationConfig(kappa0=math.nan, v_group=1e8), "kappa0 must be non-negative"),
+        (lambda: PropagationConfig(kappa0=0.0, v_group=math.nan), "v_group must be positive"),
+        (lambda: PropagationConfig(kappa0=0.0, v_group=1e8, x=math.nan), "x must be non-negative"),
+    ],
+    ids=["omega0", "delta_omega", "kappa0", "v_group", "x"],
+)
+def test_nan_field_is_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(kappa0=-1.0, v_group=1e8)
@@ -156,12 +172,12 @@ def test_long_range_branch_keeps_more_excitation():
     better and decays slower, so its normalized count stays above the
     symmetric one at every distance."""
     from lrspp.coupling import overlap_beta
-    from lrspp.dispersion import BranchId, complex_wavenumber
+    from lrspp.dispersion import BranchId, complex_wavenumber, solve_k
     from lrspp.materials import SILVER
 
     w, d1, d2 = 3e15, 20e-9, 800e-9
     beta = {b: abs(overlap_beta(b, w, d1, d2)) for b in (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)}
-    kappa = {b: complex_wavenumber(b, w, d1, SILVER).kappa for b in beta}
+    kappa = {b: complex_wavenumber(solve_k(b, w, d1, SILVER), SILVER).kappa for b in beta}
     assert kappa[BranchId.ANTISYMMETRIC] < kappa[BranchId.SYMMETRIC]
     for x in (0.0, 0.5e-6, 2e-6, 10e-6):
         counts = {

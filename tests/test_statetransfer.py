@@ -217,6 +217,23 @@ class TestTraceAndEigenvalues:
                 decay_along(kappa0, xs)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kappa0, x: propagate_cat(CatState(2.0), 1.2, kappa0, x),
+        lambda kappa0, x: decay_along(kappa0, [0.0, x]),
+        lambda kappa0, x: cat_columns(CatState(2.0), 1.2, decay_along(kappa0, [x])),
+    ],
+    ids=["propagate_cat", "decay_along", "cat_columns"],
+)
+@pytest.mark.parametrize("kappa0, x", [(math.nan, 1e-6), (1e4, math.nan)])
+def test_nan_kappa0_or_x_is_rejected(call, kappa0, x):
+    """NaN is not a non-negative kappa0 or x: not an eigenvalue of nan, nor
+    a column of nan."""
+    with pytest.raises(ValueError, match="^kappa0 and x must be non-negative$"):
+        call(kappa0, x)
+
+
 class TestEntropyFunction:
     def test_pure_state(self):
         assert von_neumann_entropy(1.0, 0.0) == 0.0
@@ -326,11 +343,13 @@ class TestDecoherenceTrends:
         assert s5 > s2
 
     def test_long_range_branch_keeps_coherence_longer(self):
-        from lrspp.dispersion import BranchId, complex_wavenumber
+        from lrspp.dispersion import BranchId, complex_wavenumber, solve_k
         from lrspp.materials import SILVER
 
-        kp = complex_wavenumber(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER).kappa
-        km = complex_wavenumber(BranchId.SYMMETRIC, 4e15, 20e-9, SILVER).kappa
+        kp, km = (
+            complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER), SILVER).kappa
+            for b in (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
+        )
         assert kp < km
         cat = CatState(2.0)
         for x in (0.2e-6, 0.5e-6, 1e-6):

@@ -291,10 +291,9 @@ def _rows(cfg: RunConfig) -> list[tuple[str, coupling.BranchId, coupling.PathRec
 def _propagating(cfg: RunConfig):
     """(branch name, omega, best point, kappa0) per frequency of the best
     paths; point and kappa0 are None where no point is feasible."""
-    for name, branch, rec in _rows(cfg):
+    for name, _branch, rec in _rows(cfg):
         pt = rec.point
-        sol = None if pt is None else solve_k(branch, rec.omega, pt.d1, cfg.material)
-        yield name, rec.omega, pt, None if sol is None else complex_wavenumber(sol, cfg.material).kappa
+        yield name, rec.omega, pt, None if pt is None else complex_wavenumber(pt.solution, cfg.material).kappa
 
 
 def _cmd_optimize(cfg: RunConfig) -> Blocks:

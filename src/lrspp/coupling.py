@@ -75,6 +75,7 @@ class CouplingPoint:
     g_tilde: float
     constraints: ConstraintSet
     feasible: bool
+    solution: DispersionSolution  # the lossless bound point at (branch, omega, d1)
 
 
 @dataclass(frozen=True)
@@ -277,6 +278,7 @@ def _point_from_solution(
         g_tilde=2.0 * g / math.pi,
         constraints=cons,
         feasible=cons.feasible,
+        solution=sol,
     )
 
 
@@ -302,14 +304,13 @@ def optimize_d2(
     except (NoBoundMode, NoMatchingAngle):
         return None
 
-    # B and C do not depend on d2; P <= 1 sets the lower gap bound.
-    bandwidth = _bandwidth(sol, branch, config.delta_omega, model)
-    cons0 = _constraints(sol, bandwidth, config.d2_max)
-    if cons0.bandwidth_B < 1.0 or cons0.coupled_surfaces_C < 1.0:
-        return None
+    # C (B = inf here) and the gap window of P <= 1 go before the root solve of B.
     d2_lo = max(config.d2_min, 2.0 / sol.nu_0)
     d2_hi = config.d2_max
-    if d2_lo > d2_hi:
+    if _constraints(sol, _INF, d2_hi).coupled_surfaces_C < 1.0 or d2_lo > d2_hi:
+        return None
+    bandwidth = _bandwidth(sol, branch, config.delta_omega, model)
+    if bandwidth < 1.0:
         return None
 
     beta = _beta_of_gap(sol, branch, theta, config.eps_prism, model)

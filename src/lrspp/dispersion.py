@@ -16,8 +16,9 @@ dielectric function.
 Both directions, k at fixed omega (solve_k) and omega at fixed k
 (solve_omega), go through one root routine: the search window is the
 bracket when a pole-free form H of the equation changes sign across it
-(else the branch has no bound mode there); bisect it, then polish with a
-few Newton steps on the log residual
+(else the branch has no bound mode there).  One kernel, _window_root,
+evaluates H inline and bisects the window; a few Newton steps then polish
+the root on the log residual
 
     G = -nu_m d1 - ln[ +/- (nu_m + eps_m nu_0)/(nu_m - eps_m nu_0) ],
 
@@ -118,22 +119,6 @@ def _decay_constants(k: float, omega: float, em: float) -> tuple[float, float] |
     return math.sqrt(nm2), math.sqrt(n02)
 
 
-def _poly_residual(sign: int, kk: float, woc2: float, em: float, d1: float) -> float:
-    """Pole-free residual H = e^{-nu_m d1}(nu_m - em nu_0) - sign*(nu_m + em nu_0)
-    from kk = k^2, woc2 = (w/c)^2 and em = eps_m(w).
-
-    Vanishes exactly at branch roots; safe for bisection, whose inner loop it
-    is (hence _decay_constants inlined).  +inf outside the bound-mode domain.
-    """
-    n02 = kk - woc2
-    nm2 = kk - em * woc2
-    if n02 <= 0.0 or nm2 <= 0.0:
-        return math.inf
-    nu_m, nu_0 = math.sqrt(nm2), math.sqrt(n02)
-    u = math.exp(-nu_m * d1)
-    return u * (nu_m - em * nu_0) - sign * (nu_m + em * nu_0)
-
-
 def _log_residual(
     sign: int, k: float, omega: float, d1: float, model: DielectricModel, along_omega: bool = False
 ) -> tuple[float, float] | None:
@@ -179,41 +164,74 @@ def _h_slope(sign: int, k, omega: float, em, nu_m, nu_0, u, d1: float, model: Di
     return u * dden + du * dnu_m * (nu_m - em * nu_0) - sign * dnum
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> float:
-    """A root of f in [lo, hi], given flo = f(lo): lo itself when flo is 0."""
-    if flo == 0.0:
-        return lo
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+def _window_root(sign: int, k: float | None, omega: float | None, d1: float, model: DielectricModel,
+                 lo: float, hi: float) -> float | None:
+    """The root, along the unknown k or omega (passed as None), of the
+    pole-free residual H = e^{-nu_m d1} (nu_m - eps_m nu_0) - sign (nu_m +
+    eps_m nu_0) in the window [lo, hi]: lo itself where H(lo) is 0, else
+    the end point of a bisection; None unless H changes sign across the
+    window.  H is 0 exactly at branch roots, +inf outside the bound-mode
+    domain, and evaluated inline at lo, at hi and at every midpoint.
+    """
+    sqrt, exp, c, tol = math.sqrt, math.exp, C_LIGHT, BISECT_REL_TOL
+    minus_d1 = -d1  # exp(nu_m * -d1) is exp(-nu_m * d1) bit for bit
+    along_omega = omega is None
+    if along_omega:
+        kk = k * k
+    else:
+        em = eps_lossless(model, omega)
+        woc2 = (omega / c) ** 2
+        emw = em * woc2
+    x, lo_negative = lo, False
+    for i in range(BISECT_MAX_ITER + 2):  # lo, hi, then the midpoints
+        if along_omega:
+            woc2 = (x / c) ** 2
+            em = eps_lossless(model, x)
+            emw = em * woc2
         else:
-            hi = mid
-        if hi - lo <= BISECT_REL_TOL * abs(hi):
-            break
+            kk = x * x
+        n02 = kk - woc2
+        nm2 = kk - emw
+        if n02 <= 0.0 or nm2 <= 0.0:
+            h = math.inf
+        else:
+            nu_m, nu_0 = sqrt(nm2), sqrt(n02)
+            h = exp(nu_m * minus_d1) * (nu_m - em * nu_0) - sign * (nu_m + em * nu_0)
+        if h == 0.0 and i != 1:  # the low end or a midpoint is a root
+            return x
+        if i > 1:  # a midpoint
+            if (h < 0.0) == lo_negative:
+                lo = x
+            else:
+                hi = x
+            if hi - lo <= tol * hi:  # hi > 0 in both windows
+                break
+        elif i == 0:  # the window's low end
+            lo_negative, x = h < 0.0, hi
+            continue
+        elif (h < 0.0) == lo_negative:  # its top: no sign change
+            return None
+        x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 
 def _solve(
     branch: BranchId, k: float | None, omega: float | None, d1: float, model: DielectricModel,
-    f, lo: float, hi: float, no_root,
+    lo: float, hi: float, no_root,
 ) -> DispersionSolution:
     """The branch's bound point whose unknown, k or omega (passed as None),
-    is the root of the pole-free residual f in the window [lo, hi].
+    is the root of the pole-free residual H in the window [lo, hi].
 
-    The window is the bracket: unless f(lo) is 0 or f changes sign across
-    it, raises NoBoundMode with the message no_root().  Bisection of f is
-    followed by at most 6 Newton steps on the log residual G, kept inside
-    the window widened by half and, for omega, below the light line c k.
+    The window is the bracket: unless H(lo) is 0 or H changes sign across
+    it, raises NoBoundMode with the message no_root().  The bisection's
+    end point (_window_root) takes at most 6 Newton steps on the log
+    residual G, kept in the window widened by half and, for omega, below
+    the light line c k.
     """
     along_omega = omega is None
-    flo = f(lo)
-    if flo != 0.0 and (flo < 0.0) == (f(hi) < 0.0):
+    x = _window_root(branch.sign, k, omega, d1, model, lo, hi)
+    if x is None:
         raise NoBoundMode(no_root())
-    x = _bisect(f, lo, hi, flo)
     x_max = min(hi * 1.5, C_LIGHT * k) if along_omega else hi * 1.5
 
     def point(x: float) -> tuple[float, float]:
@@ -253,14 +271,7 @@ def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -
         raise ValueError(f"d1 must be positive, got {d1!r}")
     w_sp = surface_plasma_frequency(model)
     hi = min(C_LIGHT * k * (1.0 - 1e-9), w_sp * (1.0 - 1e-6))
-    lo = 1e-3 * hi
-    sign = branch.sign
-    kk = k * k
-
-    def f(w: float) -> float:
-        return _poly_residual(sign, kk, (w / C_LIGHT) ** 2, eps_lossless(model, w), d1)
-
-    return _solve(branch, k, None, d1, model, f, lo, hi, lambda: (
+    return _solve(branch, k, None, d1, model, 1e-3 * hi, hi, lambda: (
         f"{branch.value} branch has no bound mode below the surface-mode "
         f"limit at k={k:.6g} rad/m, d1={d1:.4g} m"
     ))
@@ -285,14 +296,7 @@ def solve_k(branch: BranchId, omega: float, d1: float, model: DielectricModel) -
         )
     k_lo = omega / C_LIGHT * (1.0 + 1e-9)
     k_hi = omega / C_LIGHT * K_WINDOW_TOP
-    sign = branch.sign
-    em = eps_lossless(model, omega)
-    woc2 = (omega / C_LIGHT) ** 2
-
-    def f(k: float) -> float:
-        return _poly_residual(sign, k * k, woc2, em, d1)
-
-    return _solve(branch, None, omega, d1, model, f, k_lo, k_hi, lambda: (
+    return _solve(branch, None, omega, d1, model, k_lo, k_hi, lambda: (
         f"{branch.value} branch cannot reach omega={omega:.6g} rad/s at "
         f"d1={d1:.4g} m within k <= {K_WINDOW_TOP:g} w/c"
     ))

@@ -44,10 +44,6 @@ class DielectricModel:
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
-    def lossless(self) -> "DielectricModel":
-        """The same metal with damping and imaginary offset removed."""
-        return DielectricModel(self.plasma_frequency, 0.0, self.real_correction_coeff, 0.0)
-
 
 #: Silver preset used throughout: wp = 1.402e16 rad/s, Gamma = 6.25e13 rad/s,
 #: c_r = 29, de_i = 0.22.

@@ -15,7 +15,7 @@ from lrspp.coupling import (
     overlap_beta,
 )
 from lrspp.dispersion import BranchId, coupling_angle, solve_k
-from lrspp.errors import LrsppError, SingularSystemError
+from lrspp.errors import LrsppError, NoBoundMode, SingularSystemError
 from lrspp.materials import SILVER, surface_plasma_frequency
 from lrspp.modes import four_layer_solve, lrspp_profile, overlap_integral, profile_norm
 
@@ -174,6 +174,26 @@ class TestOptimizeD2:
 
     def test_violated_constraints_return_none(self):
         assert optimize_d2(BranchId.ANTISYMMETRIC, 2.2e15, 95e-9) is None
+
+    @pytest.mark.parametrize(
+        "d1,config,c_below_1",
+        [(300e-9, OptimizeConfig(), True), (60e-9, OptimizeConfig(d2_min=50e-9, d2_max=60e-9), False)],
+        ids=["C-below-1", "empty-gap-window"],
+    )
+    def test_ruled_out_before_the_other_branch_is_solved(self, monkeypatch, d1, config, c_below_1):
+        """C < 1 (a 300 nm strip) or an empty gap window (P > 1 at d2_max)
+        rules a cell out before B's root solve on the other branch."""
+        cons = constraint_set(BranchId.ANTISYMMETRIC, 4e15, d1, config.d2_max)
+        assert (cons.coupled_surfaces_C < 1.0, cons.penetration_P > 1.0) == (c_below_1, not c_below_1)
+        solved = []
+
+        def solve_omega(*args):
+            solved.append(args)
+            raise NoBoundMode("B = inf")
+
+        monkeypatch.setattr(coupling, "solve_omega", solve_omega)
+        assert optimize_d2(BranchId.ANTISYMMETRIC, 4e15, d1, config) is None
+        assert solved == []
 
     @pytest.mark.parametrize(
         "branch,w,d1", [(BranchId.ANTISYMMETRIC, 4e15, 60e-9), (BranchId.SYMMETRIC, 3.1e15, 40e-9)]

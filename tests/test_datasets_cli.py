@@ -574,6 +574,28 @@ class TestCliDatasets:
         assert len(rows) == 50 and all(r[6] is not None and r[7] is not None for r in rows)
         assert calls == {"solve_k": 0, "solve_omega": 50}
 
+    @pytest.mark.parametrize("command", ["propagate", "cat-entropy"])
+    def test_along_strip_solves_no_root_again(self, monkeypatch, capsys, command):
+        """kappa0 of each feasible row continues the bound point its gap
+        search solved: one solve_k per optimize_d2 cell, none after it."""
+        calls = {"solve_k": 0, "optimize_d2": 0, "complex_wavenumber": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for module, name in ((coupling, "solve_k"), (coupling, "optimize_d2"), (cli, "complex_wavenumber")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(cli, "solve_k", counted("solve_k", cli.solve_k))
+        argv = [command, "--branch", "both", "--omega-min", "3e15", "--omega-max", "3.6e15", "--omega-steps", "2",
+                "--d1-min-nm", "15", "--d1-max-nm", "45", "--d1-steps", "2", "--d2-steps", "8", "--x-steps", "3"]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out
+        assert calls == {"solve_k": 8, "optimize_d2": 8, "complex_wavenumber": 4}
+
     def test_config_file_applies(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"omega_min": 2e15, "omega_max": 3e15, "omega_steps": 4}))

@@ -1,7 +1,9 @@
 import cmath
+import contextlib
 import hashlib
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -19,6 +21,8 @@ from lrspp.dispersion import (
 )
 from lrspp.errors import ConvergenceError, NoBoundMode, NoMatchingAngle
 from lrspp.materials import DielectricModel, SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
+
+from conftest import lossless
 
 BRANCHES = (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
 W_SP = surface_plasma_frequency(SILVER)
@@ -179,18 +183,119 @@ def test_solver_input_validation():
         solve_k(BranchId.SYMMETRIC, 6e15, 20e-9, SILVER)  # above the band
 
 
-def residual_from_scratch(sign: int, k: float, omega: float, d1: float, model) -> float:
-    """Oracle: H with eps_m, (w/c)^2 and k^2 computed afresh on every call,
-    as eps_lossless -> decay constants -> exp."""
-    em = eps_lossless(model, omega)
-    woc2 = (omega / C_LIGHT) ** 2
-    n02 = k * k - woc2
-    nm2 = k * k - em * woc2
+def former_poly_residual(sign: int, kk: float, woc2: float, em: float, d1: float) -> float:
+    """H from kk = k^2, woc2 = (w/c)^2 and em = eps_m(w), as the solvers
+    computed it per point before dispersion._window_root: +inf outside the
+    bound-mode domain."""
+    n02 = kk - woc2
+    nm2 = kk - em * woc2
     if n02 <= 0.0 or nm2 <= 0.0:
         return math.inf
     nu_m, nu_0 = math.sqrt(nm2), math.sqrt(n02)
     u = math.exp(-nu_m * d1)
     return u * (nu_m - em * nu_0) - sign * (nu_m + em * nu_0)
+
+
+def residual_from_scratch(sign: int, k: float, omega: float, d1: float, model) -> float:
+    """Oracle: H with eps_m, (w/c)^2 and k^2 computed afresh on every call."""
+    return former_poly_residual(sign, k * k, (omega / C_LIGHT) ** 2, eps_lossless(model, omega), d1)
+
+
+def former_residual(sign: int, k, omega, d1: float, model):
+    """The former closure of solve_omega (omega None) or solve_k (k None):
+    H along the unknown, with the terms fixed along it computed once."""
+    if omega is None:
+        kk = k * k
+        return lambda w: former_poly_residual(sign, kk, (w / C_LIGHT) ** 2, eps_lossless(model, w), d1)
+    em = eps_lossless(model, omega)
+    woc2 = (omega / C_LIGHT) ** 2
+    return lambda x: former_poly_residual(sign, x * x, woc2, em, d1)
+
+
+def bisection_end_point(f, lo: float, hi: float) -> float | None:
+    """Oracle of dispersion._window_root: the former bracket test of _solve
+    and the former _bisect, calling f once per point."""
+    flo = f(lo)
+    if flo != 0.0 and (flo < 0.0) == (f(hi) < 0.0):
+        return None
+    if flo == 0.0:
+        return lo
+    for _ in range(dispersion.BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        if hi - lo <= dispersion.BISECT_REL_TOL * abs(hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def outcome(end_point) -> str:
+    """An end point as hex, "None" where there is no bracket, or the message
+    of a ValueError."""
+    try:
+        x = end_point()
+    except ValueError as exc:
+        return str(exc)
+    return "None" if x is None else x.hex()
+
+
+@contextlib.contextmanager
+def kernel_exp_calls():
+    """Count the calls of math.exp made by dispersion._window_root: one per
+    evaluation of H inside the bound-mode domain, none outside it (+inf)."""
+    calls = [0]
+    code = dispersion._window_root.__code__
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is math.exp and frame.f_code is code:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    solver=st.sampled_from(("k", "omega")),
+    branch=st.sampled_from(BRANCHES),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_kernel_end_point_is_the_former_bisection(solver, branch, d1, frac):
+    """The end point of the one kernel equals, bit for bit, that of the
+    former _bisect over the former closures, on the window each solver
+    passes it.  solve_k draws omega over the whole band (0, w_sp), where
+    omega^2 can underflow: both sides then raise the same ValueError.
+    solve_omega draws k in (0, 3 w_sp/c), so its window's top spans the
+    band."""
+    kernel, windows = dispersion._window_root, []
+
+    def recording(*args):
+        windows.append(args)
+        return kernel(*args)
+
+    dispersion._window_root = recording
+    try:
+        if solver == "k":
+            solve_k(branch, frac * W_SP, d1, SILVER)
+        else:
+            solve_omega(branch, 3.0 * frac * W_SP / C_LIGHT, d1, SILVER)
+    except (NoBoundMode, ValueError):
+        pass
+    finally:
+        dispersion._window_root = kernel
+    assert len(windows) == 1
+    sign, k, omega, d1, model, lo, hi = windows[0]
+    assert outcome(lambda: kernel(sign, k, omega, d1, model, lo, hi)) == outcome(
+        lambda: bisection_end_point(former_residual(sign, k, omega, d1, model), lo, hi))
 
 
 @settings(max_examples=500, deadline=None)
@@ -201,23 +306,21 @@ def residual_from_scratch(sign: int, k: float, omega: float, d1: float, model) -
     kfrac=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
 )
 def test_residual_from_hoisted_terms_is_bitwise(branch, d1, wfrac, kfrac):
-    """H from k^2, (w/c)^2 and eps_m computed once per solve is the float H
-    computed from scratch, or +inf on both sides (kfrac < 1 lies above the
-    light line).  Where omega^2 underflows to 0, eps_lossless raises the
-    same ValueError on both sides."""
-
-    def outcome(residual) -> str:
-        try:
-            return residual().hex()
-        except ValueError as exc:
-            return str(exc)
-
+    """The kernel computes k^2, or (w/c)^2 and eps_m, once per solve: its
+    end point is that of bisecting H computed from scratch at every point,
+    on the windows from the drawn (k, omega) to twice its k or twice its
+    omega.  kfrac < 1 puts points above the light line, where H is +inf on
+    both sides; where omega^2 underflows to 0, eps_lossless raises the same
+    ValueError on both sides."""
     omega = wfrac * W_SP
     k = kfrac * omega / C_LIGHT
     sign = branch.sign
-    got = outcome(lambda: dispersion._poly_residual(
-        sign, k * k, (omega / C_LIGHT) ** 2, eps_lossless(SILVER, omega), d1))
-    assert got == outcome(lambda: residual_from_scratch(sign, k, omega, d1, SILVER))
+    for kernel_args, f, lo in (
+        ((None, omega), lambda x: residual_from_scratch(sign, x, omega, d1, SILVER), k),
+        ((k, None), lambda x: residual_from_scratch(sign, k, x, d1, SILVER), omega),
+    ):
+        got = outcome(lambda: dispersion._window_root(sign, *kernel_args, d1, SILVER, lo, 2.0 * lo))
+        assert got == outcome(lambda: bisection_end_point(f, lo, 2.0 * lo))
 
 
 #: Residual evaluations per solve, keyed by (solver, branch, d1, omega or k).
@@ -235,50 +338,53 @@ RESIDUALS_PER_SOLVE = {
 }
 
 
-def test_residual_evaluations_per_solve(monkeypatch):
-    calls = [0]
-    residual = dispersion._poly_residual
-
-    def counting(*args):
-        calls[0] += 1
-        return residual(*args)
-
-    monkeypatch.setattr(dispersion, "_poly_residual", counting)
+def test_residual_evaluations_per_solve():
+    """Every point of these windows lies in the bound-mode domain, where
+    each evaluation of H calls exp once."""
     solvers = {"k": solve_k, "omega": solve_omega}
     counted = {}
     for key in RESIDUALS_PER_SOLVE:
         solver, branch, d1, x = key
-        calls[0] = 0
-        try:
-            solvers[solver](BranchId(branch), x, d1, SILVER)
-        except NoBoundMode:
-            pass
+        with kernel_exp_calls() as calls:
+            try:
+                solvers[solver](BranchId(branch), x, d1, SILVER)
+            except NoBoundMode:
+                pass
         counted[key] = calls[0]
     assert counted == RESIDUALS_PER_SOLVE
 
 
-def test_window_low_end_that_is_a_root_is_returned(monkeypatch):
-    """A root exactly at the window's low end, where f is 0 and does not
-    change sign across the window, is returned bit for bit."""
-    monkeypatch.setattr(dispersion, "_log_residual", lambda *args: None)  # no Newton polish
-    for k, omega, lo, hi in ((2e7, None, 1e15, 5e15), (None, 4e15, 1.5e7, 3e7)):
-        sol = dispersion._solve(
-            BranchId.ANTISYMMETRIC, k, omega, 20e-9, SILVER, lambda x: (x - lo) ** 2, lo, hi, lambda: "none"
-        )
-        assert (sol.omega if omega is None else sol.k) == lo
+#: Exact roots of H on 20 nm of silver: (sign, k, omega, root), the unknown
+#: passed as None.
+EXACT_ROOTS = ((+1, 1.153e7, None, 3433808628129358.0), (-1, None, 4e15, 17884417.44835653))
 
 
-def test_window_without_sign_change_has_no_root():
-    """f of one sign at both window ends is NoBoundMode at once, whatever
-    roots lie inside: the window is the only bracket."""
+def test_window_low_end_that_is_a_root_is_returned():
+    """A root exactly at the window's low end, where H is 0, is returned bit
+    for bit after one evaluation: H at the window's top is not needed."""
+    for sign, k, omega, root in EXACT_ROOTS:
+        at = (k, root) if omega is None else (root, omega)
+        assert residual_from_scratch(sign, *at, 20e-9, SILVER) == 0.0
+        with kernel_exp_calls() as calls:
+            got = dispersion._window_root(sign, k, omega, 20e-9, SILVER, root, 2.0 * root)
+        assert (got.hex(), calls[0]) == (root.hex(), 1)
+
+
+def test_window_without_sign_change_has_no_root(monkeypatch):
+    """H of one sign at both window ends is no root at once, whatever roots
+    lie inside: the window is the only bracket.  At k = 1.5e7 rad/m the
+    plus branch's root lies below the light line c k, about 4.5e15 rad/s;
+    above it H is +inf, of the sign H has at 1e15."""
+    k, d1 = 1.5e7, 20e-9
+    assert dispersion._window_root(+1, k, None, d1, SILVER, 1e15, C_LIGHT * k * (1.0 - 1e-9)) is not None
     evaluated = []
 
-    def f(x: float) -> float:
-        evaluated.append(x)
-        return (x - 2e15) * (x - 3e15)
+    def recording(model, omega):
+        evaluated.append(omega)
+        return eps_lossless(model, omega)
 
-    with pytest.raises(NoBoundMode, match="^none$"):
-        dispersion._solve(BranchId.ANTISYMMETRIC, 2e7, None, 20e-9, SILVER, f, 1e15, 5e15, lambda: "none")
+    monkeypatch.setattr(dispersion, "eps_lossless", recording)
+    assert dispersion._window_root(+1, k, None, d1, SILVER, 1e15, 5e15) is None
     assert evaluated == [1e15, 5e15]
 
 
@@ -360,7 +466,7 @@ class TestComplexWavenumber:
         )
         w, d1 = 4e15, 20e-9
         for branch in BRANCHES:
-            sol = solve_k(branch, w, d1, weak.lossless())
+            sol = solve_k(branch, w, d1, lossless(weak))
             em0 = eps_lossless(weak, w)
             woc2 = (w / C_LIGHT) ** 2
             sign = branch.sign

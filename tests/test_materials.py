@@ -6,6 +6,8 @@ import pytest
 from lrspp import materials
 from lrspp.materials import DielectricModel, SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
 
+from conftest import lossless
+
 # Frozen with exact rational arithmetic (Fraction) ahead of the build:
 # eps(5e15) = 1 - (1.402e16/5e15)^2 + 29 (5e15/1.402e16)^2
 EPS_LOSSLESS_5E15 = -3.1739823175288615
@@ -107,7 +109,7 @@ def test_model_rejects_non_finite_field(field, bad):
 
 
 def test_lossless_helper_strips_damping():
-    quiet = SILVER.lossless()
+    quiet = lossless(SILVER)
     assert quiet.damping_rate == 0.0
     assert quiet.imag_correction == 0.0
     assert quiet.plasma_frequency == SILVER.plasma_frequency

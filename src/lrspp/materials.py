@@ -80,9 +80,13 @@ def eps_lossless(model: DielectricModel, omega: float) -> float:
 
 
 def _eps_derivative(model: DielectricModel, omega: float) -> float:
-    """d eps_lossless / d omega = 2 wp^2/w^3 + 2 c_r w/wp^2."""
+    """d eps_lossless / d omega = 2 wp^2/w^3 + 2 c_r w/wp^2; +inf, the
+    value it overflows to, where w^3 underflows to 0."""
     wp = model.plasma_frequency
-    return 2.0 * wp**2 / omega**3 + 2.0 * model.real_correction_coeff * omega / wp**2
+    w3 = omega**3
+    if w3 == 0.0:
+        return math.inf
+    return 2.0 * wp**2 / w3 + 2.0 * model.real_correction_coeff * omega / wp**2
 
 
 def eps_lossy(model: DielectricModel, omega: float) -> complex:

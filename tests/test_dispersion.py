@@ -174,6 +174,15 @@ def test_branch_separation_decreases_with_thickness():
         prev_gap = gap
 
 
+def test_solve_omega_at_k_whose_root_cubed_underflows():
+    """At k ~ 2e-144 rad/m the symmetric root is omega ~ 1e-138, whose cube
+    underflows to 0: the Newton polish stops on the infinite slope and the
+    bisection's end point is returned, with no ZeroDivisionError."""
+    k = 3.0 * 3.5495693508369385e-152 * W_SP / C_LIGHT
+    sol = solve_omega(BranchId.SYMMETRIC, k, math.exp(-7.0), SILVER)
+    assert sol.omega == 1.0456593705142687e-138 and sol.omega**3 == 0.0
+
+
 def test_solver_input_validation():
     with pytest.raises(ValueError):
         solve_omega(BranchId.SYMMETRIC, -1.0, 20e-9, SILVER)

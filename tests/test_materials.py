@@ -90,6 +90,15 @@ def test_domain_errors():
         eps(SILVER, math.nextafter(floor, 1.0))  # the smallest omega accepted
 
 
+def test_eps_derivative_overflows_to_inf_where_omega_cubed_underflows():
+    """Where omega^3 underflows to 0, 2 wp^2/w^3 is past the float range:
+    the slope is +inf, not a ZeroDivisionError out of the Newton polish."""
+    omega = 1.0456593705142687e-138  # a root solve_omega bisects to at k ~ 2e-144 rad/m
+    assert omega**3 == 0.0
+    assert materials._eps_derivative(SILVER, omega) == math.inf
+    assert math.isfinite(materials._eps_derivative(SILVER, 1e-90))
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         DielectricModel(plasma_frequency=-1.0)

@@ -6,8 +6,10 @@ through an attenuated-total-reflection prism:
 * ``materials``     -- Drude-type silver permittivity (lossless and lossy).
 * ``dispersion``    -- thin-film surface mode dispersion, both branches,
                        group velocity and complex propagation constants.
-* ``modes``         -- piecewise-exponential mode profiles and the four-layer
-                       prism/gap/metal/air boundary-value solve.
+* ``modes``         -- mode profiles as sums of exponentials that each decay
+                       away from a layer face, the four-layer
+                       prism/gap/metal/air boundary-value solve with bounded
+                       amplitudes, and closed-form norms and overlaps.
 * ``coupling``      -- photon-to-surface-mode conversion amplitude and the
                        constrained (gap, thickness, frequency) optimization.
 * ``propagation``   -- damped wavepacket flux, detector counts and photon

@@ -137,12 +137,12 @@ def overlap_beta(
 ) -> complex:
     """Conversion amplitude beta at a matched frequency.
 
-    Raises ValueError unless d2 > 0, NoBoundMode / NoMatchingAngle when the
-    branch or the phase-matching angle does not exist, and
-    NormalizationError when the computed |beta| exceeds 1 beyond roundoff
-    (inconsistent norms).
+    Raises ValueError unless d2 is positive and finite, NoBoundMode /
+    NoMatchingAngle when the branch or the phase-matching angle does not
+    exist, and NormalizationError when the computed |beta| exceeds 1 beyond
+    roundoff (inconsistent norms).
     """
-    _require_positive("d2", d2)
+    _require_gap(d2)
     sol = solve_k(branch, omega, d1, model)
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
     return _beta_of_gap(sol, branch, theta, eps_prism, model)(d2)
@@ -153,12 +153,10 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def _gap_integral(rate: float, d2: float) -> float:
-    """Integral of exp(rate z) over [-d2, 0], with the small-rate limit of
-    modes._term_integral."""
-    if abs(rate) * d2 < 1e-12:
-        return math.exp(-0.5 * rate * d2) * d2
-    return -math.expm1(-rate * d2) / rate
+def _require_gap(d2: float) -> None:
+    _require_positive("d2", d2)
+    if d2 == _INF:
+        raise ValueError(f"d2 must be finite, got {d2!r}")
 
 
 def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_prism: float, model: DielectricModel):
@@ -167,11 +165,16 @@ def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_pr
 
     Only the prism match and the [-d2, 0] part of the integrals depend on d2:
     the strip mode, the stack above z = 0 and the [0, inf) parts of N1, N2
-    and the overlap are computed once here.  The transmitted field is kept
-    at unit amplitude in the top air; the field for unit incidence is k5
-    times it, so the normalized overlap gains the phase k5/|k5|.  In the
-    gap the strip mode is exp(nu_0 z) (1, -i k/nu_0) and the field
-    a1 exp(-g0 z) (1, i kx/g0) + k2 exp(g0 z) (1, -i kx/g0).
+    and the overlap are computed once here, with the transmitted field
+    normalised at the metal's lower face.  Per gap the field is normalised
+    at the prism (modes._prism_match): w0 = exp(-g0 d2) times that field
+    above z = 0, and a1 exp(-g0 (z + d2)) (1, i kx/g0) +
+    k2 w0 exp(g0 z) (1, -i kx/g0) in the gap, where the strip mode is
+    exp(nu_0 z) (1, -i k/nu_0).  Each gap integral is the product of two
+    terms at the face where it is largest times modes._segment_integral,
+    so no amplitude or integral overflows for any d1 and finite d2.  The
+    field for unit incidence is c times this one, so the normalized
+    overlap gains the phase c/|c|.
     """
     phi = modes.lrspp_profile(branch, sol, model)
     st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model, lossy=True)
@@ -180,7 +183,8 @@ def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_pr
     n2_up = modes.profile_norm(psi, 0.0, _INF)
     o_up = modes.overlap_integral(phi, psi, 0.0, _INF)
 
-    nu0, g0, a1, k2 = sol.nu_0, st.gamma_0.real, st.a1, st.k2
+    segment = modes._segment_integral
+    nu0, g0, a1, k2 = sol.nu_0, st.gamma_0, st.a1, st.k2
     k_nu, kx_g = sol.k / nu0, st.kx / g0
     # Weights of the gap integrals: dot products of the vector amplitudes.
     n1_w = 1.0 + k_nu * k_nu
@@ -189,13 +193,17 @@ def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_pr
     n2_cross_w = 2.0 * (1.0 - kx_g * kx_g) * (a1.conjugate() * k2).real
     o_w1 = (1.0 - k_nu * kx_g) * a1
     o_w2 = (1.0 + k_nu * kx_g) * k2
+    # exp(nu0 z) exp(-g0 (z + d2)) is largest at the face of the slower rate.
+    slow, apart = min(nu0, g0), abs(nu0 - g0)
 
     def beta(d2: float) -> complex:
-        _, k5, _, tau = modes._prism_match(st, d2)
-        n1 = n1_up + n1_w * _gap_integral(2.0 * nu0, d2)
-        n2 = n2_up + n2_w1 * _gap_integral(-2.0 * g0, d2) + n2_w2 * _gap_integral(2.0 * g0, d2) + n2_cross_w * d2
-        overlap = o_up + o_w1 * _gap_integral(nu0 - g0, d2) + o_w2 * _gap_integral(nu0 + g0, d2)
-        value = -(tau * (k5 / abs(k5)) * overlap / math.sqrt(n1 * n2)).conjugate()
+        w0, c, _, tau = modes._prism_match(st, d2)
+        g0_int = segment(2.0 * g0, d2)
+        n1 = n1_up + n1_w * segment(2.0 * nu0, d2)
+        n2 = n2_w1 * g0_int + w0 * w0 * (n2_up + n2_w2 * g0_int + n2_cross_w * d2)
+        mixed = math.exp(-slow * d2) * segment(apart, d2)
+        overlap = o_w1 * mixed + w0 * (o_up + o_w2 * segment(nu0 + g0, d2))
+        value = -(tau * (c / abs(c)) * overlap / math.sqrt(n1 * n2)).conjugate()
         if abs(value) > 1.0 + 1e-9:  # inconsistent norms
             raise NormalizationError(
                 f"|beta| = {abs(value):.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
@@ -254,8 +262,9 @@ def coupling_point(
     config: OptimizeConfig = OptimizeConfig(),
     model: DielectricModel = SILVER,
 ) -> CouplingPoint:
-    """Full conversion record at an explicit (omega, d1, d2)."""
-    _require_positive("d2", d2)
+    """Full conversion record at an explicit (omega, d1, d2); d2 must be
+    positive and finite."""
+    _require_gap(d2)
     sol = solve_k(branch, omega, d1, model)
     theta = coupling_angle(sol.omega, sol.k, config.eps_prism)
     beta = _beta_of_gap(sol, branch, theta, config.eps_prism, model)(d2)

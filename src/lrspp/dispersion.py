@@ -226,7 +226,8 @@ def _solve(
     it, raises NoBoundMode with the message no_root().  The bisection's
     end point (_window_root) takes at most 6 Newton steps on the log
     residual G, kept in the window widened by half and, for omega, below
-    the light line c k.
+    the light line c k.  A polished point whose eps_m overflows to -inf
+    (omega^2 tiny), so that nu_m is not finite, is NoBoundMode.
     """
     along_omega = omega is None
     x = _window_root(branch.sign, k, omega, d1, model, lo, hi)
@@ -255,6 +256,11 @@ def _solve(
     nus = _decay_constants(k, omega, eps_lossless(model, omega))
     if nus is None:
         raise ConvergenceError(f"root polished outside the bound-mode domain at k={k:.6g}")
+    if not math.isfinite(nus[0]):  # eps_m = -inf: nu_m is inf, or nan where (omega/c)^2 is 0
+        raise NoBoundMode(
+            f"{branch.value} branch has no finite bound mode at k={k:.6g} rad/m, omega={omega:.6g} rad/s: "
+            "eps_m overflows"
+        )
     return DispersionSolution(branch=branch, k=k, omega=omega, nu_m=nus[0], nu_0=nus[1], d1=d1)
 
 

@@ -5,11 +5,16 @@ All profiles are piecewise sums of exponential terms
 
     (ax, az) * exp(rate * (z - z_ref)),
 
-one list of terms per region of the z axis.  For transverse-magnetic fields
-the z amplitude is tied to the x amplitude by the divergence-free condition
-az = -i kx / rate * ax; both are stored explicitly.  Norms and overlaps are
-integrals of term products, evaluated exactly per segment, so no quadrature
-enters the main computation path.
+one list of terms per region of the z axis.  Each term decays away from
+the face z_ref of its region, so its amplitude is its largest value there
+and no growing exponential is ever formed: the four-layer solve keeps its
+amplitudes bounded for any strip and gap by normalising the field at the
+metal's lower face and at the prism, never in the top air.  For
+transverse-magnetic fields the z amplitude is tied to the x amplitude by
+the divergence-free condition az = -i kx / rate * ax; both are stored
+explicitly.  Norms and overlaps are sums of term-pair integrals, each the
+pair's product at the segment end where it is largest times one closed
+form, _segment_integral, so no quadrature enters the main computation path.
 """
 
 from __future__ import annotations
@@ -56,14 +61,6 @@ class Region:
     def eval_z(self, z: float) -> complex:
         return sum((t.value_z(z) for t in self.terms), 0j)
 
-    def eval_hfield(self, z: float, kx: float) -> complex:
-        """Tangential magnetic field up to a global constant:
-        sum of ax (rate^2 - kx^2)/rate * exp(rate (z - z_ref))."""
-        out = 0j
-        for t in self.terms:
-            out += t.ax * (t.rate * t.rate - kx * kx) / t.rate * cmath.exp(t.rate * (z - t.z_ref))
-        return out
-
 
 @dataclass(frozen=True)
 class PiecewiseExpProfile:
@@ -73,47 +70,21 @@ class PiecewiseExpProfile:
     regions: tuple[Region, ...]
     kx: float
 
-    # Regions must tile their span without gaps; terms on half-infinite
-    # regions must decay toward the unbounded end.
-    def __post_init__(self) -> None:
-        if not self.regions:
-            raise ValueError("profile needs at least one region")
-        for a, b in zip(self.regions, self.regions[1:]):
-            if a.z_hi != b.z_lo:
-                raise ValueError(f"regions do not tile: gap between {a.z_hi} and {b.z_lo}")
-        first, last = self.regions[0], self.regions[-1]
-        if first.z_lo == -_INF:
-            for t in first.terms:
-                if t.rate.real <= 0.0:
-                    raise ValueError("term grows toward z = -inf; profile not normalizable")
-        if last.z_hi == _INF:
-            for t in last.terms:
-                if t.rate.real >= 0.0:
-                    raise ValueError("term grows toward z = +inf; profile not normalizable")
-
     @property
     def z_lo(self) -> float:
         return self.regions[0].z_lo
-
-    @property
-    def z_hi(self) -> float:
-        return self.regions[-1].z_hi
 
     def region_at(self, z: float) -> Region:
         for r in self.regions:
             if r.z_lo <= z <= r.z_hi:
                 return r
-        raise ValueError(f"z={z} outside profile span [{self.z_lo}, {self.z_hi}]")
+        raise ValueError(f"z={z} outside profile span [{self.z_lo}, {self.regions[-1].z_hi}]")
 
     def eval_x(self, z: float) -> complex:
         return self.region_at(z).eval_x(z)
 
     def eval_z(self, z: float) -> complex:
         return self.region_at(z).eval_z(z)
-
-    def magnitude(self, z: float) -> float:
-        r = self.region_at(z)
-        return math.sqrt(abs(r.eval_x(z)) ** 2 + abs(r.eval_z(z)) ** 2)
 
 
 def lrspp_profile(branch: BranchId, solution: DispersionSolution, model: DielectricModel) -> PiecewiseExpProfile:
@@ -157,9 +128,7 @@ class FourLayerField:
     profile: PiecewiseExpProfile
     r: complex
     tau: complex
-    theta: float
-    gamma_m: complex
-    gamma_0: complex
+    gamma_0: float
 
 
 def four_layer_solve(
@@ -180,33 +149,37 @@ def four_layer_solve(
     reflection dips and the missing power is the surface-channel conversion
     |tau|^2 = 1 - |r|^2 (the attenuated-total-reflection resonance).
     """
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise ValueError("d1 and d2 must be positive")
+    if not (0.0 < d1 < _INF and 0.0 < d2 < _INF):
+        raise ValueError("d1 and d2 must be positive and finite")
     st = _upper_stack(omega, theta, d1, eps_prism, model, lossy)
-    k1, k5, r, tau = _prism_match(st, d2)
-    k1, k2 = k1 * k5, st.k2 * k5
-    gap = Region(-d2, 0.0, (_term(st.kx, k1, -st.gamma_0, -d2), _term(st.kx, k2, st.gamma_0, 0.0)))
-    upper = _upper_profile(st, d1, k5)
+    w0, c, r, tau = _prism_match(st, d2)
+    gap = Region(-d2, 0.0, (_term(st.kx, c * st.a1, -st.gamma_0, -d2), _term(st.kx, c * w0 * st.k2, st.gamma_0, 0.0)))
+    upper = _upper_profile(st, d1, c * w0)
     profile = PiecewiseExpProfile(regions=(gap,) + upper.regions, kx=st.kx)
-    return FourLayerField(profile=profile, r=r, tau=tau, theta=theta, gamma_m=st.gamma_m, gamma_0=st.gamma_0)
+    return FourLayerField(profile=profile, r=r, tau=tau, gamma_0=st.gamma_0)
 
 
 @dataclass(frozen=True)
 class _UpperStack:
-    """The gap-independent part of the four-layer solve, for unit amplitude
-    in the top air.  The gap field is a1 exp(-gamma_0 z) + k2 exp(gamma_0 z);
-    the metal terms are k3 exp(-gamma_m z) and k4 exp(gamma_m (z - d1))."""
+    """The gap-independent part of the four-layer solve, normalised at the
+    metal's lower face z = 0.  The top-air amplitude is u_m =
+    exp(-gamma_m d1), whose phase u_phase is kept where its modulus
+    underflows; the metal terms are k3 exp(-gamma_m z) and
+    k4 exp(gamma_m (z - d1)); the gap field is
+    a1 exp(-gamma_0 z) + k2 exp(gamma_0 z)."""
 
     omega: float
     theta: float
     kx: float
-    gamma_0: complex
+    gamma_0: float
     gamma_m: complex
     q: complex  # prism admittance eps_prism / (i kz1)
     a1: complex
     k2: complex
     k3: complex
     k4: complex
+    u_m: complex
+    u_phase: complex
 
 
 def _upper_stack(
@@ -220,23 +193,20 @@ def _upper_stack(
     g0_sq = kx * kx - woc * woc
     if g0_sq <= 0.0:
         raise ValueError("theta below the critical angle: gap field not evanescent")
-    gamma_0 = complex(math.sqrt(g0_sq), 0.0)
+    gamma_0 = math.sqrt(g0_sq)
     em = complex(eps_lossy(model, omega)) if lossy else complex(eps_lossless(model, omega))
     gamma_m = cmath.sqrt(kx * kx - em * woc * woc)
     kz1 = math.sqrt(eps_prism) * woc * math.cos(theta)
     if kz1 == 0.0:
         raise SingularSystemError("grazing incidence: prism wave has no normal component")
 
-    u_m = cmath.exp(-gamma_m * d1)
-    if u_m == 0:
-        raise SingularSystemError(f"exp(-gamma_m d1) underflows to 0 at d1={d1:.4g} m: strip too thick")
-    ax_d1 = 1.0 + 0j
-    s_d1 = -1.0 / gamma_0
-    t = gamma_m / em * s_d1
-    k4 = 0.5 * (ax_d1 + t)
-    k3 = 0.5 * (ax_d1 - t) / u_m
+    u_phase = cmath.exp(complex(0.0, -gamma_m.imag * d1))
+    u_m = math.exp(-gamma_m.real * d1) * u_phase
+    t = -gamma_m / (em * gamma_0)
+    k3 = 0.5 * (1.0 - t)
+    k4 = 0.5 * (1.0 + t) * u_m
     ax_0 = k3 + k4 * u_m
-    s_0 = em / gamma_m * (-k3 + k4 * u_m)
+    s_0 = em / gamma_m * (k4 * u_m - k3)
     return _UpperStack(
         omega=omega,
         theta=theta,
@@ -248,43 +218,44 @@ def _upper_stack(
         k2=0.5 * (ax_0 + gamma_0 * s_0),
         k3=k3,
         k4=k4,
+        u_m=u_m,
+        u_phase=u_phase,
     )
 
 
-def _prism_match(st: _UpperStack, d2: float) -> tuple[complex, complex, complex, complex]:
+def _prism_match(st: _UpperStack, d2: float) -> tuple[float, complex, complex, complex]:
     """Match the gap field to the prism at z = -d2.
 
-    Returns (k1, k5, r, tau): k1 is the unit-top amplitude of
-    exp(-gamma_0 (z + d2)), k5 the top-air amplitude for unit incidence,
-    r the reflection and tau the conversion amplitude.
+    Normalised at the prism, the gap field is a1 exp(-gamma_0 (z + d2)) +
+    k2 w0 exp(gamma_0 z) and the field above z = 0 is w0 times that of st,
+    with w0 = exp(-gamma_0 d2).  Returns (w0, c, r, tau): c scales this
+    field to unit incidence, r is the reflection and tau the conversion
+    amplitude, with the phase of the unit-incidence top-air amplitude
+    c w0 u_m.
     """
-    w0 = cmath.exp(-st.gamma_0 * d2)
-    if w0 == 0:
-        raise SingularSystemError(f"exp(-gamma_0 d2) underflows to 0 at d2={d2:.4g} m: gap too wide")
-    k1 = st.a1 / w0
-    ax_p = k1 + st.k2 * w0
-    s_p = (-k1 + st.k2 * w0) / st.gamma_0
+    w0 = math.exp(-st.gamma_0 * d2)
+    k2_p = st.k2 * (w0 * w0)
+    ax_p = st.a1 + k2_p
+    s_p = (k2_p - st.a1) / st.gamma_0
     denom = s_p + st.q * ax_p
     if denom == 0 or not cmath.isfinite(denom):
         raise SingularSystemError(f"degenerate boundary system at omega={st.omega:.6g}, theta={st.theta:.6g}")
-    k5 = 2.0 * st.q / denom
-    r = ax_p * k5 - 1.0
-    conv_sq = max(0.0, 1.0 - abs(r) ** 2)
-    if abs(k5) > 0.0:
-        tau = math.sqrt(conv_sq) * k5 / abs(k5)
-    else:
-        tau = complex(math.sqrt(conv_sq), 0.0)
-    return k1, k5, r, tau
+    c = 2.0 * st.q / denom
+    r = ax_p * c - 1.0
+    tau = math.sqrt(max(0.0, 1.0 - abs(r) ** 2)) * (c / abs(c)) * st.u_phase
+    return w0, c, r, tau
 
 
 def _term(kx: float, a: complex, rate: complex, ref: float) -> ExpTerm:
     return ExpTerm(a, -1j * kx / rate * a, rate, ref)
 
 
-def _upper_profile(st: _UpperStack, d1: float, k5: complex) -> PiecewiseExpProfile:
-    """Transmitted field on [0, inf) with amplitude k5 in the top air."""
-    metal = Region(0.0, d1, (_term(st.kx, st.k3 * k5, -st.gamma_m, 0.0), _term(st.kx, st.k4 * k5, st.gamma_m, d1)))
-    top = Region(d1, _INF, (_term(st.kx, k5, -st.gamma_0, d1),))
+def _upper_profile(st: _UpperStack, d1: float, scale: complex) -> PiecewiseExpProfile:
+    """Transmitted field on [0, inf): scale times the field of st."""
+    metal = Region(
+        0.0, d1, (_term(st.kx, st.k3 * scale, -st.gamma_m, 0.0), _term(st.kx, st.k4 * scale, st.gamma_m, d1))
+    )
+    top = Region(d1, _INF, (_term(st.kx, st.u_m * scale, -st.gamma_0, d1),))
     return PiecewiseExpProfile(regions=(metal, top), kx=st.kx)
 
 
@@ -296,35 +267,35 @@ def _segment_pairs(f: PiecewiseExpProfile, g: PiecewiseExpProfile, lo: float, hi
             for z in (reg.z_lo, reg.z_hi):
                 if lo < z < hi:
                     cuts.add(z)
-    points = sorted(c for c in cuts if c != _INF and c != -_INF)
-    if hi == _INF:
-        points.append(_INF)
-    if lo == -_INF:
-        points.insert(0, -_INF)
+    points = sorted(cuts)
     for a, b in zip(points, points[1:]):
         mid = a + 1.0 if b == _INF else (b - 1.0 if a == -_INF else 0.5 * (a + b))
         yield a, b, f.region_at(mid), g.region_at(mid)
 
 
+def _segment_integral(rho: complex, length: float) -> complex:
+    """Integral of exp(-rho s) over 0 <= s <= length for Re rho >= 0
+    (Re rho > 0 where length is +inf): -expm1(-rho length) / rho, which
+    keeps full precision as rho length -> 0 and never exceeds length in
+    modulus."""
+    x = -rho * length
+    if not x.imag:  # real rho; rho length = 0 has the limit length
+        return -math.expm1(x.real) / rho if x else length
+    if length == _INF:
+        return 1.0 / rho
+    # exp(u + iv) - 1 = expm1(u) - 2 s^2 e^u + 2i s c e^u, with s + ic = sin + i cos of v/2
+    em, s, c = math.expm1(x.real), math.sin(0.5 * x.imag), math.cos(0.5 * x.imag)
+    return -complex(em - 2.0 * s * s * (em + 1.0), 2.0 * s * c * (em + 1.0)) / rho
+
+
 def _term_integral(tf: ExpTerm, tg: ExpTerm, a: float, b: float) -> complex:
     """Integral over [a, b] of conj(exp part of tf) * (exp part of tg),
-    excluding the amplitude product."""
+    excluding the amplitude product: the product at the end where it is
+    largest times the segment integral of its decay away from that end."""
     rho = tf.rate.conjugate() + tg.rate
-
-    def prod(z: float) -> complex:
-        return cmath.exp(tf.rate.conjugate() * (z - tf.z_ref) + tg.rate * (z - tg.z_ref))
-
-    if b == _INF:
-        if rho.real >= 0.0:
-            raise ValueError("divergent integral toward z = +inf")
-        return -prod(a) / rho
-    if a == -_INF:
-        if rho.real <= 0.0:
-            raise ValueError("divergent integral toward z = -inf")
-        return prod(b) / rho
-    if abs(rho) * (b - a) < 1e-12:
-        return prod(0.5 * (a + b)) * (b - a)
-    return (prod(b) - prod(a)) / rho
+    end, rho = (a, -rho) if rho.real <= 0.0 else (b, rho)
+    at_end = cmath.exp(tf.rate.conjugate() * (end - tf.z_ref) + tg.rate * (end - tg.z_ref))
+    return at_end * _segment_integral(rho, b - a)
 
 
 def overlap_integral(f: PiecewiseExpProfile, g: PiecewiseExpProfile, lo: float, hi: float) -> complex:

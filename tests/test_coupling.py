@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from lrspp.coupling import (
     overlap_beta,
 )
 from lrspp.dispersion import BranchId, coupling_angle, solve_k
-from lrspp.errors import LrsppError, NoBoundMode, SingularSystemError
+from lrspp.errors import LrsppError, NoBoundMode
 from lrspp.materials import SILVER, surface_plasma_frequency
 from lrspp.modes import four_layer_solve, lrspp_profile, overlap_integral, profile_norm
 
@@ -31,7 +32,8 @@ def beta_quadrature_oracle(branch, w, d1, d2, eps_prism=1.51, model=SILVER):
     fl = four_layer_solve(w, theta, d1, d2, eps_prism, model, lossy=True)
     psi = fl.profile
     tail = d1 + 45.0 / min(sol.nu_0, fl.gamma_0.real)
-    edges = [-d2, 0.0, d1, tail]
+    skin = 40.0 / sol.nu_m  # depth past which each metal face's field is gone
+    edges = [-d2, 0.0] + ([skin, d1 - skin] if 2.0 * skin < d1 else []) + [d1, tail]
 
     def piece(f):
         return sum(quad(f, a, b, limit=400)[0] for a, b in zip(edges, edges[1:]))
@@ -69,12 +71,17 @@ FEASIBLE_CASES = [
 ]
 
 
+#: A 10 um strip: with the four-layer amplitudes at unit top-air amplitude
+#: the norm integral here was NaN.
+THICK_STRIP_CASE = (BranchId.ANTISYMMETRIC, 2e15, 10e-6, 800e-9)
+
+
 class TestOverlapBeta:
     def test_no_transmission_no_conversion(self):
         beta = overlap_beta(BranchId.ANTISYMMETRIC, 4e15, 20e-9, 5e-6)
         assert abs(beta) < 1e-3
 
-    @pytest.mark.parametrize("branch,w,d1,d2", FEASIBLE_CASES)
+    @pytest.mark.parametrize("branch,w,d1,d2", FEASIBLE_CASES + [THICK_STRIP_CASE])
     def test_against_quadrature_oracle(self, branch, w, d1, d2):
         closed = overlap_beta(branch, w, d1, d2)
         oracle = beta_quadrature_oracle(branch, w, d1, d2)
@@ -131,8 +138,9 @@ def test_gap_and_bandwidth_must_be_positive(bad):
         constraint_set(*args, 600e-9, delta_omega=bad)
     with pytest.raises(ValueError, match="^delta_omega must be positive"):
         coupling_point(*args, 600e-9, OptimizeConfig(delta_omega=bad))
-    with pytest.raises(SingularSystemError, match="gap too wide"):
-        overlap_beta(*args, INF)
+    for call in (overlap_beta, coupling_point):
+        with pytest.raises(ValueError, match="^d2 must be finite, got inf$"):
+            call(*args, INF)
 
 
 @pytest.mark.parametrize(
@@ -217,26 +225,29 @@ class TestOptimizeD2:
 @given(
     branch=st.sampled_from((BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)),
     frac=st.floats(min_value=1e-3, max_value=1.0, exclude_min=True, exclude_max=True),
-    d1=st.floats(min_value=math.log(5e-9), max_value=math.log(200e-9)).map(math.exp),
+    d1=st.floats(min_value=math.log(5e-9), max_value=math.log(1e-3)).map(math.exp),
     gap=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_gap_objective_matches_beta(branch, frac, d1, gap):
     """The closed-form beta(d2) of coupling, phase included, is the beta of
     the generic four-layer route at any bound-band frequency, strip from 5
-    to 200 nm and gap from the penetration bound 2/nu_0 to 3 um."""
+    nm to 1 mm and gap from the penetration bound 2/nu_0 to 1 m.  Past
+    gamma_0 d2 ~ 708 the gap factor exp(-gamma_0 d2) is subnormal, and both
+    routes lose digits below the smallest normal float: differences under
+    it are allowed."""
     omega = frac * surface_plasma_frequency(SILVER)
     try:
         sol = solve_k(branch, omega, d1, SILVER)
         d2_lo = 2.0 / sol.nu_0
-        if d2_lo > 3e-6:
+        if d2_lo > 1.0:
             return
-        d2 = d2_lo * (3e-6 / d2_lo) ** gap
+        d2 = d2_lo * (1.0 / d2_lo) ** gap
         theta = coupling_angle(omega, sol.k, 1.51)
         beta = coupling._beta_of_gap(sol, branch, theta, 1.51, SILVER)(d2)
     except LrsppError:
         return
     oracle = beta_generic_oracle(branch, sol, d2)
-    assert abs(beta - oracle) <= 1e-12 * abs(oracle)
+    assert abs(beta - oracle) <= 1e-12 * abs(oracle) + sys.float_info.min
     assert abs(beta) <= 1.0
 
 

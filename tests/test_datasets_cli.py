@@ -242,23 +242,25 @@ class TestCliExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_thick_strip_is_numerical_failure(self):
-        # exp(-gamma_m d1) underflows to 0 in the four-layer solve
-        code, _, err = run_cli(["field", "--profile", "atr", "--d1-nm", "20000"])
-        assert code == 2
-        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: "), err
-
     @pytest.mark.parametrize(
         "argv",
         [
+            ["field", "--profile", "atr", "--d1-nm", "20000"],
             ["field", "--profile", "atr", "--d2-nm", "1e9"],
             ["optimize", "--d1-steps", "2", "--d2-max-nm", "4e15", "--d2-steps", "2", "--omega-steps", "2"],
+            ["optimize", "--d2-max-nm", "200000", "--omega-steps", "3", "--d1-steps", "2", "--d2-steps", "8"],
         ],
+        ids=["thick-strip", "wide-gap-field", "wide-gap-optimize", "wide-gap-search"],
     )
-    def test_wide_gap_is_numerical_failure(self, argv):
-        code, _, err = run_cli(argv)
-        assert code == 2
-        assert len(err.splitlines()) == 1 and "gap too wide" in err, err
+    def test_thick_strip_and_wide_gap_give_finite_cells(self, argv):
+        """A 20 um strip or a gap of up to 4e6 m overflowed the four-layer
+        amplitudes at unit top-air amplitude; with decaying terms only, every
+        cell is a finite number or NA."""
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), err
+        rows = [line.split(",") for line in out.splitlines()[3:]]
+        cells = [c for row in rows for c in row[1:] if c != "NA"]
+        assert rows and cells and all(math.isfinite(float(c)) for c in cells)
 
     def test_huge_cat_amplitude_is_numerical_failure(self):
         argv = ["cat-entropy", "--alphas", "1e200", "--omega-steps", "2", "--d1-steps", "2", "--d2-steps", "4"]
@@ -815,7 +817,7 @@ _FLAGS_BY_COMMAND = _command_flags()
 # Flag values: valid ones, malformed, negative, exponent-form and empty.
 _VALUES = st.sampled_from([
     "1", "3", "0.5", "20", "1.52", "4e15", "2e15", "1e-3", "1e200", "0", "-5", "-4e15", "-1.5E-3", "",
-    "abc", "nan", "inf", "1e999", "1,2", "plus", "minus", "json", "atr",
+    "abc", "nan", "inf", "1e999", "1,2", "plus", "minus", "json", "atr", "2e4", "2e5",
 ])
 # Every *_steps flag is always given, so no grid has more than 4 points;
 # half the draws are valid, so that runs get past the configuration.
@@ -885,24 +887,24 @@ class TestPinnedOutput:
             ),
             (  # gap grid, golden-section refine and the fall-back to the grid point
                 "optimize --branch both --omega-steps 8 --d1-steps 4 --d2-steps 24",
-                "f077e83ce2c9491c53f25482a5bb1336bd07900571a5b58bdb1eeeb2f2f5ef5e",
+                "256fe17944206e2dabbb0ed76912e2f281be2665f4d2f56de9c6fe8bdcfcd9d1",
                 "",
             ),
             (  # phi = 0 cat eigenvalues and entropy, NA rows included
                 "cat-entropy --omega-steps 4 --d1-steps 2 --d2-steps 16 --x-steps 5 --alphas 1,3",
-                "8c837a688675255da2fd01fe446a0442d3cd3f5aafd48e5f79a83ed07dbb3679",
+                "cec314ddf19a9e73b8e629d4e653b81ac154378b52148f9de344a5172c78468e",
                 "",
             ),
             (  # mean counts along x, the minus branch NA at the top frequency
                 "propagate --branch both --omega-min 2.6e15 --omega-max 5e15 --omega-steps 3"
                 " --d1-min-nm 15 --d1-max-nm 45 --d1-steps 3 --d2-steps 12 --x-steps 3",
-                "3f6857b40a8d685f6341b66d462009a553754b68d5f349e29a3a525bae6ce9c4",
+                "2ce672d51de1eccc9ad25d565d09f4ba18538547ee8d0a9f3fab8ace0e03b400",
                 "",
             ),
             (  # JSON rows of the along-x cat path, NA rows included
                 "cat-entropy --branch both --omega-min 2.6e15 --omega-max 5e15 --omega-steps 2"
                 " --d1-min-nm 15 --d1-max-nm 45 --d1-steps 2 --d2-steps 12 --x-steps 3 --alphas 1,2.5 --format json",
-                "201afd82f91769601ec4ed6157b44263a7eaec14359030d442ddd60e50b7dfa5",
+                "c5d57309200dcad7b1fe1c24724d5e27f3ca4a4760029c653f261af85d17f06e",
                 "",
             ),
             # The three below have 4,100 x points: more than the 4,096 rows of a
@@ -910,19 +912,19 @@ class TestPinnedOutput:
             (
                 "propagate --branch both --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
                 " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --x-steps 4100",
-                "57bb676c274b3db7509b2e69edf370b78fef57eddf71030007620886798957ef",
+                "e7564d1b261cd897cccd8bfada96a448160a3af51f9b7f3fe53ebaf94df9be45",
                 "",
             ),
             (  # NA rows at the top frequency
                 "cat-entropy --branch minus --omega-min 2.6e15 --omega-max 5e15 --omega-steps 2 --d1-min-nm 15"
                 " --d1-max-nm 45 --d1-steps 2 --d2-steps 12 --x-max 2e-5 --x-steps 4100 --alphas 1,2.5",
-                "1b672f0e9a64a55b070abf9734894c21525df0c194ac07df68f08bbdfedeb8a6",
+                "9051de3f3141bc02133738170ede34184780534711f5a4f16652f8a5ce2ab79b",
                 "",
             ),
             (
                 "cat-entropy --branch plus --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
                 " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --x-steps 4100 --alphas 2 --format json",
-                "8a88423b52fb38661f9e030c2a86c51edf53d35da4cee7f19f0d6c500190cb78",
+                "cdf6eb8be8f11ced217441025befd9ffea2704b516ca10aca644297fef215a8d",
                 "",
             ),
         ],

@@ -176,11 +176,13 @@ def test_branch_separation_decreases_with_thickness():
 
 def test_solve_omega_at_k_whose_root_cubed_underflows():
     """At k ~ 2e-144 rad/m the symmetric root is omega ~ 1e-138, whose cube
-    underflows to 0: the Newton polish stops on the infinite slope and the
-    bisection's end point is returned, with no ZeroDivisionError."""
+    underflows to 0 and where wp^2/omega^2 overflows: the Newton polish
+    stops on the infinite slope with no ZeroDivisionError, and the point,
+    with eps_m = -inf and nu_m = inf, is NoBoundMode rather than a
+    solution no later step can use."""
     k = 3.0 * 3.5495693508369385e-152 * W_SP / C_LIGHT
-    sol = solve_omega(BranchId.SYMMETRIC, k, math.exp(-7.0), SILVER)
-    assert sol.omega == 1.0456593705142687e-138 and sol.omega**3 == 0.0
+    with pytest.raises(NoBoundMode, match="omega=1.04566e-138 rad/s: eps_m overflows$"):
+        solve_omega(BranchId.SYMMETRIC, k, math.exp(-7.0), SILVER)
 
 
 def test_solver_input_validation():

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from lrspp.constants import C_LIGHT
 from lrspp.dispersion import BranchId, coupling_angle, solve_k, solve_omega
-from lrspp.errors import SingularSystemError
 from lrspp.materials import SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
 from lrspp.modes import (
     ExpTerm,
@@ -38,6 +37,18 @@ def quad_norm(profile: PiecewiseExpProfile, lo: float, hi_tail: float) -> float:
     return total
 
 
+def hfield(region: Region, z: float, kx: float) -> complex:
+    """Tangential magnetic field of a region up to a global constant:
+    sum of ax (rate^2 - kx^2)/rate * exp(rate (z - z_ref))."""
+    return sum(
+        (t.ax * (t.rate * t.rate - kx * kx) / t.rate * cmath.exp(t.rate * (z - t.z_ref)) for t in region.terms), 0j
+    )
+
+
+def magnitude(profile: PiecewiseExpProfile, z: float) -> float:
+    return math.hypot(abs(profile.eval_x(z)), abs(profile.eval_z(z)))
+
+
 class TestStripProfile:
     @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("w,d1", [(3e15, 20e-9), (4.5e15, 35e-9), (2.5e15, 60e-9)])
@@ -48,7 +59,7 @@ class TestStripProfile:
         for z, (ra, rb) in ((0.0, (below, metal)), (d1, (metal, above))):
             ex_a, ex_b = ra.eval_x(z), rb.eval_x(z)
             assert abs(ex_a - ex_b) / abs(ex_a) < 1e-10
-            h_a, h_b = ra.eval_hfield(z, prof.kx), rb.eval_hfield(z, prof.kx)
+            h_a, h_b = hfield(ra, z, prof.kx), hfield(rb, z, prof.kx)
             assert abs(h_a - h_b) / abs(h_a) < 1e-10
 
     @pytest.mark.parametrize("branch", BRANCHES)
@@ -75,19 +86,8 @@ class TestStripProfile:
             coupled_C = 4.0 / (sol.nu_m * d1)
             assert coupled_C < 0.75
             prof = lrspp_profile(branch, sol, SILVER)
-            ratio = prof.magnitude(d1 / 2.0) / prof.magnitude(0.0)
+            ratio = magnitude(prof, d1 / 2.0) / magnitude(prof, 0.0)
             assert ratio < 0.02
-
-    def test_normalizability_enforced(self):
-        grow = Region(0.0, INF, (ExpTerm(1.0 + 0j, 0j, +1e7, 0.0),))
-        with pytest.raises(ValueError):
-            PiecewiseExpProfile(regions=(grow,), kx=1e7)
-        gap = (
-            Region(-INF, 0.0, (ExpTerm(1.0 + 0j, 0j, 1e7, 0.0),)),
-            Region(1e-9, INF, (ExpTerm(1.0 + 0j, 0j, -1e7, 0.0),)),
-        )
-        with pytest.raises(ValueError):
-            PiecewiseExpProfile(regions=gap, kx=1e7)
 
 
 def brute_force_four_layer(w, theta, d1, d2, eps1, model, lossy):
@@ -154,18 +154,17 @@ class TestFourLayer:
     @given(
         frac=st.floats(min_value=1e-3, max_value=1.0, exclude_min=True, exclude_max=True),
         theta=st.floats(min_value=math.asin(1.0 / math.sqrt(1.51)) + 1e-9, max_value=math.pi / 2),
-        d1=st.floats(min_value=math.log(1e-9), max_value=math.log(50e-6)).map(math.exp),
-        d2=st.floats(min_value=math.log(1e-9), max_value=math.log(3e-6)).map(math.exp),
+        d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+        d2=st.floats(min_value=math.log(1e-9), max_value=math.log(1.0)).map(math.exp),
     )
     def test_lossless_energy_conservation_whole_ranges(self, frac, theta, d1, d2):
         """|r|^2 + |tau|^2 = 1 on the lossless stack for any strip from 1 nm to
-        50 um and any angle above the critical one; a strip too thick to
-        solve raises SingularSystemError."""
+        1 mm, any gap from 1 nm to 1 m and any angle above the critical one:
+        every amplitude stays finite, however thick the strip or wide the
+        gap."""
         omega = frac * surface_plasma_frequency(SILVER)
-        try:
-            fl = four_layer_solve(omega, theta, d1, d2, 1.51, SILVER, lossy=False)
-        except SingularSystemError:
-            return
+        fl = four_layer_solve(omega, theta, d1, d2, 1.51, SILVER, lossy=False)
+        assert all(cmath.isfinite(t.ax) and cmath.isfinite(t.az) for reg in fl.profile.regions for t in reg.terms)
         assert abs(abs(fl.r) ** 2 + abs(fl.tau) ** 2 - 1.0) < 1e-12
 
     def test_large_gap_shuts_conversion_off(self):
@@ -207,7 +206,7 @@ class TestFourLayer:
         # interior interfaces
         for z, (ra, rb) in ((0.0, (gap, metal)), (d1, (metal, top))):
             assert abs(ra.eval_x(z) - rb.eval_x(z)) / abs(ra.eval_x(z)) < 1e-10
-            assert abs(ra.eval_hfield(z, kx) - rb.eval_hfield(z, kx)) / abs(ra.eval_hfield(z, kx)) < 1e-10
+            assert abs(hfield(ra, z, kx) - hfield(rb, z, kx)) / abs(hfield(ra, z, kx)) < 1e-10
         # prism face: incident + reflected against the gap field
         woc = w / C_LIGHT
         kz1 = math.sqrt(eps1) * woc * math.cos(theta)
@@ -215,7 +214,7 @@ class TestFourLayer:
         by = lambda rate: (rate * rate - kx * kx) / rate
         hy_prism = by(1j * kz1) * 1.0 + by(-1j * kz1) * fl.r
         assert abs(ex_prism - gap.eval_x(-d2)) / abs(ex_prism) < 1e-10
-        assert abs(hy_prism - gap.eval_hfield(-d2, kx)) / abs(hy_prism) < 1e-10
+        assert abs(hy_prism - hfield(gap, -d2, kx)) / abs(hy_prism) < 1e-10
 
     def test_below_critical_angle_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ efficiency 0.65, frequency window [2e15, 5.4e15] rad/s, strip thickness
 10-100 nm and prism gap 50 nm - 3 um.
 
 A value comes from the first of: its flag, the ``--config`` JSON file,
-the default.
+the default.  A command takes only the parameters it reads (the
+``commands`` of their PARAMS rows); a config-file key of another command
+must be known and of its type, and is otherwise ignored.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class Param(NamedTuple):
     is set: the flag then takes nanometers, multiplied by ``scale``.
     ``attr`` is the RunConfig field when it differs from ``name``.  ``check``
     is a (predicate, rule) pair applied to values that are not None.
-    ``commands`` lists the subcommands that take the flag (none: the key is
-    JSON only); a config file may set any key.
+    ``commands`` lists the subcommands that read the value and take the
+    flag (none: the key is JSON only).
     """
 
     name: str
@@ -128,9 +130,11 @@ def _grid(name: str, lo, hi, steps: int, commands: tuple[str, ...], check=None, 
     )
 
 
+# Run settings (out, format, threads) go to every command: they never change the rows.
 _ALL = ("material", "dispersion", "angle", "field", "constraints", "optimize", "propagate", "g2", "cat-entropy")
 _OMEGA_GRID = ("material", "angle", "constraints", "optimize", "propagate", "cat-entropy")
 _STRIP_GRIDS = ("constraints", "optimize", "propagate", "cat-entropy")
+_BRANCHED = ("dispersion", "angle", "field", *_STRIP_GRIDS)
 _X_GRID = ("propagate", "cat-entropy")
 
 PARAMS: tuple[Param, ...] = (
@@ -138,10 +142,10 @@ PARAMS: tuple[Param, ...] = (
     Param("out", _text, None, _ALL, (lambda v: "\0" not in v, "must not hold a NUL byte"), help="output path (default: stdout)"),
     Param("format", _text, "csv", _ALL, _one_of("csv", "json")),
     Param("threads", _integer, 1, _ALL, _COUNT, help="worker processes for gap searches (default: 1)"),
-    Param("branch", _text, "both", _ALL, _one_of(*_BRANCH_IDS, "both")),
-    Param("delta_omega", _number, DEFAULT_DELTA_OMEGA, _ALL, _POSITIVE),
-    Param("eps_prism", _number, DEFAULT_EPS_PRISM, _ALL, (lambda v: v > 1.0, "must exceed 1")),
-    Param("mu", _number, 0.65, _ALL, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+    Param("branch", _text, "both", _BRANCHED, _one_of(*_BRANCH_IDS, "both")),
+    Param("delta_omega", _number, DEFAULT_DELTA_OMEGA, _STRIP_GRIDS, _POSITIVE),
+    Param("eps_prism", _number, DEFAULT_EPS_PRISM, ("angle", "field", *_STRIP_GRIDS), (lambda v: v > 1.0, "must exceed 1")),
+    Param("mu", _number, 0.65, ("propagate",), (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
     *_grid("omega", 2e15, 5.4e15, 120, _OMEGA_GRID, _FREQUENCY),
     *_grid("k", 2e6, 1.8e7, 200, ("dispersion",), _POSITIVE),
     *_grid("d1", 10e-9, 100e-9, 60, _STRIP_GRIDS, _POSITIVE, NM),
@@ -227,12 +231,15 @@ def _read(row: Param, text: str) -> Any:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags of build_parser laid over the --config file."""
+    """RunConfig from the flags of build_parser laid over the --config file.
+    A file key args.command does not take is type checked, then left at its
+    default: it is not range checked and clips no grid."""
     raw = load_config_file(args.config) if getattr(args, "config", None) else {}
     for name, text in vars(args).items():
         if name in _BY_NAME:
             raw[name] = _read(_BY_NAME[name], text)
-    return config_from_dict(raw)
+    config_from_dict(raw)
+    return config_from_dict({k: v for k, v in raw.items() if k == "material" or args.command in _BY_NAME[k].commands})
 
 
 def config_from_dict(raw: dict) -> RunConfig:

@@ -112,10 +112,6 @@ class PathRecord:
     omega: float
     point: CouplingPoint | None
 
-    @property
-    def feasible(self) -> bool:
-        return self.point is not None
-
 
 @dataclass(frozen=True)
 class OptimizationPath:

@@ -13,6 +13,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -640,22 +641,23 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 #: The flags of every subcommand: a public interface in which no flag may be
 #: lost, renamed or added.
-_SHARED_FLAGS = {
-    "--config", "--out", "--format", "--threads", "--branch", "--delta-omega", "--eps-prism", "--mu",
-}
+_SHARED_FLAGS = {"--config", "--out", "--format", "--threads"}
 _GRID_FLAGS = {
     name: {f"--{name}-min{unit}", f"--{name}-max{unit}", f"--{name}-steps"}
     for name, unit in (("omega", ""), ("k", ""), ("x", ""), ("d1", "-nm"), ("d2", "-nm"))
 }
-_STRIP = _GRID_FLAGS["omega"] | _GRID_FLAGS["d1"] | _GRID_FLAGS["d2"]
+# The gap-search commands: strip and gap grids, branch, bandwidth and prism.
+_STRIP = _GRID_FLAGS["omega"] | _GRID_FLAGS["d1"] | _GRID_FLAGS["d2"] | {"--branch", "--delta-omega", "--eps-prism"}
 _COMMAND_FLAGS = {
     "material": _GRID_FLAGS["omega"],
-    "dispersion": _GRID_FLAGS["k"] | {"--d1-nm"},
-    "angle": _GRID_FLAGS["omega"] | {"--d1-nm"},
-    "field": {"--profile", "--omega", "--d1-nm", "--d2-nm", "--z-min-nm", "--z-max-nm", "--z-steps"},
+    "dispersion": _GRID_FLAGS["k"] | {"--d1-nm", "--branch"},
+    "angle": _GRID_FLAGS["omega"] | {"--d1-nm", "--branch", "--eps-prism"},
+    "field": {
+        "--profile", "--omega", "--d1-nm", "--d2-nm", "--z-min-nm", "--z-max-nm", "--z-steps", "--branch", "--eps-prism",
+    },
     "constraints": _STRIP | {"--d2-nm"},
     "optimize": _STRIP,
-    "propagate": _STRIP | _GRID_FLAGS["x"],
+    "propagate": _STRIP | _GRID_FLAGS["x"] | {"--mu"},
     "g2": {"--n", "--etas"},
     "cat-entropy": _STRIP | _GRID_FLAGS["x"] | {"--alphas"},
 }
@@ -688,12 +690,12 @@ class TestParamTable:
             (["g2"], {"out": "a\x00b"}, "out"),
             (["g2"], {"bogus": 1}, "unknown config keys"),
             (["g2"], {"n_photons": 0}, "n_photons"),
-            (["g2"], {"z_steps": 1}, "z_steps"),
+            (["field"], {"z_steps": 1}, "z_steps"),
             (["g2"], {"material": {"plasma_frequency": "1e16"}}, "material"),
             (["g2"], {"material": {"real_correction_coeff": -1.0}}, "material"),
             (["g2", "--etas", "1.0,2.0"], None, "etas"),
             (["material", "--omega-steps", "2.7"], None, "omega_steps"),
-            (["material", "--mu", "nan"], None, "mu"),
+            (["propagate", "--mu", "nan"], None, "mu"),
             (["dispersion", "--d1-nm", "-5"], None, "d1"),
             (["field", "--omega=-4e15"], None, "omega"),
             (["field", "--omega", "-4e15"], None, "omega"),
@@ -745,6 +747,71 @@ class TestParamTable:
         by_key = run_cli(["angle", "--omega-steps", "3", "--config", str(path)])
         assert by_flag[0] == by_key[0] == 0
         assert datasets.from_csv(by_flag[1]).rows == datasets.from_csv(by_key[1]).rows
+
+    @pytest.mark.parametrize("argv", [["g2"], ["dispersion", "--k-steps", "3"], ["field", "--z-steps", "3"]])
+    def test_keys_of_other_commands_do_not_act(self, tmp_path, argv):
+        """Keys of other commands act on nothing, an omega grid that would be
+        clipped or is out of range included: the run prints what it prints
+        with an empty config file."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"omega_max": 6e15, "mu": 0.5, "omega_steps": 1}))
+        with_keys = run_cli(argv + ["--config", str(path)])
+        path.write_text("{}")
+        assert with_keys == run_cli(argv + ["--config", str(path)])
+        assert with_keys[0] == 0 and with_keys[2] == ""
+
+
+#: Runs of each command that together take every branch of its handler:
+#: both field profiles, constraints with and without a fixed gap, and gap
+#: searches small enough to be quick with feasible rows to continue.
+_SEARCH = (
+    "--omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15 --d1-max-nm 45 --d1-steps 2 --d2-steps 8"
+)
+_RUNS_OF_EVERY_MODE = {
+    "material": ["--omega-steps 2"],
+    "dispersion": ["--k-steps 2"],
+    "angle": ["--omega-steps 2"],
+    "field": ["--z-steps 2 --profile lrspp", "--z-steps 2 --profile atr"],
+    "constraints": [_SEARCH, _SEARCH + " --d2-nm 60"],
+    "optimize": [_SEARCH],
+    "propagate": [_SEARCH + " --x-steps 2"],
+    "g2": [""],
+    "cat-entropy": [_SEARCH + " --x-steps 2 --alphas 1"],
+}
+
+
+def _params_read(command: str, flags: str) -> set[str]:
+    """Names of the PARAMS rows whose RunConfig field the handler of a run,
+    consumed to the end, and its point count read."""
+    args = cli._parser().parse_args([command, *flags.split()])
+    cfg, _warnings = validate_config(config_from_args(args))
+    handler, _columns, points = cli._COMMANDS[command]
+    read: set[str] = set()
+
+    class Logged(type(cfg)):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    logged = Logged(**{f.name: getattr(cfg, f.name) for f in fields(cfg)})
+    points(logged)
+    for _block in handler(logged):
+        pass
+    return {row.name for row in PARAMS if (row.attr or row.name) in read}
+
+
+def test_each_command_takes_the_params_it_reads():
+    """A command takes a parameter (flag and config key) exactly when some
+    mode of it reads the value; the run settings and material aside."""
+    assert set(_RUNS_OF_EVERY_MODE) == set(cli._COMMANDS)
+    run_settings = {"out", "format", "threads", "material"}
+    mismatched = {}
+    for command, runs in _RUNS_OF_EVERY_MODE.items():
+        read = set().union(*(_params_read(command, flags) for flags in runs)) - run_settings
+        taken = {row.name for row in PARAMS if command in row.commands} - run_settings
+        if read != taken:
+            mismatched[command] = {"taken, never read": sorted(taken - read), "read, not taken": sorted(read - taken)}
+    assert not mismatched, mismatched
 
 
 # JSON-shaped config values: scalars of every JSON type (NaN and infinities
@@ -819,19 +886,33 @@ _VALUES = st.sampled_from([
     "1", "3", "0.5", "20", "1.52", "4e15", "2e15", "1e-3", "1e200", "0", "-5", "-4e15", "-1.5E-3", "",
     "abc", "nan", "inf", "1e999", "1,2", "plus", "minus", "json", "atr", "2e4", "2e5",
 ])
-# Every *_steps flag is always given, so no grid has more than 4 points;
-# half the draws are valid, so that runs get past the configuration.
-_STEPS = st.sampled_from(["2", "3", "4"]) | st.sampled_from(["1", "0", "-2", "2.5", "4e0", "", "x"])
+# Each draw gives up to 5 flags a value of any kind from _VALUES (a *_steps
+# flag: from _STEPS or _BAD_STEPS).  Every other *_steps flag gets a valid
+# value, so no grid has more than 4 points, and each strip or gap flag in
+# nanometers a valid width in half the draws, so that runs get past the
+# configuration and reach thin strips and the wide-gap band.
+_STEPS = st.sampled_from(["2", "3", "4"])
+_BAD_STEPS = st.sampled_from(["1", "0", "-2", "2.5", "4e0", "", "x"])
+# Widths in nanometers: a -min- flag takes a thin one and a -max- flag a
+# thick one, so that no pair is out of order; a fixed width takes either.
+_THIN, _THICK = st.sampled_from(["1", "20"]), st.sampled_from(["500", "2e5"])
 
 
 @st.composite
 def _argv(draw) -> list[str]:
     command = draw(st.sampled_from(sorted(_FLAGS_BY_COMMAND)))
     flags = _FLAGS_BY_COMMAND[command]
+    steps = {f for f, name in flags.items() if name.endswith("_steps")}
+    strip = [f for f in sorted(flags) if f.startswith(("--d1-", "--d2-")) and f.endswith("-nm")]
     chosen = set(draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)))
     argv = [command]
-    for flag in sorted(chosen | {f for f, name in flags.items() if name.endswith("_steps")}):
-        value = draw(_STEPS if flags[flag].endswith("_steps") else _VALUES)
+    for flag in sorted(chosen | steps | {f for f in strip if draw(st.booleans())}):
+        if flag in chosen:
+            value = draw(_STEPS | _BAD_STEPS if flag in steps else _VALUES)
+        elif flag in steps:
+            value = draw(_STEPS)
+        else:
+            value = draw(_THIN if "-min-" in flag else _THICK if "-max-" in flag else _THIN | _THICK)
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 

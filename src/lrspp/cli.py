@@ -468,7 +468,7 @@ def run(argv: list[str]) -> int:
     """
     try:
         args = _parser().parse_args(argv)
-        cfg, warnings = validate_config(config_from_args(args))
+        cfg, warnings = validate_config(config_from_args(args), args.command)
         handler, columns, points = _COMMANDS[args.command]
         if (n := points(cfg)) > MAX_POINTS:
             raise ConfigError(f"grids: the run visits {n} grid points, more than the {MAX_POINTS} accepted")

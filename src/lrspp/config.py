@@ -277,12 +277,13 @@ def load_config_file(path: str) -> dict:
     return payload
 
 
-def validate_config(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
+def validate_config(cfg: RunConfig, command: str | None = None) -> tuple[RunConfig, list[str]]:
     """Normalize and check a configuration.
 
     Returns the validated config plus warning records (currently only the
-    frequency-grid clip against the surface-mode limit).  Raises
-    ConfigError naming the offending key otherwise.
+    frequency-grid clip against the surface-mode limit, made only when
+    ``command`` samples the omega grid; any command when it is None).
+    Raises ConfigError naming the offending key otherwise.
     """
     for row in PARAMS:
         value = getattr(cfg, row.attr or row.name)
@@ -298,7 +299,7 @@ def validate_config(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"material: {exc}") from None
     warnings: list[str] = []
-    if cfg.omega_max > w_cap:
+    if cfg.omega_max > w_cap and command in (None, *_OMEGA_GRID):
         if not cfg.omega_min < w_cap:
             raise ConfigError("omega: entire grid above the surface-mode limit")
         warnings.append(
@@ -306,4 +307,3 @@ def validate_config(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
         )
         cfg = replace(cfg, omega_max=w_cap)
     return cfg, warnings
-

@@ -323,7 +323,7 @@ def optimize_d2(
     def value(d2: float) -> float:
         return abs(beta(d2))
 
-    n = max(config.d2_steps, 4)
+    n = config.d2_steps
     ratio = d2_hi / d2_lo
     best_i, best_v = 0, -1.0
     grid = [d2_lo * ratio ** (i / (n - 1)) for i in range(n)]

@@ -144,7 +144,7 @@ def g2_zero(
     """
     if n < 1:
         raise ValueError("g2(0) is undefined for n = 0 (zero mean count)")
-    eta = mu * math.exp(-2.0 * kappa0 * x) * beta_sq
+    eta = detected_mean(mu, kappa0, x, beta_sq)
     if eta <= 0.0:
         raise ValueError("total efficiency must be positive for a detectable signal")
     mean = eta * n

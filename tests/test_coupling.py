@@ -215,6 +215,31 @@ class TestOptimizeD2:
         beta = overlap_beta(branch, w, d1, pt.d2)
         assert (pt.beta.real.hex(), pt.beta.imag.hex()) == (beta.real.hex(), beta.imag.hex())
 
+    def test_scan_takes_the_steps_given(self, monkeypatch):
+        """With d2_steps=2 the scan evaluates beta at the two ends of the gap
+        window and no more: the third evaluation is the first golden point
+        of the refine over the whole window."""
+        gaps = []
+        beta_of_gap = coupling._beta_of_gap
+
+        def counted(*args):
+            beta = beta_of_gap(*args)
+
+            def value(d2):
+                gaps.append(d2)
+                return beta(d2)
+
+            return value
+
+        monkeypatch.setattr(coupling, "_beta_of_gap", counted)
+        config = OptimizeConfig(d2_steps=2)
+        assert optimize_d2(BranchId.ANTISYMMETRIC, 4e15, 60e-9, config) is not None
+        lo = gaps[0]
+        hi = lo * (config.d2_max / lo) ** 1.0
+        golden = hi - coupling._GOLDEN * (hi - lo)
+        scanned = next((i for i, d2 in enumerate(gaps) if d2 == golden), None)
+        assert scanned == 2 and gaps[:2] == [lo, hi]
+
     def test_gap_respects_penetration_bound(self):
         pt = optimize_d2(BranchId.ANTISYMMETRIC, 4.8e15, 30e-9)
         assert pt is not None

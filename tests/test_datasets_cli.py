@@ -33,20 +33,63 @@ from lrspp.config import (
 from lrspp.errors import ConfigError, NoBoundMode, NormalizationError
 
 
+SAMPLE_ROWS = [
+    ["plus", 1, 0.1 + 0.2, None],
+    ["minus", 2, math.inf, 1],
+    ["plus", 3, -3.1739823175288615, 0],
+]
+
+
 def sample_dataset() -> datasets.Dataset:
     return datasets.Dataset(
         command="lrspp example",
         columns=["branch", "n", "value", "flag"],
-        rows=[
-            ["plus", 1, 0.1 + 0.2, None],
-            ["minus", 2, math.inf, 1],
-            ["plus", 3, -3.1739823175288615, 0],
-        ],
+        blocks=[tuple(row) for row in SAMPLE_ROWS],
         warnings=["example warning"],
     )
 
 
-def cell_by_cell_csv(ds: datasets.Dataset) -> str:
+#: The fields of sample_dataset, as its JSON text names them.
+SAMPLE_FIELDS = {
+    "schema_version": 1,
+    "command": "lrspp example",
+    "warnings": ["example warning"],
+    "columns": ["branch", "n", "value", "flag"],
+    "rows": SAMPLE_ROWS,
+}
+
+
+def parse_cell(text: str):
+    if text == "NA":
+        return None
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_csv(text: str) -> dict:
+    """The fields of a CSV dataset, keyed as in its JSON text: the schema
+    version, command and warnings of the # lines, the header row's columns
+    and the rows of typed cells."""
+    payload = {"schema_version": None, "command": None, "warnings": [], "columns": None, "rows": []}
+    for line in text.splitlines():
+        if line.startswith("# schema="):
+            payload["schema_version"] = int(line[len("# schema="):])
+        elif line.startswith("# command="):
+            payload["command"] = line[len("# command="):]
+        elif line.startswith("# warning="):
+            payload["warnings"].append(line[len("# warning="):])
+        elif payload["columns"] is None:
+            payload["columns"] = line.split(",")
+        else:
+            payload["rows"].append([parse_cell(c) for c in line.split(",")])
+    return payload
+
+
+def cell_by_cell_csv(columns: list[str], rows, warnings: list[str] = ()) -> str:
     """The CSV writer that formatted every cell of every row on its own,
     kept as the reference for the bytes of datasets.to_csv."""
 
@@ -57,10 +100,10 @@ def cell_by_cell_csv(ds: datasets.Dataset) -> str:
             return repr(value)
         return str(value)
 
-    lines = [f"# schema={ds.schema_version}", f"# command={ds.command}"]
-    lines.extend(f"# warning={w}" for w in ds.warnings)
-    lines.append(",".join(ds.columns))
-    for row in ds.rows:
+    lines = ["# schema=1", "# command=lrspp x"]
+    lines.extend(f"# warning={w}" for w in warnings)
+    lines.append(",".join(columns))
+    for row in rows:
         lines.append(",".join(cell(c) for c in row))
     return "\n".join(lines) + "\n"
 
@@ -87,20 +130,14 @@ def rows_of(blocks, width: int):
 
 class TestDatasets:
     def test_csv_round_trip_lossless(self):
-        ds = sample_dataset()
-        back = datasets.from_csv(datasets.to_csv(ds))
-        assert back == ds
+        assert read_csv(datasets.to_csv(sample_dataset())) == SAMPLE_FIELDS
 
     def test_json_round_trip_lossless(self):
-        ds = sample_dataset()
-        back = datasets.from_json(datasets.to_json(ds))
-        assert back == ds
+        assert json.loads(datasets.to_json(sample_dataset())) == SAMPLE_FIELDS
 
     def test_csv_json_carry_same_values(self):
-        ds = sample_dataset()
-        via_csv = datasets.from_csv(datasets.to_csv(ds))
-        via_json = datasets.from_json(datasets.to_json(ds))
-        assert via_csv == via_json
+        via_csv = read_csv(datasets.to_csv(sample_dataset()))
+        assert via_csv == json.loads(datasets.to_json(sample_dataset()))
 
     def test_na_token_for_infeasible_cells(self):
         text = datasets.to_csv(sample_dataset())
@@ -109,23 +146,21 @@ class TestDatasets:
         assert payload["rows"][0][3] is None
 
     def test_row_width_validated(self):
-        with pytest.raises(ValueError):
-            datasets.Dataset(command="x", columns=["a", "b"], rows=[[1.0]])
+        with pytest.raises(ValueError, match="row 0 has 1 cells, expected 2"):
+            datasets.to_csv(datasets.Dataset("x", ["a", "b"], [(1.0,)]))
 
     def test_streamed_row_width_validated(self):
-        rows = ([1.0, 2.0] if i != 1500 else [1.0] for i in range(3000))
-        ds = datasets.Dataset(command="x", columns=["a", "b"], rows=rows)
+        blocks = ((1.0, 2.0) if i != 1500 else (1.0,) for i in range(3000))
+        ds = datasets.Dataset("x", ["a", "b"], blocks)
         with pytest.raises(ValueError, match="row 1500 has 1 cells"):
             datasets.to_csv(ds)
 
     def test_block_shape_validated(self):
         blocks = [(1.0, [1.0, 2.0]), ([1.0, 2.0, 3.0], [1.0, 2.0])]
         with pytest.raises(ValueError, match="block at row 2 has list columns of lengths"):
-            datasets.to_csv(datasets.Dataset("x", ["a", "b"], blocks=blocks))
+            datasets.to_csv(datasets.Dataset("x", ["a", "b"], blocks))
         with pytest.raises(ValueError, match="block at row 0 has 1 columns, expected 2"):
-            datasets.to_csv(datasets.Dataset("x", ["a", "b"], blocks=[([1.0],)]))
-        with pytest.raises(ValueError, match="rows or blocks"):
-            datasets.Dataset("x", ["a"], [[1.0]], blocks=[])
+            datasets.to_csv(datasets.Dataset("x", ["a", "b"], [([1.0],)]))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -137,16 +172,14 @@ class TestDatasets:
         picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=160),
         block_rows=st.integers(1, 7),
         memo_cells=st.integers(0, 10),
-        from_rows=st.booleans(),
         streamed=st.booleans(),
     )
-    def test_csv_equals_cell_by_cell_formatter(
-        self, width, pool, shapes, picks, block_rows, memo_cells, from_rows, streamed
-    ):
+    def test_csv_equals_cell_by_cell_formatter(self, width, pool, shapes, picks, block_rows, memo_cells, streamed):
         # Blocks of 0-5 rows whose columns are single cells, fresh lists or
         # lists that recur as the same object, all picking cells from a
-        # small pool; the same rows also go in as a row-built dataset.
-        # Small blocks and memo caps reach every branch of the writers.
+        # small pool.  A small line buffer (BLOCK_ROWS) flushes both when
+        # full and before a list block; with small memo caps every branch
+        # of the writers is reached.
         draw = itertools.cycle(picks)
         shared: dict[int, list] = {}
         blocks = []
@@ -163,20 +196,28 @@ class TestDatasets:
             blocks.append(tuple(block))
         rows = [list(row) for row in rows_of(blocks, width)]
         columns = [f"c{j}" for j in range(width)]
-        expected = cell_by_cell_csv(datasets.Dataset("lrspp x", columns, rows, ["w"]))
+        expected = cell_by_cell_csv(columns, rows, ["w"])
         expected_json = json.dumps(
             {"schema_version": 1, "command": "lrspp x", "warnings": ["w"], "columns": columns, "rows": rows},
             indent=1,
         ) + "\n"
 
         def dataset():
-            if from_rows:
-                return datasets.Dataset("lrspp x", columns, iter(rows) if streamed else rows, ["w"])
-            return datasets.Dataset("lrspp x", columns, warnings=["w"], blocks=iter(blocks) if streamed else blocks)
+            return datasets.Dataset("lrspp x", columns, iter(blocks) if streamed else blocks, ["w"])
 
         with mock.patch.object(datasets, "BLOCK_ROWS", block_rows), mock.patch.object(datasets, "_MEMO_CELLS", memo_cells):
             assert datasets.to_csv(dataset()) == expected
             assert datasets.to_json(dataset()) == expected_json
+
+    def test_row_lines_go_out_in_groups_of_block_rows(self, monkeypatch):
+        # One-row blocks are written BLOCK_ROWS lines at a time, and the
+        # lines held go out before a list block: never a whole table.
+        monkeypatch.setattr(datasets, "BLOCK_ROWS", 4)
+        blocks = [(i,) for i in range(6)] + [([6, 7],)] + [(i,) for i in range(8, 17)]
+        groups = list(datasets.csv_chunks(datasets.Dataset("x", ["a"], blocks)))[1::2]
+        assert [g.split("\n") for g in groups] == [
+            ["0", "1", "2", "3"], ["4", "5"], ["6", "7"], ["8", "9", "10", "11"], ["12", "13", "14", "15"], ["16"]
+        ]
 
     def test_memo_is_by_object_not_by_id_alone(self):
         # Fresh lists freed after each block: their ids are reused by later
@@ -188,10 +229,10 @@ class TestDatasets:
             for i in range(5000):
                 yield [i / 7.0, i / 11.0, i / 13.0], kept if i % 3 else [i / 3.0] * 3, -0.0 if i % 2 else 0.0
 
-        expected = cell_by_cell_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], list(rows_of(blocks(), 3))))
+        expected = cell_by_cell_csv(["a", "b", "c"], rows_of(blocks(), 3))
         for cells in (0, 10**6):
             with mock.patch.object(datasets, "_MEMO_CELLS", cells):
-                got = datasets.to_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], blocks=blocks()))
+                got = datasets.to_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], blocks()))
             assert first_difference(got, expected) is None
 
 
@@ -531,26 +572,26 @@ class TestAtomicOut:
 class TestCliDatasets:
     def test_g2_single_row(self, capsys):
         assert cli.run(["g2", "--n", "1"]) == 0
-        ds = datasets.from_csv(capsys.readouterr().out)
-        assert ds.columns == ["n", "eta", "g2"]
-        assert ds.rows == [[1, 1.0, 0.0]]
+        ds = read_csv(capsys.readouterr().out)
+        assert ds["columns"] == ["n", "eta", "g2"]
+        assert ds["rows"] == [[1, 1.0, 0.0]]
 
     def test_material_json_format(self, capsys):
         code = cli.run(["material", "--omega-min", "2e15", "--omega-max", "3e15",
                         "--omega-steps", "3", "--format", "json"])
         assert code == 0
-        ds = datasets.from_json(capsys.readouterr().out)
-        assert len(ds.rows) == 3
-        assert ds.columns[0] == "omega"
+        ds = json.loads(capsys.readouterr().out)
+        assert len(ds["rows"]) == 3
+        assert ds["columns"][0] == "omega"
 
     def test_dispersion_rows_per_branch(self, capsys):
         code = cli.run(["dispersion", "--branch", "both", "--d1-nm", "20",
                         "--k-steps", "5"])
         assert code == 0
-        ds = datasets.from_csv(capsys.readouterr().out)
-        assert len(ds.rows) == 10
-        plus_rows = [r for r in ds.rows if r[0] == "plus"]
-        minus_rows = [r for r in ds.rows if r[0] == "minus"]
+        ds = read_csv(capsys.readouterr().out)
+        assert len(ds["rows"]) == 10
+        plus_rows = [r for r in ds["rows"] if r[0] == "plus"]
+        minus_rows = [r for r in ds["rows"] if r[0] == "minus"]
         for p, m in zip(plus_rows, minus_rows):
             assert p[3] > m[3]  # omega+ above omega- at equal k
 
@@ -573,7 +614,7 @@ class TestCliDatasets:
             for module in (dispersion, cli):
                 monkeypatch.setattr(module, name, solve)
         assert cli.run(["dispersion", "--branch", "both", "--k-steps", "25"]) == 0
-        rows = datasets.from_csv(capsys.readouterr().out).rows
+        rows = read_csv(capsys.readouterr().out)["rows"]
         assert len(rows) == 50 and all(r[6] is not None and r[7] is not None for r in rows)
         assert calls == {"solve_k": 0, "solve_omega": 50}
 
@@ -603,15 +644,15 @@ class TestCliDatasets:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"omega_min": 2e15, "omega_max": 3e15, "omega_steps": 4}))
         assert cli.run(["material", "--config", str(cfg_path)]) == 0
-        ds = datasets.from_csv(capsys.readouterr().out)
-        assert len(ds.rows) == 4
+        ds = read_csv(capsys.readouterr().out)
+        assert len(ds["rows"]) == 4
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"omega_steps": 4, "omega_min": 2e15, "omega_max": 3e15}))
         assert cli.run(["material", "--config", str(cfg_path), "--omega-steps", "2"]) == 0
-        ds = datasets.from_csv(capsys.readouterr().out)
-        assert len(ds.rows) == 2
+        ds = read_csv(capsys.readouterr().out)
+        assert len(ds["rows"]) == 2
 
     def test_out_file_and_echo_normalization(self, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -626,10 +667,14 @@ class TestCliDatasets:
         code = cli.run(["field", "--profile", "lrspp", "--omega", "4e15", "--d1-nm", "20",
                         "--z-steps", "50"])
         assert code == 0
-        ds = datasets.from_csv(capsys.readouterr().out)
-        assert len(ds.rows) == 50
-        mags = [abs(complex(r[1], r[2])) for r in ds.rows]
+        ds = read_csv(capsys.readouterr().out)
+        assert len(ds["rows"]) == 50
+        mags = [abs(complex(r[1], r[2])) for r in ds["rows"]]
         assert max(mags) > 0.5  # the mode is actually sampled
+
+
+#: Runs of commands that sample no omega grid.
+_OTHER_KEYS_ARGV = (["g2"], ["dispersion", "--k-steps", "3"], ["field", "--z-steps", "3"])
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -734,10 +779,10 @@ class TestParamTable:
         path.write_text(json.dumps({"n_photons": 3, "etas": [0.5], "z_min": -1e-7, "z_max": 1e-7, "z_steps": 5}))
         code, out, _ = run_cli(["g2", "--config", str(path)])
         assert code == 0
-        assert datasets.from_csv(out).rows == [[3, 0.5, 2.0 / 3.0]]
+        assert read_csv(out)["rows"] == [[3, 0.5, 2.0 / 3.0]]
         code, out, _ = run_cli(["field", "--config", str(path)])
         assert code == 0
-        rows = datasets.from_csv(out).rows
+        rows = read_csv(out)["rows"]
         assert len(rows) == 5 and rows[0][0] == -1e-7 and rows[-1][0] == 1e-7
 
     def test_nm_flag_equals_si_key(self, tmp_path):
@@ -746,19 +791,39 @@ class TestParamTable:
         by_flag = run_cli(["angle", "--omega-steps", "3", "--d1-nm", "30"])
         by_key = run_cli(["angle", "--omega-steps", "3", "--config", str(path)])
         assert by_flag[0] == by_key[0] == 0
-        assert datasets.from_csv(by_flag[1]).rows == datasets.from_csv(by_key[1]).rows
+        assert read_csv(by_flag[1])["rows"] == read_csv(by_key[1])["rows"]
 
-    @pytest.mark.parametrize("argv", [["g2"], ["dispersion", "--k-steps", "3"], ["field", "--z-steps", "3"]])
-    def test_keys_of_other_commands_do_not_act(self, tmp_path, argv):
+    @pytest.mark.parametrize(
+        "argv,payload",
+        [
+            *(
+                pytest.param(argv, {"omega_max": 6e15, "mu": 0.5, "omega_steps": 1}, id=f"argv{i}")
+                for i, argv in enumerate(_OTHER_KEYS_ARGV)
+            ),
+            *(
+                pytest.param(argv, {"material": {"plasma_frequency": wp}}, id=f"{argv[0]}-plasma-{wp:.0e}")
+                for argv in _OTHER_KEYS_ARGV
+                for wp in (7e15, 4e15)
+            ),
+        ],
+    )
+    def test_keys_of_other_commands_do_not_act(self, tmp_path, argv, payload):
         """Keys of other commands act on nothing, an omega grid that would be
         clipped or is out of range included: the run prints what it prints
-        with an empty config file."""
+        with an empty config file.  A material moves the surface-mode
+        limit, which clips no grid of a command that samples none."""
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"omega_max": 6e15, "mu": 0.5, "omega_steps": 1}))
+        path.write_text(json.dumps(payload))
         with_keys = run_cli(argv + ["--config", str(path)])
         path.write_text("{}")
-        assert with_keys == run_cli(argv + ["--config", str(path)])
-        assert with_keys[0] == 0 and with_keys[2] == ""
+        if "material" not in payload or argv[0] == "g2":
+            assert with_keys == run_cli(argv + ["--config", str(path)])
+        code, out, err = with_keys
+        assert "warning" not in out
+        if argv[0] == "field" and "material" in payload:  # 4e15 rad/s is above both limits
+            assert code == 2 and err.startswith("numerical failure: omega=4e+15 rad/s outside the bound-mode band")
+        else:
+            assert code == 0 and err == ""
 
 
 #: Runs of each command that together take every branch of its handler:

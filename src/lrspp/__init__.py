@@ -12,8 +12,8 @@ through an attenuated-total-reflection prism:
                        amplitudes, and closed-form norms and overlaps.
 * ``coupling``      -- photon-to-surface-mode conversion amplitude and the
                        constrained (gap, thickness, frequency) optimization.
-* ``propagation``   -- damped wavepacket flux, detector counts and photon
-                       statistics of propagating excitations.
+* ``propagation``   -- closed-form detected counts and photon statistics
+                       of damped propagating excitations.
 * ``statetransfer`` -- transfer and decoherence of coherent-superposition
                        (cat) states, eigenvalues and von Neumann entropy.
 * ``cli``           -- batch command-line front end emitting CSV/JSON datasets.

@@ -275,37 +275,35 @@ def _cmd_constraints(cfg: RunConfig) -> Blocks:
         yield from _fork_map(row, list(cells), cfg.threads)
 
 
-def _rows(cfg: RunConfig) -> list[tuple[str, coupling.BranchId, coupling.PathRecord]]:
-    """(branch name, branch, best-path record) per (branch, omega) row of
+def _rows(cfg: RunConfig) -> list[tuple[str, float, coupling.CouplingPoint | None]]:
+    """(branch name, omega, best point or None) per (branch, omega) row of
     every requested branch, in grid order: the whole gap search, in one
     fork map."""
     opt_cfg = _optimize_config(cfg)
     d1s = cfg.d1.points()
     rows = [(name, branch, w) for name, branch in cfg.branches() for w in cfg.omega.points()]
-    records = _fork_map(
+    points = _fork_map(
         lambda row: coupling._best_over_d1(row[1], row[2], d1s, opt_cfg, cfg.material), rows, cfg.threads
     )
-    return [(name, branch, rec) for (name, branch, _w), rec in zip(rows, records)]
+    return [(name, w, pt) for (name, _branch, w), pt in zip(rows, points)]
 
 
 def _propagating(cfg: RunConfig):
     """(branch name, omega, best point, kappa0) per frequency of the best
     paths; point and kappa0 are None where no point is feasible."""
-    for name, _branch, rec in _rows(cfg):
-        pt = rec.point
-        yield name, rec.omega, pt, None if pt is None else complex_wavenumber(pt.solution, cfg.material).kappa
+    for name, w, pt in _rows(cfg):
+        yield name, w, pt, None if pt is None else complex_wavenumber(pt.solution, cfg.material).kappa
 
 
 def _cmd_optimize(cfg: RunConfig) -> Blocks:
     """constrained best coupling per frequency"""
-    for name, _branch, rec in _rows(cfg):
-        if rec.point is None:
-            yield (name, rec.omega) + (None,) * 8
+    for name, w, pt in _rows(cfg):
+        if pt is None:
+            yield (name, w) + (None,) * 8
             continue
-        pt = rec.point
         c = pt.constraints
         yield (
-            name, rec.omega, pt.g_tilde, pt.d1, pt.d2, pt.theta, abs(pt.beta),
+            name, w, pt.g_tilde, pt.d1, pt.d2, pt.theta, abs(pt.beta),
             c.bandwidth_B, c.penetration_P, c.coupled_surfaces_C,
         )
 
@@ -327,7 +325,7 @@ def _cmd_propagate(cfg: RunConfig) -> Blocks:
             continue
         beta_sq = abs(pt.beta) ** 2
         for xs in x_lists:
-            yield name, w, xs, [propagation.detected_mean(cfg.mu, kappa0, x, beta_sq) for x in xs]
+            yield name, w, xs, [propagation.mean_count(cfg.mu, kappa0, x, beta_sq) for x in xs]
 
 
 def _cmd_g2(cfg: RunConfig) -> Blocks:

@@ -206,13 +206,15 @@ def build_parser(commands: dict[str, str | None], description: str = "") -> argp
     """One subparser per command with a flag for every PARAMS row naming it.
 
     Flag values stay text, and a flag that is not given leaves no attribute
-    on the parsed namespace; config_from_args reads and checks them.
-    Command-line errors raise ConfigError.
+    on the parsed namespace; config_from_args reads and checks them.  A
+    flag has one spelling, its full name: an abbreviation is an unknown
+    flag, so it cannot pass the echo's filter.  Command-line errors raise
+    ConfigError.
     """
-    parser = _Parser(prog="lrspp", description=description)
+    parser = _Parser(prog="lrspp", description=description, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text in commands.items():
-        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         for row in PARAMS:
             if command in row.commands:

@@ -10,8 +10,7 @@ four-layer stack times the normalized overlap of the strip mode with the
 transmitted field.  Both norms use the same domain, so the overlap is
 bounded by 1 and |beta| <= |tau|.  One closed form, built once per
 (branch, omega, d1) as a function of d2 (_beta_of_gap), computes every beta
-reported here: the gap search, optimize_d2's point, overlap_beta and
-coupling_point.
+reported here: the gap search, optimize_d2's point and overlap_beta.
 
 Three dimensionless feasibility parameters gate the optimization:
 
@@ -74,7 +73,6 @@ class CouplingPoint:
     g: float
     g_tilde: float
     constraints: ConstraintSet
-    feasible: bool
     solution: DispersionSolution  # the lossless bound point at (branch, omega, d1)
 
 
@@ -106,20 +104,14 @@ class OptimizeConfig:
 
 
 @dataclass(frozen=True)
-class PathRecord:
-    """Best feasible point at one frequency, or the infeasible marker."""
-
-    omega: float
-    point: CouplingPoint | None
-
-
-@dataclass(frozen=True)
 class OptimizationPath:
+    """Best feasible point at each frequency of the grid, None where there is none."""
+
     branch: BranchId
-    records: tuple[PathRecord, ...]
+    points: tuple[CouplingPoint | None, ...]
 
     def max_g_tilde(self) -> float:
-        vals = [r.point.g_tilde for r in self.records if r.point is not None]
+        vals = [p.g_tilde for p in self.points if p is not None]
         return max(vals) if vals else 0.0
 
 
@@ -138,7 +130,9 @@ def overlap_beta(
     exist, and NormalizationError when the computed |beta| exceeds 1 beyond
     roundoff (inconsistent norms).
     """
-    _require_gap(d2)
+    _require_positive("d2", d2)
+    if d2 == _INF:
+        raise ValueError(f"d2 must be finite, got {d2!r}")
     sol = solve_k(branch, omega, d1, model)
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
     return _beta_of_gap(sol, branch, theta, eps_prism, model)(d2)
@@ -147,12 +141,6 @@ def overlap_beta(
 def _require_positive(name: str, value: float) -> None:
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def _require_gap(d2: float) -> None:
-    _require_positive("d2", d2)
-    if d2 == _INF:
-        raise ValueError(f"d2 must be finite, got {d2!r}")
 
 
 def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_prism: float, model: DielectricModel):
@@ -250,43 +238,6 @@ def _constraints(sol: DispersionSolution, bandwidth: float, d2: float) -> Constr
     )
 
 
-def coupling_point(
-    branch: BranchId,
-    omega: float,
-    d1: float,
-    d2: float,
-    config: OptimizeConfig = OptimizeConfig(),
-    model: DielectricModel = SILVER,
-) -> CouplingPoint:
-    """Full conversion record at an explicit (omega, d1, d2); d2 must be
-    positive and finite."""
-    _require_gap(d2)
-    sol = solve_k(branch, omega, d1, model)
-    theta = coupling_angle(sol.omega, sol.k, config.eps_prism)
-    beta = _beta_of_gap(sol, branch, theta, config.eps_prism, model)(d2)
-    return _point_from_solution(sol, branch, d2, theta, beta, _bandwidth(sol, branch, config.delta_omega, model))
-
-
-def _point_from_solution(
-    sol: DispersionSolution, branch: BranchId, d2: float, theta: float, beta: complex, bandwidth: float
-) -> CouplingPoint:
-    cons = _constraints(sol, bandwidth, d2)
-    g = math.asin(min(1.0, abs(beta)))
-    return CouplingPoint(
-        branch=branch,
-        omega=sol.omega,
-        d1=sol.d1,
-        d2=d2,
-        theta=theta,
-        beta=beta,
-        g=g,
-        g_tilde=2.0 * g / math.pi,
-        constraints=cons,
-        feasible=cons.feasible,
-        solution=sol,
-    )
-
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -352,8 +303,14 @@ def optimize_d2(
         d2_best = grid[best_i]
         beta_best = beta(d2_best)
 
-    point = _point_from_solution(sol, branch, d2_best, theta, beta_best, bandwidth)
-    return point if point.feasible else None
+    cons = _constraints(sol, bandwidth, d2_best)
+    if not cons.feasible:
+        return None
+    g = math.asin(min(1.0, abs(beta_best)))
+    return CouplingPoint(
+        branch=branch, omega=sol.omega, d1=sol.d1, d2=d2_best, theta=theta,
+        beta=beta_best, g=g, g_tilde=2.0 * g / math.pi, constraints=cons, solution=sol,
+    )
 
 
 def _best_over_d1(
@@ -362,7 +319,7 @@ def _best_over_d1(
     d1_grid: tuple[float, ...],
     config: OptimizeConfig,
     model: DielectricModel,
-) -> PathRecord:
+) -> CouplingPoint | None:
     best: CouplingPoint | None = None
     for d1 in d1_grid:
         pt = optimize_d2(branch, omega, d1, config, model)
@@ -372,7 +329,7 @@ def _best_over_d1(
             best = pt
         elif abs(abs(pt.beta) - abs(best.beta)) <= 1e-9 and pt.d1 < best.d1:
             best = pt  # equal coupling: prefer the thinner strip
-    return PathRecord(omega=omega, point=best)
+    return best
 
 
 def optimize_path(
@@ -387,5 +344,5 @@ def optimize_path(
     Rows run serially in grid order; the command line runs the same row
     function, _best_over_d1, in worker processes under --threads."""
     d1s = tuple(float(d) for d in d1_grid)
-    records = tuple(_best_over_d1(branch, float(w), d1s, config, model) for w in omega_grid)
-    return OptimizationPath(branch=branch, records=records)
+    points = tuple(_best_over_d1(branch, float(w), d1s, config, model) for w in omega_grid)
+    return OptimizationPath(branch=branch, points=points)

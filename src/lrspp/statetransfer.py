@@ -242,18 +242,3 @@ def cat_columns(cat: CatState, g: float, decay: Decay) -> tuple[list[float], lis
         entropy.append(s if s > 0.0 else 0.0)
     return lambda_plus, lambda_minus, entropy
 
-
-def transfer_cat(cat: CatState, g: float) -> CatDensity:
-    """Surface-mode state right after conversion (x = 0)."""
-    return propagate_cat(cat, g, 0.0, 0.0)
-
-
-def represented_trace(cat: CatState, density: CatDensity) -> float:
-    """Trace of the represented operator; equals 1 for any (g, kappa0, x).
-
-    The four projector terms contribute 2 + 2 offdiag ⟨a_eff|-a_eff⟩ cos(phi)
-    times the squared normalization fixed at x = 0.  Both cancel towards the
-    degenerate odd cat: the result is 1 to about 1e-15 N^2, not better.
-    """
-    q = math.exp(-2.0 * density.a_eff * density.a_eff)
-    return cat.normalization() ** 2 * _norm_sq(density.offdiag * q, math.cos(cat.phi))

@@ -18,11 +18,12 @@ from lrspp.dispersion import BranchId, complex_wavenumber, solve_k, solve_omega
 from lrspp.errors import NoBoundMode, NoMatchingAngle
 from lrspp.materials import SILVER, eps_lossless, surface_plasma_frequency
 from lrspp.modes import four_layer_solve
-from lrspp.propagation import PropagationConfig, Wavepacket, g2_zero, mean_count, mean_count_windowed
-from lrspp.statetransfer import CatState, propagate_cat, represented_trace, transfer_cat
+from lrspp.propagation import g2_zero, mean_count
+from lrspp.statetransfer import CatState, propagate_cat
 
 from test_coupling import beta_quadrature_oracle
-from test_propagation import binomial_loss_moments
+from test_propagation import PropagationConfig, Wavepacket, binomial_loss_moments, mean_count_windowed
+from test_statetransfer import represented_trace
 
 BRANCHES = (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
 
@@ -160,12 +161,12 @@ def test_criterion_07_propagation():
     v_g = 2.8e8
     for x in (0.0, 5e-6, 20e-6):
         cfg = PropagationConfig(kappa0=3e4, v_group=v_g, x=x, mu=0.65)
-        closed = mean_count(wp, cfg, 0.9)
+        closed = mean_count(cfg.mu, cfg.kappa0, cfg.x, 0.9, wp.n)
         windowed = mean_count_windowed(wp, cfg, 0.9)
         assert abs(windowed - closed) / closed < 5e-3
     beta_sq = 0.8117
     cfg0 = PropagationConfig(kappa0=3e4, v_group=v_g, x=0.0, mu=0.65)
-    assert mean_count(wp, cfg0, beta_sq) == 0.65 * beta_sq * wp.n
+    assert mean_count(cfg0.mu, cfg0.kappa0, cfg0.x, beta_sq, wp.n) == 0.65 * beta_sq * wp.n
 
     kappa_plus, kappa_minus = (
         complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER), SILVER).kappa
@@ -210,7 +211,7 @@ def test_criterion_09_cat_state_channel():
         assert abs(represented_trace(cat, dens) - 1.0) < 1e-12
         assert abs(dens.lambda_plus + dens.lambda_minus - 1.0) < 1e-12
         assert 0.0 <= dens.entropy <= math.log(2.0) + 1e-12
-    assert transfer_cat(CatState(2.0), math.pi / 2).entropy == 0.0
+    assert propagate_cat(CatState(2.0), math.pi / 2, 0.0, 0.0).entropy == 0.0
     assert propagate_cat(CatState(2.0), 1.0, 1.0, 60.0).entropy == 0.0
     for alpha, g, kx in ((0.7, 0.8, 0.3), (2.0, 1.2, 0.15), (3.0, 1.0, 0.1)):
         closed = propagate_cat(CatState(alpha), g, 1.0, kx)

@@ -10,7 +10,6 @@ from lrspp.coupling import (
     ConstraintSet,
     OptimizeConfig,
     constraint_set,
-    coupling_point,
     optimize_d2,
     optimize_path,
     overlap_beta,
@@ -131,16 +130,13 @@ def test_gap_and_bandwidth_must_be_positive(bad):
     """The public entry points name a bad gap or bandwidth instead of
     dividing by zero, returning NaN or reporting a degenerate system."""
     args = (BranchId.ANTISYMMETRIC, 4e15, 40e-9)
-    for call in (overlap_beta, coupling_point, constraint_set):
+    for call in (overlap_beta, constraint_set):
         with pytest.raises(ValueError, match=f"^d2 must be positive, got {bad!r}$"):
             call(*args, bad)
     with pytest.raises(ValueError, match=f"^delta_omega must be positive, got {bad!r}$"):
         constraint_set(*args, 600e-9, delta_omega=bad)
-    with pytest.raises(ValueError, match="^delta_omega must be positive"):
-        coupling_point(*args, 600e-9, OptimizeConfig(delta_omega=bad))
-    for call in (overlap_beta, coupling_point):
-        with pytest.raises(ValueError, match="^d2 must be finite, got inf$"):
-            call(*args, INF)
+    with pytest.raises(ValueError, match="^d2 must be finite, got inf$"):
+        overlap_beta(*args, INF)
 
 
 @pytest.mark.parametrize(
@@ -160,7 +156,7 @@ def test_optimize_config_names_a_bad_field(field, bad):
 
 class TestCouplingPoint:
     def test_mixing_angle_identity(self):
-        pt = coupling_point(BranchId.ANTISYMMETRIC, 4e15, 60e-9, 500e-9)
+        pt = optimize_d2(BranchId.ANTISYMMETRIC, 4e15, 60e-9)
         alpha_sq = 1.0 - abs(pt.beta) ** 2
         assert abs(alpha_sq + abs(pt.beta) ** 2 - 1.0) < 1e-12
         assert pt.g == pytest.approx(math.asin(abs(pt.beta)))
@@ -171,8 +167,7 @@ class TestCouplingPoint:
 class TestOptimizeD2:
     def test_result_is_feasible_and_locally_optimal(self):
         pt = optimize_d2(BranchId.ANTISYMMETRIC, 4e15, 60e-9)
-        assert pt is not None and pt.feasible
-        assert pt.constraints.feasible
+        assert pt is not None and pt.constraints.feasible
         step = 1e-9
         for d2 in (pt.d2 - step, pt.d2 + step):
             assert abs(overlap_beta(BranchId.ANTISYMMETRIC, 4e15, 60e-9, d2)) <= abs(pt.beta) + 1e-12
@@ -206,14 +201,16 @@ class TestOptimizeD2:
     @pytest.mark.parametrize(
         "branch,w,d1", [(BranchId.ANTISYMMETRIC, 4e15, 60e-9), (BranchId.SYMMETRIC, 3.1e15, 40e-9)]
     )
-    def test_reported_point_is_coupling_point(self, branch, w, d1):
-        """The optimum is reported through the same beta formula as the
-        explicit-gap entry points, bit for bit."""
+    def test_reported_point_matches_the_explicit_gap_calls(self, branch, w, d1):
+        """The optimum's beta and (B, P, C) are those of overlap_beta and
+        constraint_set at its gap, bit for bit, and g is arcsin|beta|."""
         pt = optimize_d2(branch, w, d1)
         assert pt is not None
-        assert pt == coupling_point(branch, w, d1, pt.d2)
         beta = overlap_beta(branch, w, d1, pt.d2)
         assert (pt.beta.real.hex(), pt.beta.imag.hex()) == (beta.real.hex(), beta.imag.hex())
+        assert pt.constraints == constraint_set(branch, w, d1, pt.d2)
+        assert (pt.omega, pt.d1, pt.g) == (w, d1, math.asin(abs(beta)))
+        assert pt.g_tilde == 2.0 * pt.g / math.pi
 
     def test_scan_takes_the_steps_given(self, monkeypatch):
         """With d2_steps=2 the scan evaluates beta at the two ends of the gap
@@ -283,18 +280,18 @@ class TestOptimizePath:
 
     def test_records_feasible_and_bounded(self):
         path = optimize_path(BranchId.ANTISYMMETRIC, self._OMEGAS, self._D1S, self._CFG)
-        assert len(path.records) == len(self._OMEGAS)
-        for rec in path.records:
-            assert rec.point is not None
-            assert rec.point.constraints.feasible
-            assert 0.0 <= rec.point.g_tilde <= 1.0
+        assert len(path.points) == len(self._OMEGAS)
+        for w, pt in zip(self._OMEGAS, path.points):
+            assert pt is not None
+            assert pt.constraints.feasible
+            assert 0.0 <= pt.g_tilde <= 1.0
             # independent re-evaluation of the emitted point
-            cons = constraint_set(rec.point.branch, rec.omega, rec.point.d1, rec.point.d2)
+            cons = constraint_set(pt.branch, w, pt.d1, pt.d2)
             assert cons.feasible
 
     def test_max_g_tilde_helper(self):
         path = optimize_path(BranchId.ANTISYMMETRIC, self._OMEGAS, self._D1S, self._CFG)
-        assert path.max_g_tilde() == max(r.point.g_tilde for r in path.records)
+        assert path.max_g_tilde() == max(pt.g_tilde for pt in path.points)
 
     def test_best_path_shape(self):
         """Above the coupling peak the optimal strip thins toward higher
@@ -302,7 +299,7 @@ class TestOptimizePath:
         omegas = [3.0e15 + i * (5.2e15 - 3.0e15) / 7 for i in range(8)]
         d1s = [10e-9 + i * 90e-9 / 11 for i in range(12)]
         path = optimize_path(BranchId.ANTISYMMETRIC, omegas, d1s, OptimizeConfig(d2_steps=32))
-        pts = [r.point for r in path.records if r.point is not None]
+        pts = [pt for pt in path.points if pt is not None]
         assert len(pts) >= 6
         peak = max(range(len(pts)), key=lambda i: pts[i].g_tilde)
         upper_d1 = [p.d1 for p in pts[peak:]]

@@ -576,6 +576,13 @@ class TestCliDatasets:
         assert ds["columns"] == ["n", "eta", "g2"]
         assert ds["rows"] == [[1, 1.0, 0.0]]
 
+    def test_g2_at_a_subnormal_efficiency(self):
+        """eta^2 underflows to 0 at eta = 1e-320: g2 is still (n-1)/n, not
+        a ZeroDivisionError traceback."""
+        code, out, err = run_cli(["g2", "--etas", "1e-320"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "1,1e-320,0.0"
+
     def test_material_json_format(self, capsys):
         code = cli.run(["material", "--omega-min", "2e15", "--omega-max", "3e15",
                         "--omega-steps", "3", "--format", "json"])
@@ -763,6 +770,24 @@ class TestParamTable:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constraints", "--omega-steps", "2", "--d1-steps", "2", "--d2-steps", "4", "--thr", "2"],
+            ["g2", "--ou", "OUT"],
+            ["g2", "--form", "json"],
+        ],
+        ids=["threads", "out", "format"],
+    )
+    def test_abbreviated_flag_is_one_config_error_line(self, tmp_path, argv):
+        """A flag has one spelling: a prefix of --threads or --out would run
+        and reach the dataset's command echo, which strips only full names."""
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli([str(out) if a == "OUT" else a for a in argv])
+        assert (code, stdout) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("config error: unrecognized arguments: "), err
+        assert not out.exists()
+
     def test_threads_precedence(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"threads": 3}))
@@ -948,7 +973,7 @@ def _command_flags() -> dict[str, dict[str, str]]:
 _FLAGS_BY_COMMAND = _command_flags()
 # Flag values: valid ones, malformed, negative, exponent-form and empty.
 _VALUES = st.sampled_from([
-    "1", "3", "0.5", "20", "1.52", "4e15", "2e15", "1e-3", "1e200", "0", "-5", "-4e15", "-1.5E-3", "",
+    "1", "3", "0.5", "20", "1.52", "4e15", "2e15", "1e-3", "1e-320", "1e200", "0", "-5", "-4e15", "-1.5E-3", "",
     "abc", "nan", "inf", "1e999", "1,2", "plus", "minus", "json", "atr", "2e4", "2e5",
 ])
 # Each draw gives up to 5 flags a value of any kind from _VALUES (a *_steps

@@ -9,15 +9,25 @@ from lrspp.statetransfer import (
     CatState,
     _cat_factors,
     _density_at,
+    _norm_sq,
     cat_columns,
     decay_along,
     propagate_cat,
-    represented_trace,
-    transfer_cat,
     von_neumann_entropy,
 )
 
 LN2 = math.log(2.0)
+
+
+def represented_trace(cat, density):
+    """Trace of the represented operator; equals 1 for any (g, kappa0, x).
+
+    The four projector terms contribute 2 + 2 offdiag ⟨a_eff|-a_eff⟩ cos(phi)
+    times the squared normalization fixed at x = 0.  Both cancel towards the
+    degenerate odd cat: the result is 1 to about 1e-15 N^2, not better.
+    """
+    q = math.exp(-2.0 * density.a_eff * density.a_eff)
+    return cat.normalization() ** 2 * _norm_sq(density.offdiag * q, math.cos(cat.phi))
 
 
 def single_pass_propagate_cat(cat, g, kappa0, x):
@@ -61,20 +71,20 @@ def bits(values):
 
 class TestClosedFormEndpoints:
     def test_full_transfer_is_pure(self):
-        d = transfer_cat(CatState(2.0), math.pi / 2)
+        d = propagate_cat(CatState(2.0), math.pi / 2, 0.0, 0.0)
         assert d.offdiag == pytest.approx(1.0)
         assert (d.lambda_plus, d.lambda_minus) == (1.0, 0.0)
         assert d.entropy == 0.0
 
     def test_no_transfer_is_vacuum(self):
-        d = transfer_cat(CatState(2.0), 0.0)
+        d = propagate_cat(CatState(2.0), 0.0, 0.0, 0.0)
         assert d.a_eff == 0.0
         assert (d.lambda_plus, d.lambda_minus) == (1.0, 0.0)
         assert d.entropy == 0.0
 
     def test_zero_distance_matches_transfer(self):
         cat = CatState(1.7)
-        a = transfer_cat(cat, 0.9)
+        a = propagate_cat(cat, 0.9, 0.0, 0.0)
         b = propagate_cat(cat, 0.9, 5e4, 0.0)
         assert a == b
 
@@ -328,7 +338,7 @@ class TestDecoherenceTrends:
     def test_coherences_vanish_faster_than_amplitudes(self):
         for alpha in (2.0, 3.5, 5.0):
             cat = CatState(alpha)
-            d0 = transfer_cat(cat, 1.2)
+            d0 = propagate_cat(cat, 1.2, 0.0, 0.0)
             kappa0 = 1.0
             for x in (0.01, 0.05, 0.1):
                 d = propagate_cat(cat, 1.2, kappa0, x)
@@ -388,5 +398,5 @@ class TestNonzeroPhaseRoute:
         for alpha in (1e200, math.inf, math.nan):
             with pytest.raises(ValueError):
                 CatState(alpha)
-        d = transfer_cat(CatState(1e150), 1.0)  # 2 alpha^2 = 2e300 is still a float
+        d = propagate_cat(CatState(1e150), 1.0, 0.0, 0.0)  # 2 alpha^2 = 2e300 is still a float
         assert (d.lambda_plus, d.lambda_minus) == (0.5, 0.5)

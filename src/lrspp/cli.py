@@ -283,7 +283,7 @@ def _rows(cfg: RunConfig) -> list[tuple[str, float, coupling.CouplingPoint | Non
     d1s = cfg.d1.points()
     rows = [(name, branch, w) for name, branch in cfg.branches() for w in cfg.omega.points()]
     points = _fork_map(
-        lambda row: coupling._best_over_d1(row[1], row[2], d1s, opt_cfg, cfg.material), rows, cfg.threads
+        lambda row: coupling.best_over_d1(row[1], row[2], d1s, opt_cfg, cfg.material), rows, cfg.threads
     )
     return [(name, w, pt) for (name, _branch, w), pt in zip(rows, points)]
 

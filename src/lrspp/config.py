@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, make_dataclass, replace
 from typing import Any, Callable, NamedTuple
 
 from .coupling import DEFAULT_DELTA_OMEGA, DEFAULT_EPS_PRISM
-from .dispersion import BranchId
+from .dispersion import OMEGA_WINDOW_TOP, BranchId
 from .errors import ConfigError
 from .materials import DielectricModel, SILVER, surface_plasma_frequency
 
@@ -162,7 +162,8 @@ PARAMS: tuple[Param, ...] = (
     Param("etas", _numbers, (1.0,), ("g2",), help="comma-separated total efficiencies",
           check=(lambda v: all(0.0 < e <= 1.0 for e in v), "efficiencies must lie in (0, 1]")),
     Param("alphas", _numbers, (2.0, 5.0), ("cat-entropy",), help="comma-separated cat amplitudes",
-          check=(lambda v: all(a > 0.0 for a in v), "amplitudes must be positive")),
+          check=(lambda v: all(a > 0.0 and math.isfinite(2.0 * a * a) for a in v),
+                 "amplitudes must be positive, with 2 alpha^2 a finite float")),
 )
 _BY_NAME = {row.name: row for row in PARAMS}
 GRIDS = ("omega", "d1", "d2", "k", "x")
@@ -297,7 +298,7 @@ def validate_config(cfg: RunConfig, command: str | None = None) -> tuple[RunConf
             raise ConfigError(f"{name}: min must be below max, got [{grid.lo!r}, {grid.hi!r}]")
 
     try:
-        w_cap = surface_plasma_frequency(cfg.material) * (1.0 - 1e-6)
+        w_cap = surface_plasma_frequency(cfg.material) * OMEGA_WINDOW_TOP
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"material: {exc}") from None
     warnings: list[str] = []

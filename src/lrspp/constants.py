@@ -1,5 +1,3 @@
 """Physical constants (SI units)."""
 
 C_LIGHT = 299792458.0        # speed of light, m/s
-HBAR = 1.054571817e-34       # reduced Planck constant, J*s
-EPSILON_0 = 8.8541878128e-12  # vacuum permittivity, F/m

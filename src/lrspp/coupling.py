@@ -103,18 +103,6 @@ class OptimizeConfig:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class OptimizationPath:
-    """Best feasible point at each frequency of the grid, None where there is none."""
-
-    branch: BranchId
-    points: tuple[CouplingPoint | None, ...]
-
-    def max_g_tilde(self) -> float:
-        vals = [p.g_tilde for p in self.points if p is not None]
-        return max(vals) if vals else 0.0
-
-
 def overlap_beta(
     branch: BranchId,
     omega: float,
@@ -313,13 +301,17 @@ def optimize_d2(
     )
 
 
-def _best_over_d1(
+def best_over_d1(
     branch: BranchId,
     omega: float,
-    d1_grid: tuple[float, ...],
+    d1_grid: list[float],
     config: OptimizeConfig,
     model: DielectricModel,
 ) -> CouplingPoint | None:
+    """Best feasible point at one frequency over the strip-thickness grid,
+    each thickness optimized over the gap (None: no feasible point).  The
+    row function of optimize, propagate and cat-entropy: cli._rows maps it
+    over the (branch, omega) rows, in worker processes under --threads."""
     best: CouplingPoint | None = None
     for d1 in d1_grid:
         pt = optimize_d2(branch, omega, d1, config, model)
@@ -330,19 +322,3 @@ def _best_over_d1(
         elif abs(abs(pt.beta) - abs(best.beta)) <= 1e-9 and pt.d1 < best.d1:
             best = pt  # equal coupling: prefer the thinner strip
     return best
-
-
-def optimize_path(
-    branch: BranchId,
-    omega_grid,
-    d1_grid,
-    config: OptimizeConfig = OptimizeConfig(),
-    model: DielectricModel = SILVER,
-) -> OptimizationPath:
-    """Best feasible conversion point at each frequency, maximized over the
-    strip-thickness grid (each thickness itself optimized over the gap).
-    Rows run serially in grid order; the command line runs the same row
-    function, _best_over_d1, in worker processes under --threads."""
-    d1s = tuple(float(d) for d in d1_grid)
-    points = tuple(_best_over_d1(branch, float(w), d1s, config, model) for w in omega_grid)
-    return OptimizationPath(branch=branch, points=points)

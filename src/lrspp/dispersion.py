@@ -48,13 +48,18 @@ from dataclasses import dataclass
 
 from .constants import C_LIGHT
 from .errors import ConvergenceError, NoBoundMode, NoMatchingAngle, StencilError
-from .materials import DielectricModel, _eps_derivative, eps_lossless, eps_lossy, surface_plasma_frequency
+from .materials import (
+    _OMEGA_SQUARE_UNDERFLOW, DielectricModel, _eps_derivative, eps_lossless, eps_lossy, surface_plasma_frequency,
+)
 
 #: Top of the inverse-problem search window, k in (w/c, K_WINDOW_TOP * w/c].
 #: Roots beyond this window correspond to strongly electrostatic modes the
 #: prism-coupled setup cannot reach (the phase-matching angle does not
 #: exist), and are reported as NoBoundMode.
 K_WINDOW_TOP = 2.0
+#: Top of the forward-problem window as a fraction of w_sp: solve_omega
+#: searches below it, and the commands' frequency grids are clipped there.
+OMEGA_WINDOW_TOP = 1.0 - 1e-6
 
 #: Stopping rules of the bisection (bracket / its top) and of the complex
 #: Newton iteration.  A complex step's move is counted in units in the last
@@ -269,15 +274,19 @@ def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -
 
     Searches w in (0, min(c k, w_surface)); raises NoBoundMode when the
     branch has no bound solution below the surface-mode limit at this k
-    (the antisymmetric branch sits above it for intermediate k at small d1).
+    (the antisymmetric branch sits above it for intermediate k at small d1),
+    and when k is so small that omega^2 underflows in the window.
     """
     if not k > 0.0:
         raise ValueError(f"k must be positive, got {k!r}")
     if not d1 > 0.0:
         raise ValueError(f"d1 must be positive, got {d1!r}")
     w_sp = surface_plasma_frequency(model)
-    hi = min(C_LIGHT * k * (1.0 - 1e-9), w_sp * (1.0 - 1e-6))
-    return _solve(branch, k, None, d1, model, 1e-3 * hi, hi, lambda: (
+    hi = min(C_LIGHT * k * (1.0 - 1e-9), w_sp * OMEGA_WINDOW_TOP)
+    lo = 1e-3 * hi
+    if not 0.5 * lo > _OMEGA_SQUARE_UNDERFLOW:  # the Newton polish may reach lo / 2
+        raise NoBoundMode(f"{branch.value} branch at k={k:.6g} rad/m: omega^2 underflows in the search window")
+    return _solve(branch, k, None, d1, model, lo, hi, lambda: (
         f"{branch.value} branch has no bound mode below the surface-mode "
         f"limit at k={k:.6g} rad/m, d1={d1:.4g} m"
     ))

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; the slowest criterion is the full constrained sweep (several
-minutes with the default grids).
+lines; the slowest criterion is the full constrained sweep, criterion 5
+(`lrspp optimize --threads 2` at the default grids, a few seconds).
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 
 from lrspp import cli, datasets
 from lrspp.constants import C_LIGHT
-from lrspp.coupling import OptimizeConfig, constraint_set, optimize_path, overlap_beta
+from lrspp.coupling import constraint_set, overlap_beta
 from lrspp.dispersion import BranchId, complex_wavenumber, solve_k, solve_omega
 from lrspp.errors import NoBoundMode, NoMatchingAngle
 from lrspp.materials import SILVER, eps_lossless, surface_plasma_frequency
@@ -22,6 +22,7 @@ from lrspp.propagation import g2_zero, mean_count
 from lrspp.statetransfer import CatState, propagate_cat
 
 from test_coupling import beta_quadrature_oracle
+from test_datasets_cli import read_csv
 from test_propagation import PropagationConfig, Wavepacket, binomial_loss_moments, mean_count_windowed
 from test_statetransfer import represented_trace
 
@@ -104,24 +105,27 @@ def test_criterion_04_unitarity():
 
 
 @pytest.fixture(scope="module")
-def default_paths():
-    cfg = OptimizeConfig()
-    omegas = [2e15 + i * (5.4e15 - 2e15) / 119 for i in range(120)]
-    d1s = [10e-9 + i * (100e-9 - 10e-9) / 59 for i in range(60)]
+def default_maxima(tmp_path_factory):
+    """Each branch's largest g_tilde as `lrspp optimize --branch both`
+    prints it at the default grids: 120 omega from 2e15 to 5.4e15 rad/s,
+    60 d1 from 10 to 100 nm and 80 d2 steps."""
+    out = tmp_path_factory.mktemp("criterion5") / "optimize.csv"
     start = time.perf_counter()
-    paths = {
-        branch: optimize_path(branch, omegas, d1s, cfg)
-        for branch in BRANCHES
-    }
+    assert cli.run(["optimize", "--branch", "both", "--threads", "2", "--out", str(out)]) == 0
     elapsed = time.perf_counter() - start
-    return paths, elapsed
+    table = read_csv(out.read_text())
+    branch_col, g_col = table["columns"].index("branch"), table["columns"].index("g_tilde")
+    maxima = {
+        name: max(row[g_col] for row in table["rows"] if row[branch_col] == name and row[g_col] is not None)
+        for name in ("plus", "minus")
+    }
+    return maxima, elapsed
 
 
 @pytest.mark.slow
-def test_criterion_05_headline_coupling(default_paths):
-    paths, elapsed = default_paths
-    g_plus = paths[BranchId.ANTISYMMETRIC].max_g_tilde()
-    g_minus = paths[BranchId.SYMMETRIC].max_g_tilde()
+def test_criterion_05_headline_coupling(default_maxima):
+    maxima, elapsed = default_maxima
+    g_plus, g_minus = maxima["plus"], maxima["minus"]
     assert g_plus == pytest.approx(0.90, abs=0.05)
     assert g_minus == pytest.approx(0.80, abs=0.05)
     assert elapsed < 600.0

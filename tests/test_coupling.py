@@ -9,9 +9,9 @@ from lrspp import coupling
 from lrspp.coupling import (
     ConstraintSet,
     OptimizeConfig,
+    best_over_d1,
     constraint_set,
     optimize_d2,
-    optimize_path,
     overlap_beta,
 )
 from lrspp.dispersion import BranchId, coupling_angle, solve_k
@@ -279,9 +279,9 @@ class TestOptimizePath:
     _D1S = [20e-9, 40e-9, 60e-9]
 
     def test_records_feasible_and_bounded(self):
-        path = optimize_path(BranchId.ANTISYMMETRIC, self._OMEGAS, self._D1S, self._CFG)
-        assert len(path.points) == len(self._OMEGAS)
-        for w, pt in zip(self._OMEGAS, path.points):
+        points = [best_over_d1(BranchId.ANTISYMMETRIC, w, self._D1S, self._CFG, SILVER) for w in self._OMEGAS]
+        assert len(points) == len(self._OMEGAS)
+        for w, pt in zip(self._OMEGAS, points):
             assert pt is not None
             assert pt.constraints.feasible
             assert 0.0 <= pt.g_tilde <= 1.0
@@ -289,17 +289,14 @@ class TestOptimizePath:
             cons = constraint_set(pt.branch, w, pt.d1, pt.d2)
             assert cons.feasible
 
-    def test_max_g_tilde_helper(self):
-        path = optimize_path(BranchId.ANTISYMMETRIC, self._OMEGAS, self._D1S, self._CFG)
-        assert path.max_g_tilde() == max(pt.g_tilde for pt in path.points)
-
     def test_best_path_shape(self):
         """Above the coupling peak the optimal strip thins toward higher
         frequency, and the optimal gap shrinks across the band."""
         omegas = [3.0e15 + i * (5.2e15 - 3.0e15) / 7 for i in range(8)]
         d1s = [10e-9 + i * 90e-9 / 11 for i in range(12)]
-        path = optimize_path(BranchId.ANTISYMMETRIC, omegas, d1s, OptimizeConfig(d2_steps=32))
-        pts = [pt for pt in path.points if pt is not None]
+        cfg = OptimizeConfig(d2_steps=32)
+        points = [best_over_d1(BranchId.ANTISYMMETRIC, w, d1s, cfg, SILVER) for w in omegas]
+        pts = [pt for pt in points if pt is not None]
         assert len(pts) >= 6
         peak = max(range(len(pts)), key=lambda i: pts[i].g_tilde)
         upper_d1 = [p.d1 for p in pts[peak:]]

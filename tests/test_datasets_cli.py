@@ -304,12 +304,6 @@ class TestCliExitCodes:
         cells = [c for row in rows for c in row[1:] if c != "NA"]
         assert rows and cells and all(math.isfinite(float(c)) for c in cells)
 
-    def test_huge_cat_amplitude_is_numerical_failure(self):
-        argv = ["cat-entropy", "--alphas", "1e200", "--omega-steps", "2", "--d1-steps", "2", "--d2-steps", "4"]
-        code, _, err = run_cli(argv + ["--x-steps", "2"])
-        assert code == 2
-        assert len(err.splitlines()) == 1 and "2 alpha^2 is not a finite float" in err, err
-
     def test_malformed_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -372,6 +366,34 @@ class TestCliExitCodes:
         code, out, err = run_cli(argv.split())
         assert (code, out) == (1, "")
         assert err.startswith("config error: omega") and "underflow" in err and len(err.splitlines()) == 1, err
+
+    def test_huge_cat_amplitude_is_config_error(self, tmp_path):
+        """2 alpha^2 is the exponent of the cat overlap: an amplitude whose
+        2 alpha^2 overflows is bad input, not a numerical failure."""
+        small = ["cat-entropy", "--omega-steps", "2", "--d1-steps", "2", "--d2-steps", "4", "--x-steps", "2"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alphas": [1e200]}))
+        for argv in (small + ["--alphas", "1e200"], small + ["--config", str(path)]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1 and err.startswith("config error: alphas: "), err
+        code, _, err = run_cli(small + ["--alphas", "9.48e153"])
+        assert (code, err) == (0, "")
+
+    def test_dispersion_at_a_k_whose_omega_window_underflows(self):
+        """At k = 1e-170 rad/m the square of solve_omega's window bottom
+        underflows: those rows are NA, and the k_max rows print as ever."""
+        tables = {}
+        for k_min in ("1e-170", "1e-166"):
+            code, out, err = run_cli(["dispersion", "--k-steps", "2", "--k-min", k_min])
+            assert (code, err) == (0, "")
+            tables[k_min] = read_csv(out)
+        columns, rows = tables["1e-170"]["columns"], tables["1e-170"]["rows"]
+        k_col = columns.index("k")
+        tiny = [row for row in rows if row[k_col] == 1e-170]
+        assert len(tiny) == 2 and all(cell is None for row in tiny for cell in row[k_col + 1:])
+        top = [row for row in rows if row[k_col] == 1.8e7]
+        assert len(top) == 2 and top == [row for row in tables["1e-166"]["rows"] if row[k_col] == 1.8e7]
 
     def test_nul_byte_in_out_path_is_config_error(self):
         code, _, err = run_cli(["g2", "--out", "a\0b"])
@@ -1180,14 +1202,14 @@ class TestWorkers:
     @staticmethod
     def in_child_only(monkeypatch, action):
         """Make the row function of the gap search call action() in a worker."""
-        parent, real = os.getpid(), coupling._best_over_d1
+        parent, real = os.getpid(), coupling.best_over_d1
 
         def row(*args):
             if os.getpid() != parent:
                 action()
             return real(*args)
 
-        monkeypatch.setattr(coupling, "_best_over_d1", row)
+        monkeypatch.setattr(coupling, "best_over_d1", row)
 
     @pytest.mark.parametrize(
         "error, code, prefix",
@@ -1216,7 +1238,7 @@ class TestWorkers:
     @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
     def test_parent_failure_kills_every_worker(self, monkeypatch, cpus, error):
         """The parent's own share raises while its workers would run for a minute."""
-        parent, real = os.getpid(), coupling._best_over_d1
+        parent, real = os.getpid(), coupling.best_over_d1
 
         def row(*args):
             if os.getpid() != parent:
@@ -1225,7 +1247,7 @@ class TestWorkers:
             raise error
 
         cpus(4)
-        monkeypatch.setattr(coupling, "_best_over_d1", row)
+        monkeypatch.setattr(coupling, "best_over_d1", row)
         start = time.monotonic()
         if error is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):

@@ -95,7 +95,7 @@ def test_round_trip_property(w, d1, branch):
 def test_solvers_over_whole_ranges(branch, d1, frac):
     """Any strip from 1 nm to 50 um, any frequency in the bound band: solve_k
     raises nothing but NoBoundMode and solve_omega inverts it.  solve_omega
-    searches only below (1 - 1e-6) w_sp, so the round trip is checked there.
+    searches only below OMEGA_WINDOW_TOP w_sp, so the round trip is checked there.
     The relative residual is checked up to nu_m d1 = 10: beyond about 13 it
     cannot be resolved in double precision.  It is also checked only from
     2e15 rad/s: at lower frequencies it reaches 1e-6."""
@@ -104,7 +104,7 @@ def test_solvers_over_whole_ranges(branch, d1, frac):
         sol = solve_k(branch, omega, d1, SILVER)
     except NoBoundMode:
         return
-    if omega < (1.0 - 1e-6) * W_SP:
+    if omega < dispersion.OMEGA_WINDOW_TOP * W_SP:
         back = solve_omega(branch, sol.k, d1, SILVER)
         assert back.omega == pytest.approx(omega, rel=1e-9)
     if sol.nu_m * d1 <= 10.0 and omega >= 2e15:
@@ -183,6 +183,20 @@ def test_solve_omega_at_k_whose_root_cubed_underflows():
     k = 3.0 * 3.5495693508369385e-152 * W_SP / C_LIGHT
     with pytest.raises(NoBoundMode, match="omega=1.04566e-138 rad/s: eps_m overflows$"):
         solve_omega(BranchId.SYMMETRIC, k, math.exp(-7.0), SILVER)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    branch=st.sampled_from(BRANCHES),
+    k=st.floats(min_value=math.log(5e-324), max_value=math.log(1e-150)).map(math.exp),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(100e-6)).map(math.exp),
+)
+def test_solve_omega_at_tiny_k_is_no_bound_mode(branch, k, d1):
+    """Below k ~ 1e-167 rad/m omega^2 underflows to 0 in solve_omega's
+    window, where eps_m cannot be evaluated; from there up to 1e-150 no
+    bound mode is found either.  NoBoundMode throughout, never ValueError."""
+    with pytest.raises(NoBoundMode):
+        solve_omega(branch, k, d1, SILVER)
 
 
 def test_solver_input_validation():
@@ -286,7 +300,8 @@ def test_kernel_end_point_is_the_former_bisection(solver, branch, d1, frac):
     passes it.  solve_k draws omega over the whole band (0, w_sp), where
     omega^2 can underflow: both sides then raise the same ValueError.
     solve_omega draws k in (0, 3 w_sp/c), so its window's top spans the
-    band."""
+    band; below k ~ 1e-167 rad/m, where omega^2 underflows in its window,
+    it raises NoBoundMode before the kernel."""
     kernel, windows = dispersion._window_root, []
 
     def recording(*args):
@@ -294,15 +309,19 @@ def test_kernel_end_point_is_the_former_bisection(solver, branch, d1, frac):
         return kernel(*args)
 
     dispersion._window_root = recording
+    k = 3.0 * frac * W_SP / C_LIGHT
     try:
         if solver == "k":
             solve_k(branch, frac * W_SP, d1, SILVER)
         else:
-            solve_omega(branch, 3.0 * frac * W_SP / C_LIGHT, d1, SILVER)
+            solve_omega(branch, k, d1, SILVER)
     except (NoBoundMode, ValueError):
         pass
     finally:
         dispersion._window_root = kernel
+    if not windows:
+        assert solver == "omega" and k < 1.1e-167
+        return
     assert len(windows) == 1
     sign, k, omega, d1, model, lo, hi = windows[0]
     assert outcome(lambda: kernel(sign, k, omega, d1, model, lo, hi)) == outcome(

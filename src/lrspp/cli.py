@@ -236,7 +236,7 @@ def _cmd_field(cfg: RunConfig) -> Blocks:
     z_hi = cfg.z_max if cfg.z_max is not None else d1 + 3.0 / sol.nu_0
     if not z_lo < z_hi:
         raise ConfigError("z: min must be below max")
-    for z in GridSpec(z_lo, z_hi, cfg.z_steps).points():
+    for z in GridSpec(z_lo, z_hi, cfg.z_steps).checked("z").points():
         if z < profile.z_lo:
             yield z, None, None, None, None
             continue

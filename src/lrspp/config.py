@@ -46,6 +46,13 @@ class GridSpec:
             return [self.lo]
         return [self.lo + (self.hi - self.lo) * i / (self.steps - 1) for i in range(self.steps)]
 
+    def checked(self, name: str) -> GridSpec:
+        """This grid; ConfigError naming it when (hi - lo)(steps - 1)
+        overflows, so that points() would hold inf or nan."""
+        if not math.isfinite((self.hi - self.lo) * (self.steps - 1)):
+            raise ConfigError(f"{name}: the grid from {self.lo!r} to {self.hi!r} in {self.steps} steps overflows")
+        return self
+
 
 # Value kinds: each takes a decoded JSON value and returns it typed, or
 # raises ValueError (OverflowError for an integer beyond the float range).
@@ -286,7 +293,8 @@ def validate_config(cfg: RunConfig, command: str | None = None) -> tuple[RunConf
     Returns the validated config plus warning records (currently only the
     frequency-grid clip against the surface-mode limit, made only when
     ``command`` samples the omega grid; any command when it is None).
-    Raises ConfigError naming the offending key otherwise.
+    Raises ConfigError naming the offending key otherwise, or the grid whose
+    points overflow after the clip.
     """
     for row in PARAMS:
         value = getattr(cfg, row.attr or row.name)
@@ -309,4 +317,6 @@ def validate_config(cfg: RunConfig, command: str | None = None) -> tuple[RunConf
             f"omega grid clipped to the surface-mode limit {w_cap!r} rad/s"
         )
         cfg = replace(cfg, omega_max=w_cap)
+    for name in ("omega", "d1", "k", "x"):  # as sampled: after the clip; d2 is log-spaced
+        getattr(cfg, name).checked(name)
     return cfg, warnings

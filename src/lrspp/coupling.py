@@ -240,7 +240,8 @@ def optimize_d2(
 
     Coarse scan on a log-spaced gap grid followed by golden-section
     refinement.  Returns None when no gap satisfies the constraints (the
-    subtracted regions of the coupling maps).
+    subtracted regions of the coupling maps).  Raises ValueError naming d2
+    when the top of the gap grid overflows.
     """
     try:
         sol = solve_k(branch, omega, d1, model)
@@ -266,6 +267,8 @@ def optimize_d2(
     ratio = d2_hi / d2_lo
     best_i, best_v = 0, -1.0
     grid = [d2_lo * ratio ** (i / (n - 1)) for i in range(n)]
+    if grid[-1] == _INF:  # the ratio, or its product with d2_lo, overflows
+        raise ValueError(f"d2: the gap grid from {d2_lo!r} to {d2_hi!r} overflows")
     for i, d2 in enumerate(grid):
         v = value(d2)
         if v > best_v:
@@ -285,7 +288,7 @@ def optimize_d2(
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = value(d)
-    d2_best = 0.5 * (a + b)
+    d2_best = 0.5 * a + 0.5 * b  # the bits of 0.5 (a + b), which can overflow
     beta_best = beta(d2_best)
     if abs(beta_best) < best_v:
         d2_best = grid[best_i]

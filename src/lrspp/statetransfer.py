@@ -15,9 +15,10 @@ its two eigenvalues follow in closed form from a 2 x 2 matrix in the
 even/odd cat basis, and the von Neumann entropy from them.  The truncated
 number-basis route (``fock``) is kept only as an independent oracle.
 
-Along an x grid, ``decay_along`` computes the factors that depend on x
-only, once for every cat, and ``cat_columns`` the eigenvalues and entropy
-of one cat a column at a time, bit for bit those of ``propagate_cat``.
+One kernel, ``_state``, computes the state, its eigenvalues and entropy
+at one point from the factors that depend on x only.  ``propagate_cat``
+calls it at one x; along an x grid, ``decay_along`` computes those factors
+once for every cat, and ``cat_columns`` calls it at each x of one cat.
 """
 
 from __future__ import annotations
@@ -78,45 +79,27 @@ class CatDensity(NamedTuple):
     entropy: float
 
 
-def von_neumann_entropy(lambda_plus: float, lambda_minus: float) -> float:
-    """Binary von Neumann entropy in nats, with 0 ln 0 = 0.
-
-    Raises ValueError unless both eigenvalues lie in [0, 1] and sum to 1
-    within 1e-9.
-    """
-    s = 0.0
-    for lam in (lambda_plus, lambda_minus):
-        if not -1e-12 <= lam <= 1.0 + 1e-12:
-            raise ValueError(f"eigenvalue {lam!r} outside [0, 1]")
-        if lam > 0.0:
-            s -= lam * math.log(lam)
-    if abs(lambda_plus + lambda_minus - 1.0) > 1e-9:
-        raise ValueError(f"eigenvalues sum to {lambda_plus + lambda_minus!r}, not 1")
-    return s if s > 0.0 else 0.0
-
-
-def _cat_factors(cat: CatState, g: float, kappa0: float) -> tuple:
-    """The factors of the state along x that do not depend on x, for
-    ``_density_at`` and ``cat_columns``: alpha sin g, -kappa0, -2 kappa0,
-    2 alpha^2 sin^2 g, unobserved, c0 = exp(-unobserved), cos phi, sin phi
-    and, used only when cos phi < 0, 2 cos^2(phi/2)."""
+def _cat_factors(cat: CatState, g: float) -> tuple:
+    """The factors of the state along x that depend on neither x nor kappa0:
+    alpha sin g, 2 alpha^2 sin^2 g, unobserved, c0 = exp(-unobserved),
+    cos phi, sin phi and, used only when cos phi < 0, 2 cos^2(phi/2)."""
     if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
         raise ValueError("g must lie in [0, pi/2]")
-    if not kappa0 >= 0.0:  # NaN too
-        raise ValueError("kappa0 and x must be non-negative")
     alpha, phi = cat.alpha, cat.phi
     s, c = math.sin(g), math.cos(g)
     unobserved = 2.0 * alpha * alpha * c * c
     cos_phi = math.cos(phi)
     cos_half_sq = 2.0 * math.cos(0.5 * phi) ** 2 if cos_phi < 0.0 else 0.0
     return (
-        alpha * s, -kappa0, -2.0 * kappa0, 2.0 * alpha * alpha * s * s,
-        unobserved, math.exp(-unobserved), cos_phi, math.sin(phi), cos_half_sq,
+        alpha * s, 2.0 * alpha * alpha * s * s, unobserved, math.exp(-unobserved),
+        cos_phi, math.sin(phi), cos_half_sq,
     )
 
 
-def _density_at(factors: tuple, x: float) -> CatDensity:
-    """The state at x, from the factors of ``_cat_factors``.
+def _state(factors: tuple, amplitude: float, dephasing: float) -> tuple[float, float, float, float, float]:
+    """(a_eff, offdiag, lambda_plus, lambda_minus, entropy) of the state with
+    the factors of ``_cat_factors`` where exp(-kappa0 x) = amplitude and
+    1 - exp(-2 kappa0 x) = dephasing: the one closed form of the module.
 
     a_eff = alpha sin(g) exp(-kappa0 x) and offdiag = c0 c(x) = exp(-dephasing),
     where dephasing = unobserved + decayed, unobserved = 2 alpha^2 cos^2 g and
@@ -137,36 +120,54 @@ def _density_at(factors: tuple, x: float) -> CatDensity:
     the degenerate odd cat, which tends to a photon split by the conversion,
     not to the vacuum.  There 1 + D cos phi = 2 cos^2(phi/2) - cos phi (1 - D)
     and 1 - q are taken through expm1, and T as the sum of the diagonal.
+
+    The entropy is in nats, with 0 ln 0 = 0.  Raises ValueError unless both
+    eigenvalues lie in [0, 1] and sum to 1 within 1e-9.
     """
-    if not x >= 0.0:  # NaN too
-        raise ValueError("kappa0 and x must be non-negative")
-    alpha_s, minus_kappa0, minus_2kappa0, decay_scale, unobserved, c0, cos_phi, sin_phi, cos_half_sq = factors
-    a_eff = alpha_s * math.exp(minus_kappa0 * x)
-    decayed = decay_scale * -math.expm1(minus_2kappa0 * x)
+    alpha_s, decay_scale, unobserved, c0, cos_phi, sin_phi, cos_half_sq = factors
+    a_eff = alpha_s * amplitude
+    decayed = decay_scale * dephasing
     offdiag = c0 * math.exp(-decayed)
     two_a_sq = 2.0 * a_eff * a_eff
     q = math.exp(-two_a_sq)
     if cos_phi >= 0.0:
         if a_eff < _DEGENERATE_AMPLITUDE:
-            return CatDensity(a_eff, offdiag, 1.0, 0.0, 0.0)
+            return a_eff, offdiag, 1.0, 0.0, 0.0
         even = (1.0 + offdiag * cos_phi) * (1.0 + q)
         odd = (1.0 - offdiag * cos_phi) * (1.0 - q)
-        trace = _norm_sq(offdiag * q, cos_phi)
+        trace = 2.0 + 2.0 * (offdiag * q) * cos_phi  # _norm_sq(offdiag * q, cos_phi), without the call
     else:
         even = (cos_half_sq + cos_phi * math.expm1(-(unobserved + decayed))) * (1.0 + q)
         odd = -(1.0 - offdiag * cos_phi) * math.expm1(-two_a_sq)
         trace = even + odd
     even, odd = even / trace, odd / trace
-    cross = offdiag * sin_phi * math.sqrt(-math.expm1(-2.0 * two_a_sq)) / trace
-    half_gap = 0.5 * abs(even - odd)
-    shift = 0.0 if cross == 0.0 else cross * cross / (math.hypot(half_gap, cross) + half_gap)
+    shift = 0.0
+    if sin_phi:  # else the cross term is 0 and so is the shift
+        cross = offdiag * sin_phi * math.sqrt(-math.expm1(-2.0 * two_a_sq)) / trace
+        if cross != 0.0:
+            half_gap = 0.5 * abs(even - odd)
+            shift = cross * cross / (math.hypot(half_gap, cross) + half_gap)
     lam_p, lam_m = max(even, odd) + shift, min(even, odd) - shift
-    return CatDensity(a_eff, offdiag, lam_p, lam_m, von_neumann_entropy(lam_p, lam_m))
+    s = 0.0
+    if not -1e-12 <= lam_p <= 1.0 + 1e-12:
+        raise ValueError(f"eigenvalue {lam_p!r} outside [0, 1]")
+    if lam_p > 0.0:
+        s -= lam_p * math.log(lam_p)
+    if not -1e-12 <= lam_m <= 1.0 + 1e-12:
+        raise ValueError(f"eigenvalue {lam_m!r} outside [0, 1]")
+    if lam_m > 0.0:
+        s -= lam_m * math.log(lam_m)
+    if abs(lam_p + lam_m - 1.0) > 1e-9:
+        raise ValueError(f"eigenvalues sum to {lam_p + lam_m!r}, not 1")
+    return a_eff, offdiag, lam_p, lam_m, s if s > 0.0 else 0.0
 
 
 def propagate_cat(cat: CatState, g: float, kappa0: float, x: float) -> CatDensity:
     """Surface-mode state after conversion with angle g and propagation to x."""
-    return _density_at(_cat_factors(cat, g, kappa0), x)
+    factors = _cat_factors(cat, g)
+    if not kappa0 >= 0.0 or not x >= 0.0:  # NaN too
+        raise ValueError("kappa0 and x must be non-negative")
+    return CatDensity(*_state(factors, math.exp(-kappa0 * x), -math.expm1(-2.0 * kappa0 * x)))
 
 
 class Decay(NamedTuple):
@@ -174,71 +175,27 @@ class Decay(NamedTuple):
     every cat on that grid shares them: exp(-kappa0 x) scales the amplitude
     and 1 - exp(-2 kappa0 x) the dephasing."""
 
-    kappa0: float
     amplitude: list[float]
     dephasing: list[float]
 
 
 def decay_along(kappa0: float, xs: list[float]) -> Decay:
-    """The Decay of each x of xs, with the float operations of ``_density_at``."""
+    """The Decay of each x of xs, with the float operations of ``propagate_cat``."""
     if not kappa0 >= 0.0 or not all(x >= 0.0 for x in xs):  # NaN too
         raise ValueError("kappa0 and x must be non-negative")
     minus_kappa0, minus_2kappa0 = -kappa0, -2.0 * kappa0
     exp, expm1 = math.exp, math.expm1
-    return Decay(kappa0, [exp(minus_kappa0 * x) for x in xs], [-expm1(minus_2kappa0 * x) for x in xs])
+    return Decay([exp(minus_kappa0 * x) for x in xs], [-expm1(minus_2kappa0 * x) for x in xs])
 
 
 def cat_columns(cat: CatState, g: float, decay: Decay) -> tuple[list[float], list[float], list[float]]:
-    """lambda_plus, lambda_minus and the entropy of propagate_cat at each x
-    of a Decay, bit for bit: the loop of ``_density_at`` and
-    ``von_neumann_entropy`` over x, with their float operations, branches
-    and checks."""
-    alpha_s, _, _, decay_scale, unobserved, c0, cos_phi, sin_phi, cos_half_sq = _cat_factors(cat, g, decay.kappa0)
-    exp, expm1, sqrt, hypot, log = math.exp, math.expm1, math.sqrt, math.hypot, math.log
-    lam_hi = 1.0 + 1e-12
-    lambda_plus: list[float] = []
-    lambda_minus: list[float] = []
-    entropy: list[float] = []
+    """lambda_plus, lambda_minus and the entropy of ``propagate_cat`` at each
+    x of a Decay, bit for bit: ``_state`` at each x."""
+    factors = _cat_factors(cat, g)
+    lambda_plus, lambda_minus, entropy = [], [], []
     for amplitude, dephasing in zip(decay.amplitude, decay.dephasing):
-        a_eff = alpha_s * amplitude
-        decayed = decay_scale * dephasing
-        offdiag = c0 * exp(-decayed)
-        two_a_sq = 2.0 * a_eff * a_eff
-        q = exp(-two_a_sq)
-        if cos_phi >= 0.0:
-            if a_eff < _DEGENERATE_AMPLITUDE:
-                lambda_plus.append(1.0)
-                lambda_minus.append(0.0)
-                entropy.append(0.0)
-                continue
-            even = (1.0 + offdiag * cos_phi) * (1.0 + q)
-            odd = (1.0 - offdiag * cos_phi) * (1.0 - q)
-            trace = 2.0 + 2.0 * (offdiag * q) * cos_phi
-        else:
-            even = (cos_half_sq + cos_phi * expm1(-(unobserved + decayed))) * (1.0 + q)
-            odd = -(1.0 - offdiag * cos_phi) * expm1(-two_a_sq)
-            trace = even + odd
-        even, odd = even / trace, odd / trace
-        shift = 0.0
-        if sin_phi:  # else the cross term is 0 and so is the shift
-            cross = offdiag * sin_phi * sqrt(-expm1(-2.0 * two_a_sq)) / trace
-            if cross != 0.0:
-                half_gap = 0.5 * abs(even - odd)
-                shift = cross * cross / (hypot(half_gap, cross) + half_gap)
-        lam_p, lam_m = max(even, odd) + shift, min(even, odd) - shift
-        s = 0.0
-        if not -1e-12 <= lam_p <= lam_hi:
-            raise ValueError(f"eigenvalue {lam_p!r} outside [0, 1]")
-        if lam_p > 0.0:
-            s -= lam_p * log(lam_p)
-        if not -1e-12 <= lam_m <= lam_hi:
-            raise ValueError(f"eigenvalue {lam_m!r} outside [0, 1]")
-        if lam_m > 0.0:
-            s -= lam_m * log(lam_m)
-        if abs(lam_p + lam_m - 1.0) > 1e-9:
-            raise ValueError(f"eigenvalues sum to {lam_p + lam_m!r}, not 1")
+        _, _, lam_p, lam_m, s = _state(factors, amplitude, dephasing)
         lambda_plus.append(lam_p)
         lambda_minus.append(lam_m)
-        entropy.append(s if s > 0.0 else 0.0)
+        entropy.append(s)
     return lambda_plus, lambda_minus, entropy
-

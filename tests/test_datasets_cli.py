@@ -1049,6 +1049,119 @@ class TestArgvFuzz:
             assert len(lines) == 1 and lines[0].startswith(prefix), err
 
 
+def run_with_config(argv: list[str], payload: dict) -> tuple[int, str, str]:
+    """run_cli with --config naming a file that holds payload."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        return run_cli(argv + ["--config", path])
+
+
+#: The CSV columns that hold grid points.
+_GRID_COLUMNS = {"omega", "k", "d1", "d2", "x", "z"}
+
+
+def assert_one_line_and_finite_grids(code: int, out: str, err: str) -> None:
+    """Exit 0, 1 or 2 with at most one stderr line, exactly one unless the
+    run succeeded, and no grid column holding inf or nan."""
+    assert code in (0, 1, 2), err
+    lines = err.splitlines()
+    assert len(lines) <= 1 and (code == 0 or len(lines) == 1), err
+    if code:
+        assert lines[0].startswith({1: "config error: ", 2: "numerical failure: "}[code]), err
+        return
+    assert not lines or lines[0].startswith("warning: "), err
+    ds = read_csv(out)
+    for row in ds["rows"]:
+        for name, cell in zip(ds["columns"], row):
+            assert name not in _GRID_COLUMNS or cell is None or math.isfinite(cell), (name, row)
+
+
+class TestGridBounds:
+    """A grid whose points overflow is one config error naming it, checked
+    as sampled: after the omega clip, and over the z span field resolves.
+    The log-spaced gap grid of a search never reaches d2 = inf."""
+
+    @pytest.mark.parametrize(
+        "argv, payload, key",
+        [
+            (["dispersion", "--k-min", "1e307", "--k-max", "1e308", "--k-steps", "3", "--branch", "plus"], None, "k"),
+            (["propagate", "--x-max", "1e308", "--x-steps", "3", "--format", "json"], None, "x"),
+            (["constraints"], {"d1_max": 1e308, "omega_steps": 2, "d2_steps": 2}, "d1"),
+            (["field"], {"z_min": -1.7e308, "z_max": 1.7e308}, "z"),
+            (["field", "--z-steps", "3"], {"z_min": -1e308}, "z"),
+        ],
+        ids=["dispersion-k", "propagate-x", "constraints-d1", "field-z", "field-z-default-max"],
+    )
+    def test_overflowing_grid_is_one_config_error(self, argv, payload, key):
+        code, out, err = run_cli(argv) if payload is None else run_with_config(argv, payload)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"config error: {key}: the grid from ") and err.endswith(" steps overflows\n"), err
+        assert len(err.splitlines()) == 1, err
+
+    def test_clipped_grid_is_checked_as_clipped(self):
+        code, out, err = run_cli(["material", "--omega-max", "1e308", "--omega-steps", "3"])
+        assert code == 0 and err.startswith("warning: omega grid clipped"), err
+        assert_one_line_and_finite_grids(code, out, err)
+
+    @pytest.mark.parametrize(
+        "payload, code",
+        [
+            ({"d2_min": 1e-9, "d2_max": 1e308, "d2_steps": 3}, 2),
+            ({"d2_min": 1e-9, "d2_max": 1e308, "d2_steps": 2}, 2),
+            # The golden-section midpoint of two gaps above 9e307 overflowed.
+            ({"d2_min": 1.0, "d2_max": 1.7976931348623157e308, "d2_steps": 2}, 0),
+        ],
+        ids=["ratio-3-steps", "ratio-2-steps", "midpoint"],
+    )
+    def test_gap_grid_top_never_reaches_inf(self, payload, code):
+        """d2_max / d2_lo overflowed, or 0.5 (a + b) did, so that d2 = inf
+        reached modes._segment_integral(0, inf) at the matched angle
+        (gamma_0 = nu_0): a ZeroDivisionError traceback."""
+        run = run_with_config(["optimize", "--branch", "plus"], {**payload, "omega_steps": 2, "d1_steps": 2})
+        assert run[0] == code, run[2]
+        assert_one_line_and_finite_grids(*run)
+        if code == 2:
+            assert run[2].startswith("numerical failure: d2: the gap grid from "), run[2]
+
+
+# Grid bounds over the whole positive float range, drawn as a pair so that
+# the two are in order in most draws.
+_BOUND = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_GRIDS_OF = {
+    "dispersion": ("k",),
+    "field": ("z",),
+    "constraints": ("omega", "d1", "d2"),
+    "optimize": ("omega", "d1", "d2"),
+    "propagate": ("omega", "d1", "d2", "x"),
+    "cat-entropy": ("omega", "d1", "d2", "x"),
+}
+
+
+@st.composite
+def _grid_configs(draw) -> tuple[str, dict]:
+    """A command and a config of 2-3 steps per grid, some grids given
+    bounds (one of them, or both in order)."""
+    command = draw(st.sampled_from(sorted(_GRIDS_OF)))
+    payload = {}
+    for name in _GRIDS_OF[command]:
+        payload[f"{name}_steps"] = draw(st.integers(2, 3))
+        lo, hi = sorted((draw(_BOUND), draw(_BOUND)))
+        for key, value in ((f"{name}_min", lo), (f"{name}_max", hi)):
+            if draw(st.booleans()):
+                payload[key] = value
+    return command, payload
+
+
+class TestGridFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_grid_configs())
+    def test_any_grid_bounds_end_in_one_line(self, drawn):
+        command, payload = drawn
+        assert_one_line_and_finite_grids(*run_with_config([command], payload))
+
+
 class TestPinnedOutput:
     """Dataset bytes are part of the contract: these short runs must print
     exactly what they printed when recorded (stdout by sha256, stderr

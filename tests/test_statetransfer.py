@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrspp import fock
-from lrspp.statetransfer import (
-    CatState,
-    _cat_factors,
-    _density_at,
-    _norm_sq,
-    cat_columns,
-    decay_along,
-    propagate_cat,
-    von_neumann_entropy,
-)
+from lrspp.statetransfer import CatState, _cat_factors, _norm_sq, _state, cat_columns, decay_along, propagate_cat
 
 LN2 = math.log(2.0)
 
@@ -28,6 +19,21 @@ def represented_trace(cat, density):
     """
     q = math.exp(-2.0 * density.a_eff * density.a_eff)
     return cat.normalization() ** 2 * _norm_sq(density.offdiag * q, math.cos(cat.phi))
+
+
+def entropy_of(lam_p, lam_m):
+    """Binary von Neumann entropy in nats, with 0 ln 0 = 0, and the range
+    checks of the library's kernel: each eigenvalue in [0, 1], their sum 1
+    within 1e-9."""
+    s = 0.0
+    for lam in (lam_p, lam_m):
+        if not -1e-12 <= lam <= 1.0 + 1e-12:
+            raise ValueError(f"eigenvalue {lam!r} outside [0, 1]")
+        if lam > 0.0:
+            s -= lam * math.log(lam)
+    if abs(lam_p + lam_m - 1.0) > 1e-9:
+        raise ValueError(f"eigenvalues sum to {lam_p + lam_m!r}, not 1")
+    return s if s > 0.0 else 0.0
 
 
 def single_pass_propagate_cat(cat, g, kappa0, x):
@@ -49,7 +55,7 @@ def single_pass_propagate_cat(cat, g, kappa0, x):
     cos_phi = math.cos(phi)
     if cos_phi >= 0.0:
         if a_eff < 1e-8:
-            return a_eff, offdiag, 1.0, 0.0, von_neumann_entropy(1.0, 0.0)
+            return a_eff, offdiag, 1.0, 0.0, entropy_of(1.0, 0.0)
         even = (1.0 + offdiag * cos_phi) * (1.0 + q)
         odd = (1.0 - offdiag * cos_phi) * (1.0 - q)
         trace = 2.0 + 2.0 * (offdiag * q) * math.cos(phi)
@@ -62,11 +68,19 @@ def single_pass_propagate_cat(cat, g, kappa0, x):
     half_gap = 0.5 * abs(even - odd)
     shift = 0.0 if cross == 0.0 else cross * cross / (math.hypot(half_gap, cross) + half_gap)
     lam_p, lam_m = max(even, odd) + shift, min(even, odd) - shift
-    return a_eff, offdiag, lam_p, lam_m, von_neumann_entropy(lam_p, lam_m)
+    return a_eff, offdiag, lam_p, lam_m, entropy_of(lam_p, lam_m)
 
 
 def bits(values):
     return [v.hex() for v in values]
+
+
+def outcome(compute):
+    """What compute returns, or the message of the ValueError it raises."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestClosedFormEndpoints:
@@ -166,25 +180,6 @@ class TestTraceAndEigenvalues:
 
     @settings(max_examples=500, deadline=None)
     @given(
-        alpha=st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
-        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
-        g=st.floats(min_value=0.0, max_value=math.pi / 2),
-        kappa0=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e7)),
-        kxs=st.lists(st.floats(min_value=0.0, max_value=30.0), max_size=8),
-    )
-    def test_along_x_is_bitwise_single_pass(self, alpha, phi, g, kappa0, kxs):
-        try:
-            cat = CatState(alpha, phi)
-        except ValueError:  # the degenerate odd cat
-            return
-        xs = [0.0] + [kx / kappa0 if kappa0 else kx for kx in kxs]
-        expected = [single_pass_propagate_cat(cat, g, kappa0, x) for x in xs]
-        along = cat_columns(cat, g, decay_along(kappa0, xs))
-        assert [bits(row) for row in zip(*along)] == [bits(e[2:]) for e in expected]
-        assert [bits(propagate_cat(cat, g, kappa0, x)) for x in xs] == [bits(e) for e in expected]
-
-    @settings(max_examples=500, deadline=None)
-    @given(
         alphas=st.lists(st.floats(min_value=0.0, max_value=40.0, exclude_min=True), min_size=1, max_size=4),
         phi=st.one_of(
             st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]),
@@ -194,34 +189,28 @@ class TestTraceAndEigenvalues:
         kappa0=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e7)),
         kxs=st.lists(st.floats(min_value=0.0, max_value=30.0), max_size=8),
     )
-    def test_columns_are_bitwise_density_at(self, alphas, phi, g, kappa0, kxs):
-        """Several amplitudes share one Decay; each column equals _density_at
-        at every x, on every phase branch (cos phi < 0 included), or both
-        raise the same error."""
-
-        def outcome(compute):
-            try:
-                return compute()
-            except ValueError as exc:
-                return str(exc)
-
-        xs = [kx / kappa0 if kappa0 else kx for kx in kxs]
+    def test_along_x_is_bitwise_single_pass(self, alphas, phi, g, kappa0, kxs):
+        """Several amplitudes share one Decay; at every x, on every phase
+        branch (cos phi < 0 included), cat_columns and propagate_cat return
+        the bits of the single-pass form, or all raise the same error."""
+        xs = [0.0] + [kx / kappa0 if kappa0 else kx for kx in kxs]
         decay = decay_along(kappa0, xs)
         for alpha in alphas:
             try:
                 cat = CatState(alpha, phi)
             except ValueError:  # the degenerate odd cat
                 continue
-            factors = _cat_factors(cat, g, kappa0)
-
-            def rows():
-                return [bits(d[2:]) for d in (_density_at(factors, x) for x in xs)]
-
-            got = outcome(lambda: [bits(row) for row in zip(*cat_columns(cat, g, decay))])
-            assert got == outcome(rows)
+            expected = outcome(lambda: [single_pass_propagate_cat(cat, g, kappa0, x) for x in xs])
+            along = outcome(lambda: [bits(row) for row in zip(*cat_columns(cat, g, decay))])
+            pointwise = outcome(lambda: [bits(propagate_cat(cat, g, kappa0, x)) for x in xs])
+            if isinstance(expected, str):
+                assert along == pointwise == expected
+                continue
+            assert along == [bits(e[2:]) for e in expected]
+            assert pointwise == [bits(e) for e in expected]
 
     def test_decay_along_checks_its_grid(self):
-        assert decay_along(0.0, []) == (0.0, [], [])
+        assert decay_along(0.0, []) == ([], [])
         for kappa0, xs in ((-1.0, [0.0]), (1.0, [0.0, -1e-9])):
             with pytest.raises(ValueError, match="must be non-negative"):
                 decay_along(kappa0, xs)
@@ -244,18 +233,22 @@ def test_nan_kappa0_or_x_is_rejected(call, kappa0, x):
         call(kappa0, x)
 
 
-class TestEntropyFunction:
-    def test_pure_state(self):
-        assert von_neumann_entropy(1.0, 0.0) == 0.0
-
+class TestKernelEntropy:
     def test_maximal_mixing(self):
-        assert von_neumann_entropy(0.5, 0.5) == pytest.approx(LN2)
+        # 2 alpha^2 sin^2 g = 1.4e300: the two halves of the cat are orthogonal
+        # and the cross terms gone, so the eigenvalues are 1/2 and 1/2
+        d = propagate_cat(CatState(1e150), 1.0, 0.0, 0.0)
+        assert (d.lambda_plus, d.lambda_minus) == (0.5, 0.5)
+        assert d.entropy == pytest.approx(LN2)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            von_neumann_entropy(0.7, 0.7)
-        with pytest.raises(ValueError):
-            von_neumann_entropy(1.2, -0.2)
+        # kappa0 x = 0 * inf leaves a NaN amplitude, hence NaN eigenvalues
+        with pytest.raises(ValueError, match="^eigenvalue nan outside"):
+            propagate_cat(CatState(2.0), 1.2, 0.0, math.inf)
+        # an off-diagonal coefficient above 1 (c0 = 5) pushes the eigenvalues out of [0, 1]
+        alpha_s, decay_scale, unobserved, _, cos_phi, sin_phi, cos_half_sq = _cat_factors(CatState(2.0), 1.2)
+        with pytest.raises(ValueError, match=r"^eigenvalue 2\.98.* outside \[0, 1\]$"):
+            _state((alpha_s, decay_scale, unobserved, 5.0, cos_phi, sin_phi, cos_half_sq), 1.0, 0.0)
 
 
 def assert_matches_number_basis(alpha, phi, g, kx):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import modes
 from .dispersion import BranchId, DispersionSolution, coupling_angle, solve_k, solve_omega
-from .errors import NoBoundMode, NoMatchingAngle, NormalizationError
+from .errors import ConfigError, NoBoundMode, NoMatchingAngle, NormalizationError
 from .materials import DielectricModel, SILVER
 
 _INF = math.inf
@@ -240,7 +240,7 @@ def optimize_d2(
 
     Coarse scan on a log-spaced gap grid followed by golden-section
     refinement.  Returns None when no gap satisfies the constraints (the
-    subtracted regions of the coupling maps).  Raises ValueError naming d2
+    subtracted regions of the coupling maps).  Raises ConfigError naming d2
     when the top of the gap grid overflows.
     """
     try:
@@ -268,7 +268,7 @@ def optimize_d2(
     best_i, best_v = 0, -1.0
     grid = [d2_lo * ratio ** (i / (n - 1)) for i in range(n)]
     if grid[-1] == _INF:  # the ratio, or its product with d2_lo, overflows
-        raise ValueError(f"d2: the gap grid from {d2_lo!r} to {d2_hi!r} overflows")
+        raise ConfigError(f"d2: the gap grid from {d2_lo!r} to {d2_hi!r} overflows")
     for i, d2 in enumerate(grid):
         v = value(d2)
         if v > best_v:

@@ -9,11 +9,13 @@ Two evaluations of the same material model are provided:
 correction and ``de_i`` a constant positive imaginary offset.  The real part
 of the correction is kept identical in both evaluations so the lossy form
 reduces exactly to the lossless one when Gamma = de_i = 0.
+
+The surface-plasma frequency, where eps = -1, is the closed form
+wp/sqrt(1 + sqrt(1 + c_r)) then one Newton step, within 2 ulps of the root.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -105,37 +107,16 @@ def eps_lossy(model: DielectricModel, omega: float) -> complex:
 def surface_plasma_frequency(model: DielectricModel) -> float:
     """Frequency where the lossless dielectric function equals -1.
 
-    Bound surface modes accumulate against this frequency.  Found by
-    bracketed bisection of eps_lossless(w) + 1 on (0, wp), followed by a
-    Newton polish; for c_r = 0 this is wp/sqrt(2).  Cached per model.
+    Bound surface modes accumulate against it.  eps = -1 is quadratic in
+    w^2, so w_sp = wp/sqrt(1 + sqrt(1 + c_r)); for c_r > 0 one Newton step
+    on eps + 1 takes up the rounding of that form (SILVER's w_sp is its
+    result).  For c_r = 0 this is wp/sqrt(2).
     """
-    return _surface_plasma_frequency(model)
-
-
-@functools.lru_cache(maxsize=16)
-def _surface_plasma_frequency(model: DielectricModel) -> float:
     wp = model.plasma_frequency
     cr = model.real_correction_coeff
     if cr < 0.0:
         raise ValueError("real_correction_coeff must be non-negative")
+    w = wp / math.sqrt(1.0 + math.sqrt(1.0 + cr))
     if cr == 0.0:
-        return wp / math.sqrt(2.0)
-
-    def f(w: float) -> float:
-        return eps_lossless(model, w) + 1.0
-
-    lo, hi = 1e-6 * wp, wp
-    if f(lo) >= 0.0 or f(hi) <= 0.0:
-        raise ValueError("no surface-mode frequency for these parameters")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    w = 0.5 * (lo + hi)
-    for _ in range(4):  # Newton polish
-        w -= f(w) / _eps_derivative(model, w)
-    return w
+        return w
+    return w - (eps_lossless(model, w) + 1.0) / _eps_derivative(model, w)

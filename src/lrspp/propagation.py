@@ -23,17 +23,12 @@ def mean_count(mu: float, kappa0: float, x: float, beta_sq: float, n: int = 1) -
     return mu * math.exp(-2.0 * kappa0 * x) * beta_sq * n
 
 
-def g2_zero(
-    n: int,
-    beta_sq: float = 1.0,
-    kappa0: float = 0.0,
-    x: float = 0.0,
-    mu: float = 1.0,
-) -> float:
+def g2_zero(n: int, beta_sq: float = 1.0) -> float:
     """Zero-delay second-order coherence of an n-quantum wavepacket.
 
-    The conversion and damping factors combine into one efficiency eta;
-    the factorial moments scale as <m> -> eta <m> and
+    Conversion, damping and detection combine into one efficiency
+    eta = beta_sq (mu exp(-2 kappa0 x) |beta|^2 when all three act); the
+    factorial moments scale as <m> -> eta <m> and
     <m(m-1)> -> eta^2 <m(m-1)>, so eta cancels and the result is (n-1)/n,
     inside the classically forbidden region g2 < 1 for every n.  It is
     returned in that form, so an eta whose square is subnormal or 0 loses
@@ -41,6 +36,6 @@ def g2_zero(
     """
     if n < 1:
         raise ValueError("g2(0) is undefined for n = 0 (zero mean count)")
-    if not mean_count(mu, kappa0, x, beta_sq) > 0.0:
+    if not beta_sq > 0.0:
         raise ValueError("total efficiency must be positive for a detectable signal")
     return (n - 1) / n

@@ -380,6 +380,16 @@ class TestCliExitCodes:
         code, _, err = run_cli(small + ["--alphas", "9.48e153"])
         assert (code, err) == (0, "")
 
+    def test_huge_real_correction_has_a_surface_mode(self, tmp_path):
+        """eps = -1 has a root for every c_r >= 0; c_r = 1e25 puts it near
+        7.9e9 rad/s, below 1e-6 wp."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"material": {"real_correction_coeff": 1e25}}))
+        code, out, err = run_cli(["material", "--omega-min", "1e8", "--omega-max", "1e9", "--omega-steps", "2",
+                                  "--config", str(path)])
+        assert (code, err) == (0, "")
+        assert len(read_csv(out)["rows"]) == 2
+
     def test_dispersion_at_a_k_whose_omega_window_underflows(self):
         """At k = 1e-170 rad/m the square of solve_omega's window bottom
         underflows: those rows are NA, and the k_max rows print as ever."""
@@ -1108,8 +1118,8 @@ class TestGridBounds:
     @pytest.mark.parametrize(
         "payload, code",
         [
-            ({"d2_min": 1e-9, "d2_max": 1e308, "d2_steps": 3}, 2),
-            ({"d2_min": 1e-9, "d2_max": 1e308, "d2_steps": 2}, 2),
+            ({"d2_min": 1e-9, "d2_max": 1e308, "d2_steps": 3}, 1),
+            ({"d2_min": 1e-9, "d2_max": 1e308, "d2_steps": 2}, 1),
             # The golden-section midpoint of two gaps above 9e307 overflowed.
             ({"d2_min": 1.0, "d2_max": 1.7976931348623157e308, "d2_steps": 2}, 0),
         ],
@@ -1118,12 +1128,37 @@ class TestGridBounds:
     def test_gap_grid_top_never_reaches_inf(self, payload, code):
         """d2_max / d2_lo overflowed, or 0.5 (a + b) did, so that d2 = inf
         reached modes._segment_integral(0, inf) at the matched angle
-        (gamma_0 = nu_0): a ZeroDivisionError traceback."""
-        run = run_with_config(["optimize", "--branch", "plus"], {**payload, "omega_steps": 2, "d1_steps": 2})
-        assert run[0] == code, run[2]
-        assert_one_line_and_finite_grids(*run)
-        if code == 2:
-            assert run[2].startswith("numerical failure: d2: the gap grid from "), run[2]
+        (gamma_0 = nu_0): a ZeroDivisionError traceback.  A gap grid whose
+        top overflows is bad input: a config error, forked or not."""
+        for threads in ("1", "2"):
+            argv = ["optimize", "--branch", "plus", "--threads", threads]
+            run = run_with_config(argv, {**payload, "omega_steps": 2, "d1_steps": 2})
+            assert run[0] == code, run[2]
+            assert_one_line_and_finite_grids(*run)
+            if code == 1:
+                assert run[2].startswith("config error: d2: the gap grid from "), run[2]
+
+    @pytest.mark.parametrize(
+        "argv, payload, body_sha256",
+        [
+            (  # the search starts at 2/nu_0, so d2_max / d2_min may overflow
+                ["optimize", "--branch", "plus"],
+                {"d2_min": 1e-300, "d2_max": 1e10, "d2_steps": 3},
+                "54751a95da89e91c7b50b0a01fd52438fd177cce2ff0dc9f7d3500f59a9d45b4",
+            ),
+            (  # a fixed gap never samples the gap grid
+                ["constraints", "--d2-nm", "300"],
+                {"d2_min": 1e-9, "d2_max": 1e308, "d2_steps": 2},
+                "017867c8d2ef56ddcc2fbde029a569febc2c6c62c1a54b0249257a5303571279",
+            ),
+        ],
+        ids=["optimize-tiny-d2-min", "constraints-fixed-d2"],
+    )
+    def test_wide_gap_bounds_that_never_overflow_keep_their_bytes(self, argv, payload, body_sha256):
+        code, out, err = run_with_config(argv, {**payload, "omega_steps": 2, "d1_steps": 2})
+        assert (code, err) == (0, ""), err
+        body = "".join(line for line in out.splitlines(True) if not line.startswith("# command="))
+        assert hashlib.sha256(body.encode()).hexdigest() == body_sha256
 
 
 # Grid bounds over the whole positive float range, drawn as a pair so that

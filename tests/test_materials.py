@@ -1,7 +1,9 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lrspp import materials
 from lrspp.materials import DielectricModel, SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
@@ -72,6 +74,30 @@ def test_surface_plasma_frequency_back_substitution():
 def test_surface_plasma_frequency_bare_drude():
     bare = DielectricModel(SILVER.plasma_frequency)
     assert surface_plasma_frequency(bare) == SILVER.plasma_frequency / math.sqrt(2)
+
+
+def test_surface_plasma_frequency_silver_bits():
+    """The closed form alone gives ...426.0; the Newton step after it gives
+    the bits every SILVER dataset was recorded with."""
+    assert surface_plasma_frequency(SILVER) == 5508755569850425.0
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@given(wp=_log_uniform(1e10, 1e20), cr=st.just(0.0) | _log_uniform(1e-12, 1e300))
+@example(wp=SILVER.plasma_frequency, cr=1e24)  # roots below 1e-6 wp
+@example(wp=SILVER.plasma_frequency, cr=1e25)
+@example(wp=SILVER.plasma_frequency, cr=1e300)
+def test_surface_plasma_frequency_over_whole_range(wp, cr):
+    """Finite, in (0, wp/sqrt(2)], and within 2 ulps of the exact root
+    wp/sqrt(1 + sqrt(1 + c_r)) at 100 digits, for any c_r >= 0."""
+    wsp = surface_plasma_frequency(DielectricModel(wp, real_correction_coeff=cr))
+    assert math.isfinite(wsp) and 0.0 < wsp <= wp / math.sqrt(2.0)
+    with mpmath.workdps(100):
+        exact = mpmath.mpf(wp) / mpmath.sqrt(1 + mpmath.sqrt(1 + mpmath.mpf(cr)))
+        assert abs(mpmath.mpf(wsp) - exact) <= 2 * math.ulp(float(exact))
 
 
 def test_domain_errors():

@@ -256,7 +256,7 @@ class TestG2:
             base = (n - 1) / n
             for eta in (1.0, 0.3, 0.01):
                 assert abs(g2_zero(n, beta_sq=eta) - base) < 1e-12
-                assert abs(g2_zero(n, mu=eta, kappa0=1e4, x=7e-6) - base) < 1e-12
+                assert abs(g2_zero(n, beta_sq=mean_count(eta, 1e4, 7e-6, 1.0)) - base) < 1e-12
 
     def test_binomial_oracle_loss_chains(self):
         rng = random.Random(2024)

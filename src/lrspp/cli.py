@@ -23,8 +23,8 @@ everything else is SI (rad/s, rad/m, meters).
 A run is sized from its resolved configuration before any work: one that
 visits more than MAX_POINTS grid points is a configuration error.
 
-``--threads N`` runs the gap search of optimize, propagate, cat-entropy
-and constraints without ``--d2-nm`` in up to N forked worker processes
+``--threads N`` computes the rows of dispersion, angle, constraints,
+optimize, propagate and cat-entropy in up to N forked worker processes
 (_fork_map); the datasets do not depend on N.
 """
 
@@ -41,6 +41,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from . import coupling, datasets, propagation, statetransfer
 from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
 from .dispersion import (
+    BranchId,
     complex_wavenumber,
     coupling_angle,
     group_velocity,
@@ -71,7 +72,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_map(fn: Callable, tasks: Sequence, workers: int) -> list:
+def _fork_map(fn: Callable, tasks: Iterable, workers: int) -> Iterator:
+    """fn(t) for each t of tasks, yielded in task order.
+
+    The tasks are taken datasets.BLOCK_ROWS at a time, and each chunk is
+    computed by _map_chunk before any of its results is yielded: no more
+    than one chunk of tasks or results is held at once, and no worker is
+    running while the caller has a result.
+    """
+    tasks = iter(tasks)
+    while chunk := list(itertools.islice(tasks, datasets.BLOCK_ROWS)):
+        yield from _map_chunk(fn, chunk, workers)
+
+
+def _map_chunk(fn: Callable, tasks: Sequence, workers: int) -> list:
     """[fn(t) for t in tasks], computed in min(workers, usable CPUs,
     len(tasks)) processes and returned in task order.
 
@@ -183,39 +197,48 @@ def _cmd_material(cfg: RunConfig) -> Blocks:
         yield w, eps_lossless(cfg.material, w), e.real, e.imag
 
 
+def _branch_rows(cfg: RunConfig, grid: GridSpec) -> Iterator[tuple[str, BranchId, float]]:
+    """(branch name, branch, grid point) per row of every requested branch, in grid order."""
+    return ((name, branch, x) for name, branch in cfg.branches() for x in grid.points())
+
+
 def _cmd_dispersion(cfg: RunConfig) -> Blocks:
     """dispersion rows over a wavevector grid"""
     d1 = cfg.fixed_d1
-    for name, branch in cfg.branches():
-        for k in cfg.k.points():
-            try:
-                sol = solve_omega(branch, k, d1, cfg.material)
-            except NoBoundMode:
-                yield name, d1, k, None, None, None, None, None
-                continue
-            try:
-                vg = group_velocity(sol, cfg.material)
-            except StencilError:
-                vg = None
-            try:
-                kappa = complex_wavenumber(sol, cfg.material).kappa
-            except LrsppError:
-                kappa = None
-            yield name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa
+
+    def row(task):
+        name, branch, k = task
+        try:
+            sol = solve_omega(branch, k, d1, cfg.material)
+        except NoBoundMode:
+            return name, d1, k, None, None, None, None, None
+        try:
+            vg = group_velocity(sol, cfg.material)
+        except StencilError:
+            vg = None
+        try:
+            kappa = complex_wavenumber(sol, cfg.material).kappa
+        except LrsppError:
+            kappa = None
+        return name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa
+
+    yield from _fork_map(row, _branch_rows(cfg, cfg.k), cfg.threads)
 
 
 def _cmd_angle(cfg: RunConfig) -> Blocks:
     """phase-matching angle over a frequency grid"""
     d1 = cfg.fixed_d1
-    for name, branch in cfg.branches():
-        for w in cfg.omega.points():
-            try:
-                sol = solve_k(branch, w, d1, cfg.material)
-                theta = coupling_angle(w, sol.k, cfg.eps_prism)
-            except (NoBoundMode, NoMatchingAngle):
-                yield name, d1, w, None, None
-                continue
-            yield name, d1, w, sol.k, theta
+
+    def row(task):
+        name, branch, w = task
+        try:
+            sol = solve_k(branch, w, d1, cfg.material)
+            theta = coupling_angle(w, sol.k, cfg.eps_prism)
+        except (NoBoundMode, NoMatchingAngle):
+            return name, d1, w, None, None
+        return name, d1, w, sol.k, theta
+
+    yield from _fork_map(row, _branch_rows(cfg, cfg.omega), cfg.threads)
 
 
 def _cmd_field(cfg: RunConfig) -> Blocks:
@@ -230,7 +253,7 @@ def _cmd_field(cfg: RunConfig) -> Blocks:
         z_lo_default = -3.0 / sol.nu_0
     else:
         theta = coupling_angle(w, sol.k, cfg.eps_prism)
-        profile = four_layer_solve(w, theta, d1, d2, cfg.eps_prism, cfg.material, lossy=True).profile
+        profile = four_layer_solve(w, theta, d1, d2, cfg.eps_prism, cfg.material).profile
         z_lo_default = -d2
     z_lo = cfg.z_min if cfg.z_min is not None else z_lo_default
     z_hi = cfg.z_max if cfg.z_max is not None else d1 + 3.0 / sol.nu_0
@@ -250,7 +273,7 @@ def _cmd_constraints(cfg: RunConfig) -> Blocks:
     opt_cfg = _optimize_config(cfg)
 
     def row(cell):
-        (name, branch), w, d1 = cell
+        (name, branch, w), d1 = cell
         d2 = cfg.fixed_d2
         if d2 is not None:
             try:
@@ -268,24 +291,21 @@ def _cmd_constraints(cfg: RunConfig) -> Blocks:
             int(cons.feasible),
         )
 
-    cells = itertools.product(cfg.branches(), cfg.omega.points(), cfg.d1.points())
-    if cfg.fixed_d2 is not None:  # no gap search: each row streams as it is made
-        yield from map(row, cells)
-    else:
-        yield from _fork_map(row, list(cells), cfg.threads)
+    cells = itertools.product(_branch_rows(cfg, cfg.omega), cfg.d1.points())
+    yield from _fork_map(row, cells, cfg.threads)
 
 
-def _rows(cfg: RunConfig) -> list[tuple[str, float, coupling.CouplingPoint | None]]:
+def _rows(cfg: RunConfig) -> Iterator[tuple[str, float, coupling.CouplingPoint | None]]:
     """(branch name, omega, best point or None) per (branch, omega) row of
-    every requested branch, in grid order: the whole gap search, in one
-    fork map."""
+    every requested branch, in grid order, streamed from the gap search."""
     opt_cfg = _optimize_config(cfg)
     d1s = cfg.d1.points()
-    rows = [(name, branch, w) for name, branch in cfg.branches() for w in cfg.omega.points()]
-    points = _fork_map(
-        lambda row: coupling.best_over_d1(row[1], row[2], d1s, opt_cfg, cfg.material), rows, cfg.threads
-    )
-    return [(name, w, pt) for (name, _branch, w), pt in zip(rows, points)]
+
+    def row(task):
+        name, branch, w = task
+        return name, w, coupling.best_over_d1(branch, w, d1s, opt_cfg, cfg.material)
+
+    return _fork_map(row, _branch_rows(cfg, cfg.omega), cfg.threads)
 
 
 def _propagating(cfg: RunConfig):

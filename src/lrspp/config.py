@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from typing import Any, Callable, NamedTuple
 
-from .coupling import DEFAULT_DELTA_OMEGA, DEFAULT_EPS_PRISM
+from .coupling import DEFAULT_DELTA_OMEGA, DEFAULT_EPS_PRISM, OptimizeConfig
 from .dispersion import OMEGA_WINDOW_TOP, BranchId
 from .errors import ConfigError
 from .materials import DielectricModel, SILVER, surface_plasma_frequency
@@ -33,6 +33,8 @@ NM = 1e-9
 _INT_LIMIT = 2**53
 _MATERIAL_KEYS = tuple(f.name for f in fields(DielectricModel))
 _BRANCH_IDS = {"plus": BranchId.ANTISYMMETRIC, "minus": BranchId.SYMMETRIC}
+#: The library's default gap search, whose grid is the d2 grid's default.
+_GAP_SEARCH = OptimizeConfig()
 
 
 @dataclass(frozen=True)
@@ -137,10 +139,12 @@ def _grid(name: str, lo, hi, steps: int, commands: tuple[str, ...], check=None, 
     )
 
 
-# Run settings (out, format, threads) go to every command: they never change the rows.
+# Run settings never change the rows: out and format go to every command,
+# threads to those whose rows map through cli._fork_map.
 _ALL = ("material", "dispersion", "angle", "field", "constraints", "optimize", "propagate", "g2", "cat-entropy")
 _OMEGA_GRID = ("material", "angle", "constraints", "optimize", "propagate", "cat-entropy")
 _STRIP_GRIDS = ("constraints", "optimize", "propagate", "cat-entropy")
+_FORKED = ("dispersion", "angle", *_STRIP_GRIDS)
 _BRANCHED = ("dispersion", "angle", "field", *_STRIP_GRIDS)
 _X_GRID = ("propagate", "cat-entropy")
 
@@ -148,7 +152,7 @@ PARAMS: tuple[Param, ...] = (
     Param("material", _material, SILVER, ()),
     Param("out", _text, None, _ALL, (lambda v: "\0" not in v, "must not hold a NUL byte"), help="output path (default: stdout)"),
     Param("format", _text, "csv", _ALL, _one_of("csv", "json")),
-    Param("threads", _integer, 1, _ALL, _COUNT, help="worker processes for gap searches (default: 1)"),
+    Param("threads", _integer, 1, _FORKED, _COUNT, help="worker processes for the rows (default: 1)"),
     Param("branch", _text, "both", _BRANCHED, _one_of(*_BRANCH_IDS, "both")),
     Param("delta_omega", _number, DEFAULT_DELTA_OMEGA, _STRIP_GRIDS, _POSITIVE),
     Param("eps_prism", _number, DEFAULT_EPS_PRISM, ("angle", "field", *_STRIP_GRIDS), (lambda v: v > 1.0, "must exceed 1")),
@@ -156,7 +160,7 @@ PARAMS: tuple[Param, ...] = (
     *_grid("omega", 2e15, 5.4e15, 120, _OMEGA_GRID, _FREQUENCY),
     *_grid("k", 2e6, 1.8e7, 200, ("dispersion",), _POSITIVE),
     *_grid("d1", 10e-9, 100e-9, 60, _STRIP_GRIDS, _POSITIVE, NM),
-    *_grid("d2", 50e-9, 3e-6, 80, _STRIP_GRIDS, _POSITIVE, NM),
+    *_grid("d2", _GAP_SEARCH.d2_min, _GAP_SEARCH.d2_max, _GAP_SEARCH.d2_steps, _STRIP_GRIDS, _POSITIVE, NM),
     *_grid("x", 0.0, 10e-6, 50, _X_GRID, (lambda v: v >= 0.0, "must be non-negative")),
     # None: the field command spans the profile it samples.
     *_grid("z", None, None, 400, ("field",), None, NM),

@@ -149,7 +149,7 @@ def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_pr
     overlap gains the phase c/|c|.
     """
     phi = modes.lrspp_profile(branch, sol, model)
-    st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model, lossy=True)
+    st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model)
     psi = modes._upper_profile(st, sol.d1, 1.0)
     n1_up = modes.profile_norm(phi, 0.0, _INF)
     n2_up = modes.profile_norm(psi, 0.0, _INF)

@@ -25,7 +25,8 @@ class DielectricModel:
     """Drude-type metal parameters.
 
     Attributes (each finite; NaN or +/-inf is a ValueError naming it):
-        plasma_frequency: bulk plasma frequency wp (rad/s), > 0
+        plasma_frequency: bulk plasma frequency wp (rad/s), > 0, with
+            wp^2 finite (wp below about 1.34e154)
         damping_rate: electron collision rate Gamma (rad/s), >= 0
         real_correction_coeff: coefficient c_r of the w^2/wp^2 real correction
         imag_correction: constant imaginary offset de_i, >= 0
@@ -37,8 +38,9 @@ class DielectricModel:
     imag_correction: float = 0.0
 
     def __post_init__(self) -> None:
+        wp = self.plasma_frequency
         for name, ok, rule in (
-            ("plasma_frequency", 0.0 < self.plasma_frequency < math.inf, "must be positive and finite"),
+            ("plasma_frequency", 0.0 < wp and wp * wp < math.inf, "must be positive and its square finite"),
             ("damping_rate", 0.0 <= self.damping_rate < math.inf, "must be non-negative and finite"),
             ("real_correction_coeff", abs(self.real_correction_coeff) < math.inf, "must be finite"),
             ("imag_correction", 0.0 <= self.imag_correction < math.inf, "must be non-negative and finite"),
@@ -83,12 +85,18 @@ def eps_lossless(model: DielectricModel, omega: float) -> float:
 
 def _eps_derivative(model: DielectricModel, omega: float) -> float:
     """d eps_lossless / d omega = 2 wp^2/w^3 + 2 c_r w/wp^2; +inf, the
-    value it overflows to, where w^3 underflows to 0."""
+    value it overflows to, where w^3 underflows to 0.  Where w^3 overflows
+    the first term is taken as 2 (wp/w)^2 / w."""
     wp = model.plasma_frequency
-    w3 = omega**3
-    if w3 == 0.0:
-        return math.inf
-    return 2.0 * wp**2 / w3 + 2.0 * model.real_correction_coeff * omega / wp**2
+    try:
+        w3 = omega**3
+    except OverflowError:
+        drude = 2.0 * (wp / omega) ** 2 / omega
+    else:
+        if w3 == 0.0:
+            return math.inf
+        drude = 2.0 * wp**2 / w3
+    return drude + 2.0 * model.real_correction_coeff * omega / wp**2
 
 
 def eps_lossy(model: DielectricModel, omega: float) -> complex:

@@ -138,20 +138,20 @@ def four_layer_solve(
     d2: float,
     eps_prism: float,
     model: DielectricModel,
-    lossy: bool = False,
 ) -> FourLayerField:
     """Transverse-magnetic boundary-value solve of the four-layer stack.
 
     A unit-amplitude wave comes in through the prism at angle ``theta``;
     2x2 interface matches at z = -d2, 0 and d1 determine the reflected
-    amplitude and the five transmitted term amplitudes.  With the lossless
-    metal all incident power returns (|r| = 1); with the lossy metal the
-    reflection dips and the missing power is the surface-channel conversion
-    |tau|^2 = 1 - |r|^2 (the attenuated-total-reflection resonance).
+    amplitude and the five transmitted term amplitudes.  The metal is
+    eps_lossy of model: with no damping and no imaginary offset all
+    incident power returns (|r| = 1); with loss the reflection dips and the
+    missing power is the surface-channel conversion |tau|^2 = 1 - |r|^2
+    (the attenuated-total-reflection resonance).
     """
     if not (0.0 < d1 < _INF and 0.0 < d2 < _INF):
         raise ValueError("d1 and d2 must be positive and finite")
-    st = _upper_stack(omega, theta, d1, eps_prism, model, lossy)
+    st = _upper_stack(omega, theta, d1, eps_prism, model)
     w0, c, r, tau = _prism_match(st, d2)
     gap = Region(-d2, 0.0, (_term(st.kx, c * st.a1, -st.gamma_0, -d2), _term(st.kx, c * w0 * st.k2, st.gamma_0, 0.0)))
     upper = _upper_profile(st, d1, c * w0)
@@ -182,9 +182,7 @@ class _UpperStack:
     u_phase: complex
 
 
-def _upper_stack(
-    omega: float, theta: float, d1: float, eps_prism: float, model: DielectricModel, lossy: bool
-) -> _UpperStack:
+def _upper_stack(omega: float, theta: float, d1: float, eps_prism: float, model: DielectricModel) -> _UpperStack:
     """Backward pass of the stack from the top air down to z = 0."""
     if not 1.0 < eps_prism < math.inf:
         raise ValueError(f"eps_prism must be finite and exceed 1, got {eps_prism!r}")
@@ -194,7 +192,7 @@ def _upper_stack(
     if g0_sq <= 0.0:
         raise ValueError("theta below the critical angle: gap field not evanescent")
     gamma_0 = math.sqrt(g0_sq)
-    em = complex(eps_lossy(model, omega)) if lossy else complex(eps_lossless(model, omega))
+    em = eps_lossy(model, omega)
     gamma_m = cmath.sqrt(kx * kx - em * woc * woc)
     kz1 = math.sqrt(eps_prism) * woc * math.cos(theta)
     if kz1 == 0.0:

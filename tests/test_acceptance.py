@@ -21,6 +21,7 @@ from lrspp.modes import four_layer_solve
 from lrspp.propagation import g2_zero, mean_count
 from lrspp.statetransfer import CatState, propagate_cat
 
+from conftest import lossless
 from test_coupling import beta_quadrature_oracle
 from test_datasets_cli import read_csv
 from test_propagation import PropagationConfig, Wavepacket, binomial_loss_moments, mean_count_windowed
@@ -87,7 +88,7 @@ def test_criterion_04_unitarity():
         w = 2.2e15 + i * (5.2e15 - 2.2e15) / 49
         for j in range(50):
             theta = crit + 1e-3 + (math.pi / 2 - crit - 2e-3) * j / 49
-            fl = four_layer_solve(w, theta, 20e-9, 400e-9, 1.51, SILVER, lossy=False)
+            fl = four_layer_solve(w, theta, 20e-9, 400e-9, 1.51, lossless(SILVER))
             dev = abs(abs(fl.r) ** 2 + abs(fl.tau) ** 2 - 1.0)
             worst = max(worst, dev)
             assert dev < 1e-9

@@ -28,7 +28,7 @@ def beta_quadrature_oracle(branch, w, d1, d2, eps_prism=1.51, model=SILVER):
     sol = solve_k(branch, w, d1, model)
     theta = coupling_angle(w, sol.k, eps_prism)
     phi = lrspp_profile(branch, sol, model)
-    fl = four_layer_solve(w, theta, d1, d2, eps_prism, model, lossy=True)
+    fl = four_layer_solve(w, theta, d1, d2, eps_prism, model)
     psi = fl.profile
     tail = d1 + 45.0 / min(sol.nu_0, fl.gamma_0.real)
     skin = 40.0 / sol.nu_m  # depth past which each metal face's field is gone
@@ -53,7 +53,7 @@ def beta_generic_oracle(branch, sol, d2, eps_prism=1.51, model=SILVER):
     algebra of the closed form in coupling."""
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
     phi = lrspp_profile(branch, sol, model)
-    fl = four_layer_solve(sol.omega, theta, sol.d1, d2, eps_prism, model, lossy=True)
+    fl = four_layer_solve(sol.omega, theta, sol.d1, d2, eps_prism, model)
     n1 = profile_norm(phi, -d2, INF)
     n2 = profile_norm(fl.profile, -d2, INF)
     overlap = overlap_integral(phi, fl.profile, -d2, INF) / math.sqrt(n1 * n2)

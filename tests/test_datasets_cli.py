@@ -390,6 +390,20 @@ class TestCliExitCodes:
         assert (code, err) == (0, "")
         assert len(read_csv(out)["rows"]) == 2
 
+    @pytest.mark.parametrize("wp", [1e104, 1e155])
+    def test_plasma_frequency_beyond_the_cube_range(self, tmp_path, wp):
+        """Above wp ~ 1e103 the cube of w_sp overflows, and the run goes on;
+        a wp whose square overflows is one config error naming it."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"material": {"plasma_frequency": wp, "real_correction_coeff": 1.0}}))
+        code, out, err = run_cli(["material", "--omega-steps", "2", "--config", str(path)])
+        if wp < 1e154:
+            assert (code, err) == (0, "")
+            assert len(read_csv(out)["rows"]) == 2
+        else:
+            assert (code, out) == (1, "")
+            assert err == "config error: material: plasma_frequency must be positive and its square finite, got 1e+155\n"
+
     def test_dispersion_at_a_k_whose_omega_window_underflows(self):
         """At k = 1e-170 rad/m the square of solve_omega's window bottom
         underflows: those rows are NA, and the k_max rows print as ever."""
@@ -725,17 +739,20 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 #: The flags of every subcommand: a public interface in which no flag may be
 #: lost, renamed or added.
-_SHARED_FLAGS = {"--config", "--out", "--format", "--threads"}
+_SHARED_FLAGS = {"--config", "--out", "--format"}
 _GRID_FLAGS = {
     name: {f"--{name}-min{unit}", f"--{name}-max{unit}", f"--{name}-steps"}
     for name, unit in (("omega", ""), ("k", ""), ("x", ""), ("d1", "-nm"), ("d2", "-nm"))
 }
-# The gap-search commands: strip and gap grids, branch, bandwidth and prism.
-_STRIP = _GRID_FLAGS["omega"] | _GRID_FLAGS["d1"] | _GRID_FLAGS["d2"] | {"--branch", "--delta-omega", "--eps-prism"}
+# The gap-search commands: strip and gap grids, branch, bandwidth, prism and
+# the worker count.
+_STRIP = _GRID_FLAGS["omega"] | _GRID_FLAGS["d1"] | _GRID_FLAGS["d2"] | {
+    "--branch", "--delta-omega", "--eps-prism", "--threads",
+}
 _COMMAND_FLAGS = {
     "material": _GRID_FLAGS["omega"],
-    "dispersion": _GRID_FLAGS["k"] | {"--d1-nm", "--branch"},
-    "angle": _GRID_FLAGS["omega"] | {"--d1-nm", "--branch", "--eps-prism"},
+    "dispersion": _GRID_FLAGS["k"] | {"--d1-nm", "--branch", "--threads"},
+    "angle": _GRID_FLAGS["omega"] | {"--d1-nm", "--branch", "--eps-prism", "--threads"},
     "field": {
         "--profile", "--omega", "--d1-nm", "--d2-nm", "--z-min-nm", "--z-max-nm", "--z-steps", "--branch", "--eps-prism",
     },
@@ -823,13 +840,19 @@ class TestParamTable:
     def test_threads_precedence(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"threads": 3}))
-        parser = build_parser({"g2": None})
+        parser = build_parser({"dispersion": None})
 
         def threads(argv):
             return config_from_args(parser.parse_args(argv)).threads
 
-        assert threads(["g2", "--config", str(path)]) == 3
-        assert threads(["g2", "--config", str(path), "--threads", "4"]) == 4
+        assert threads(["dispersion", "--config", str(path)]) == 3
+        assert threads(["dispersion", "--config", str(path), "--threads", "4"]) == 4
+
+    @pytest.mark.parametrize("command", ["material", "field", "g2"])
+    def test_serial_commands_take_no_threads(self, command):
+        """A material table, one profile's samples and the g2 table are
+        computed in the parent alone: --threads is an unknown flag there."""
+        assert run_cli([command, "--threads", "1"]) == (1, "", "config error: unrecognized arguments: --threads 1\n")
 
     def test_config_keys_of_g2_and_field(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -926,7 +949,7 @@ def test_each_command_takes_the_params_it_reads():
     """A command takes a parameter (flag and config key) exactly when some
     mode of it reads the value; the run settings and material aside."""
     assert set(_RUNS_OF_EVERY_MODE) == set(cli._COMMANDS)
-    run_settings = {"out", "format", "threads", "material"}
+    run_settings = {"out", "format", "material"}
     mismatched = {}
     for command, runs in _RUNS_OF_EVERY_MODE.items():
         read = set().union(*(_params_read(command, flags) for flags in runs)) - run_settings
@@ -1304,17 +1327,20 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _gap_search_commands() -> list[str]:
-    """The pinned runs that search gaps, and a constraints run that does."""
+def _forked_commands() -> list[str]:
+    """The pinned runs of the commands that take --threads, and a
+    constraints run that searches gaps."""
     (mark,) = TestPinnedOutput.test_output_bytes.pytestmark
     pinned = [command for command, _sha256, _stderr in mark.args[1]]
-    searching = [c for c in pinned if c.split()[0] in ("optimize", "propagate", "cat-entropy")]
-    return searching + ["constraints --branch both --omega-steps 6 --d1-steps 3 --d2-steps 10"]
+    threaded = next(row.commands for row in PARAMS if row.name == "threads")
+    forked = [c for c in pinned if c.split()[0] in threaded]
+    return forked + ["constraints --branch both --omega-steps 6 --d1-steps 3 --d2-steps 10"]
 
 
 class TestWorkers:
-    """--threads N forks up to N workers for the gap search; the bytes,
-    exit codes and stderr lines of a run do not depend on N, and no worker
+    """--threads N forks up to N workers for the rows of a run, a chunk of
+    datasets.BLOCK_ROWS rows at a time; the bytes, exit codes and stderr
+    lines of a run do not depend on N or on the chunk length, and no worker
     outlives the run."""
 
     #: Two frequencies per branch: one row for the parent, one for a worker.
@@ -1325,20 +1351,59 @@ class TestWorkers:
         """Set the CPU count the worker cap sees."""
         return lambda n: monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
 
-    @pytest.mark.parametrize("threads, cpus_seen", [("2", None), ("9007199254740992", None), ("9007199254740992", 5)])
-    @pytest.mark.parametrize("command", _gap_search_commands())
-    def test_bytes_do_not_depend_on_workers(self, command, threads, cpus_seen, cpus):
+    @pytest.mark.parametrize(
+        "threads, cpus_seen, chunk",
+        [("2", None, None), ("9007199254740992", None, None), ("9007199254740992", 5, None), ("3", 3, 5)],
+    )
+    @pytest.mark.parametrize("command", _forked_commands())
+    def test_bytes_do_not_depend_on_workers(self, monkeypatch, command, threads, cpus_seen, chunk, cpus):
         serial = run_cli(command.split() + ["--threads", "1"])
         if cpus_seen is not None:  # more workers than cores, shares of unequal length
             cpus(cpus_seen)
+        if chunk is not None:  # a run of more rows than a chunk crosses chunk boundaries
+            monkeypatch.setattr(datasets, "BLOCK_ROWS", chunk)
         assert run_cli(command.split() + ["--threads", threads]) == serial
         assert serial[0] == 0
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "dispersion --branch plus --k-steps 6",
+            "angle --branch plus --omega-steps 6",
+            "constraints --branch plus --omega-steps 3 --d1-steps 2 --d2-nm 300",
+            "optimize --branch both --omega-steps 3 --d1-steps 2 --d2-steps 6",
+        ],
+    )
+    def test_first_rows_are_written_before_the_last_chunk_is_computed(self, monkeypatch, cpus, command):
+        """Each chunk of rows reaches the writer as it is made: the run
+        never holds more than one chunk of tasks or results."""
+        events = []
+        real_chunk, real_csv = cli._map_chunk, datasets.csv_chunks
+
+        def chunk(fn, tasks, workers):
+            events.append("chunk")
+            return real_chunk(fn, tasks, workers)
+
+        def csv_chunks(ds):
+            for i, text in enumerate(real_csv(ds)):
+                events.append("header" if i == 0 else "rows")
+                yield text
+
+        cpus(2)
+        monkeypatch.setattr(datasets, "BLOCK_ROWS", 2)
+        monkeypatch.setattr(cli, "_map_chunk", chunk)
+        monkeypatch.setattr(datasets, "csv_chunks", csv_chunks)
+        code, out, _ = run_cli(command.split() + ["--threads", "2"])
+        assert code == 0 and len(read_csv(out)["rows"]) == 6
+        last_chunk = max(i for i, event in enumerate(events) if event == "chunk")
+        assert events.count("chunk") == 3 and events.index("rows") < last_chunk, events
         assert_no_child_left()
 
     def test_out_file_open_across_the_fork(self, tmp_path, cpus):
         """Workers fork while the --out file holds unwritten text; none of it is written twice."""
         cpus(3)
-        command = _gap_search_commands()[1].split()  # cat-entropy
+        command = next(c for c in _forked_commands() if c.startswith("cat-entropy")).split()
         outputs = []
         for threads in ("1", "3"):
             out = tmp_path / f"{threads}.csv"

@@ -86,13 +86,16 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
-@given(wp=_log_uniform(1e10, 1e20), cr=st.just(0.0) | _log_uniform(1e-12, 1e300))
+@given(wp=_log_uniform(1e10, 1e150), cr=st.just(0.0) | _log_uniform(1e-12, 1e300))
 @example(wp=SILVER.plasma_frequency, cr=1e24)  # roots below 1e-6 wp
 @example(wp=SILVER.plasma_frequency, cr=1e25)
 @example(wp=SILVER.plasma_frequency, cr=1e300)
+@example(wp=1e104, cr=1.0)  # w_sp^3 overflows
+@example(wp=1.3407807929942596e154, cr=1.0)  # the largest wp whose square is finite
 def test_surface_plasma_frequency_over_whole_range(wp, cr):
     """Finite, in (0, wp/sqrt(2)], and within 2 ulps of the exact root
-    wp/sqrt(1 + sqrt(1 + c_r)) at 100 digits, for any c_r >= 0."""
+    wp/sqrt(1 + sqrt(1 + c_r)) at 100 digits, for any c_r >= 0 and any wp
+    up to 1e150, where w_sp^3 is past the float range."""
     wsp = surface_plasma_frequency(DielectricModel(wp, real_correction_coeff=cr))
     assert math.isfinite(wsp) and 0.0 < wsp <= wp / math.sqrt(2.0)
     with mpmath.workdps(100):
@@ -128,6 +131,8 @@ def test_eps_derivative_overflows_to_inf_where_omega_cubed_underflows():
 def test_model_validation():
     with pytest.raises(ValueError):
         DielectricModel(plasma_frequency=-1.0)
+    with pytest.raises(ValueError, match="^plasma_frequency must be positive and its square finite, got 1e[+]155$"):
+        DielectricModel(plasma_frequency=1e155)
     with pytest.raises(ValueError):
         DielectricModel(plasma_frequency=1e16, damping_rate=-1.0)
     with pytest.raises(ValueError):

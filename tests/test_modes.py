@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conftest import lossless
+
 from lrspp.constants import C_LIGHT
 from lrspp.dispersion import BranchId, coupling_angle, solve_k, solve_omega
-from lrspp.materials import SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
+from lrspp.materials import SILVER, eps_lossy, surface_plasma_frequency
 from lrspp.modes import (
     ExpTerm,
     FourLayerField,
@@ -90,13 +92,13 @@ class TestStripProfile:
             assert ratio < 0.02
 
 
-def brute_force_four_layer(w, theta, d1, d2, eps1, model, lossy):
+def brute_force_four_layer(w, theta, d1, d2, eps1, model):
     """Independent oracle: assemble the full boundary system as a dense
     linear solve for (r, k1..k5) with unit incidence."""
     woc = w / C_LIGHT
     kx = math.sqrt(eps1) * woc * math.sin(theta)
     kz1 = math.sqrt(eps1) * woc * math.cos(theta)
-    em = complex(eps_lossy(model, w)) if lossy else complex(eps_lossless(model, w))
+    em = eps_lossy(model, w)
     g0 = cmath.sqrt(kx * kx - woc * woc)
     gm = cmath.sqrt(kx * kx - em * woc * woc)
 
@@ -147,7 +149,7 @@ class TestFourLayer:
             w = 2.2e15 + i * (5.2e15 - 2.2e15) / 9
             for j in range(10):
                 theta = crit + 1e-3 + (math.pi / 2 - crit - 2e-3) * j / 9
-                fl = four_layer_solve(w, theta, 20e-9, 400e-9, 1.51, SILVER, lossy=False)
+                fl = four_layer_solve(w, theta, 20e-9, 400e-9, 1.51, lossless(SILVER))
                 assert abs(abs(fl.r) ** 2 + abs(fl.tau) ** 2 - 1.0) < 1e-9
 
     @settings(max_examples=300, deadline=None)
@@ -163,7 +165,7 @@ class TestFourLayer:
         every amplitude stays finite, however thick the strip or wide the
         gap."""
         omega = frac * surface_plasma_frequency(SILVER)
-        fl = four_layer_solve(omega, theta, d1, d2, 1.51, SILVER, lossy=False)
+        fl = four_layer_solve(omega, theta, d1, d2, 1.51, lossless(SILVER))
         assert all(cmath.isfinite(t.ax) and cmath.isfinite(t.az) for reg in fl.profile.regions for t in reg.terms)
         assert abs(abs(fl.r) ** 2 + abs(fl.tau) ** 2 - 1.0) < 1e-12
 
@@ -171,7 +173,7 @@ class TestFourLayer:
         w = 4e15
         sol = solve_k(BranchId.ANTISYMMETRIC, w, 20e-9, SILVER)
         theta = coupling_angle(w, sol.k, 1.51)
-        fl = four_layer_solve(w, theta, 20e-9, 5e-6, 1.51, SILVER, lossy=True)
+        fl = four_layer_solve(w, theta, 20e-9, 5e-6, 1.51, SILVER)
         assert abs(fl.tau) < 0.01
         assert abs(fl.r) > 0.99
 
@@ -179,16 +181,16 @@ class TestFourLayer:
         w = 4e15
         sol = solve_k(BranchId.ANTISYMMETRIC, w, 20e-9, SILVER)
         theta = coupling_angle(w, sol.k, 1.51)
-        fl = four_layer_solve(w, theta, 20e-9, 1e-6, 1.51, SILVER, lossy=True)
+        fl = four_layer_solve(w, theta, 20e-9, 1e-6, 1.51, SILVER)
         assert abs(fl.r) < 0.9
         assert abs(abs(fl.r) ** 2 + abs(fl.tau) ** 2 - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("lossy", [False, True])
-    def test_against_brute_force_solve(self, lossy):
+    @pytest.mark.parametrize("model", [lossless(SILVER), SILVER], ids=["lossless", "lossy"])
+    def test_against_brute_force_solve(self, model):
         w, d1, d2, eps1 = 3.8e15, 25e-9, 600e-9, 1.51
         theta = 1.0
-        fl = four_layer_solve(w, theta, d1, d2, eps1, SILVER, lossy=lossy)
-        kx, vec = brute_force_four_layer(w, theta, d1, d2, eps1, SILVER, lossy)
+        fl = four_layer_solve(w, theta, d1, d2, eps1, model)
+        kx, vec = brute_force_four_layer(w, theta, d1, d2, eps1, model)
         r_bf, k_bf = vec[0], vec[1:]
         assert fl.r == pytest.approx(r_bf, rel=1e-9)
         amps = [t.ax for reg in fl.profile.regions for t in reg.terms]
@@ -196,11 +198,11 @@ class TestFourLayer:
             assert got == pytest.approx(want, rel=1e-9)
         assert fl.profile.kx == pytest.approx(kx, rel=1e-14)
 
-    @pytest.mark.parametrize("lossy", [False, True])
-    def test_interface_continuity(self, lossy):
+    @pytest.mark.parametrize("model", [lossless(SILVER), SILVER], ids=["lossless", "lossy"])
+    def test_interface_continuity(self, model):
         w, d1, d2, eps1 = 4.2e15, 30e-9, 800e-9, 1.51
         theta = 0.98
-        fl = four_layer_solve(w, theta, d1, d2, eps1, SILVER, lossy=lossy)
+        fl = four_layer_solve(w, theta, d1, d2, eps1, model)
         gap, metal, top = fl.profile.regions
         kx = fl.profile.kx
         # interior interfaces
@@ -246,7 +248,7 @@ class TestNormsAndOverlaps:
         w, d1, d2 = 3.6e15, 25e-9, 700e-9
         sol = solve_k(BranchId.ANTISYMMETRIC, w, d1, SILVER)
         theta = coupling_angle(w, sol.k, 1.51)
-        fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER, lossy=True)
+        fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER)
         closed = profile_norm(fl.profile, -d2, INF)
         tail = d1 + 40.0 / fl.gamma_0.real
         oracle = quad_norm(fl.profile, -d2, tail)
@@ -273,7 +275,7 @@ class TestNormsAndOverlaps:
                 prof = lrspp_profile(branch, sol, SILVER)
                 tail = d1 + 40.0 / sol.nu_0
             else:
-                fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER, lossy=True)
+                fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER)
                 prof = fl.profile
                 tail = d1 + 40.0 / fl.gamma_0.real
             closed = profile_norm(prof, -d2, INF)
@@ -300,7 +302,7 @@ class TestNormsAndOverlaps:
         sol = solve_k(BranchId.ANTISYMMETRIC, w, d1, SILVER)
         prof = lrspp_profile(BranchId.ANTISYMMETRIC, sol, SILVER)
         theta = coupling_angle(w, sol.k, 1.51)
-        fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER, lossy=True)
+        fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER)
         ab = overlap_integral(prof, fl.profile, -d2, INF)
         ba = overlap_integral(fl.profile, prof, -d2, INF)
         assert ab == pytest.approx(ba.conjugate(), rel=1e-12)

@@ -37,6 +37,7 @@ import os
 import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import fields
 
 from . import coupling, datasets, propagation, statetransfer
 from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
@@ -181,13 +182,8 @@ def _echo(argv: list[str]) -> str:
 
 
 def _optimize_config(cfg: RunConfig) -> coupling.OptimizeConfig:
-    return coupling.OptimizeConfig(
-        d2_min=cfg.d2.lo,
-        d2_max=cfg.d2.hi,
-        d2_steps=cfg.d2.steps,
-        delta_omega=cfg.delta_omega,
-        eps_prism=cfg.eps_prism,
-    )
+    """The gap search of cfg: RunConfig holds every OptimizeConfig field by name."""
+    return coupling.OptimizeConfig(**{f.name: getattr(cfg, f.name) for f in fields(coupling.OptimizeConfig)})
 
 
 def _cmd_material(cfg: RunConfig) -> Blocks:
@@ -263,8 +259,7 @@ def _cmd_field(cfg: RunConfig) -> Blocks:
         if z < profile.z_lo:
             yield z, None, None, None, None
             continue
-        ex = profile.eval_x(z)
-        ez = profile.eval_z(z)
+        ex, ez = profile.at(z)
         yield z, ex.real, ex.imag, ez.real, ez.imag
 
 

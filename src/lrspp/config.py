@@ -32,7 +32,7 @@ NM = 1e-9
 #: Integers beyond 2**53 are not exact once a JSON reader takes them as doubles.
 _INT_LIMIT = 2**53
 _MATERIAL_KEYS = tuple(f.name for f in fields(DielectricModel))
-_BRANCH_IDS = {"plus": BranchId.ANTISYMMETRIC, "minus": BranchId.SYMMETRIC}
+_BRANCH_IDS = {branch.value: branch for branch in BranchId}  # plus, then minus
 #: The library's default gap search, whose grid is the d2 grid's default.
 _GAP_SEARCH = OptimizeConfig()
 

@@ -11,10 +11,11 @@ and no growing exponential is ever formed: the four-layer solve keeps its
 amplitudes bounded for any strip and gap by normalising the field at the
 metal's lower face and at the prism, never in the top air.  For
 transverse-magnetic fields the z amplitude is tied to the x amplitude by
-the divergence-free condition az = -i kx / rate * ax; both are stored
-explicitly.  Norms and overlaps are sums of term-pair integrals, each the
-pair's product at the segment end where it is largest times one closed
-form, _segment_integral, so no quadrature enters the main computation path.
+the divergence-free condition az = -i kx / rate * ax; both are stored,
+and ``at(z)`` gives (ex, ez) from one exponential per term.  Norms and
+overlaps sum term-pair integrals over each pair of overlapping regions,
+each the pair's product at the segment end where it is largest times one
+closed form, _segment_integral, so no quadrature enters the computation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .constants import C_LIGHT
 from .dispersion import BranchId, DispersionSolution
-from .errors import SingularSystemError
+from .errors import LrsppError, SingularSystemError
 from .materials import DielectricModel, eps_lossless, eps_lossy
 
 _INF = math.inf
@@ -40,12 +41,6 @@ class ExpTerm:
     rate: complex
     z_ref: float
 
-    def value_x(self, z: float) -> complex:
-        return self.ax * cmath.exp(self.rate * (z - self.z_ref))
-
-    def value_z(self, z: float) -> complex:
-        return self.az * cmath.exp(self.rate * (z - self.z_ref))
-
 
 @dataclass(frozen=True)
 class Region:
@@ -55,17 +50,20 @@ class Region:
     z_hi: float
     terms: tuple[ExpTerm, ...]
 
-    def eval_x(self, z: float) -> complex:
-        return sum((t.value_x(z) for t in self.terms), 0j)
-
-    def eval_z(self, z: float) -> complex:
-        return sum((t.value_z(z) for t in self.terms), 0j)
+    def at(self, z: float) -> tuple[complex, complex]:
+        """(ex, ez) at z: one exponential per term, summed in term order."""
+        ex = ez = 0j
+        for t in self.terms:
+            e = cmath.exp(t.rate * (z - t.z_ref))
+            ex += t.ax * e
+            ez += t.az * e
+        return ex, ez
 
 
 @dataclass(frozen=True)
 class PiecewiseExpProfile:
-    """Contiguous regions of exponential terms plus the shared in-plane
-    wavevector kx."""
+    """Contiguous regions of exponential terms, in z order, plus the shared
+    in-plane wavevector kx."""
 
     regions: tuple[Region, ...]
     kx: float
@@ -74,17 +72,11 @@ class PiecewiseExpProfile:
     def z_lo(self) -> float:
         return self.regions[0].z_lo
 
-    def region_at(self, z: float) -> Region:
+    def at(self, z: float) -> tuple[complex, complex]:
         for r in self.regions:
             if r.z_lo <= z <= r.z_hi:
-                return r
+                return r.at(z)
         raise ValueError(f"z={z} outside profile span [{self.z_lo}, {self.regions[-1].z_hi}]")
-
-    def eval_x(self, z: float) -> complex:
-        return self.region_at(z).eval_x(z)
-
-    def eval_z(self, z: float) -> complex:
-        return self.region_at(z).eval_z(z)
 
 
 def lrspp_profile(branch: BranchId, solution: DispersionSolution, model: DielectricModel) -> PiecewiseExpProfile:
@@ -194,6 +186,8 @@ def _upper_stack(omega: float, theta: float, d1: float, eps_prism: float, model:
     gamma_0 = math.sqrt(g0_sq)
     em = eps_lossy(model, omega)
     gamma_m = cmath.sqrt(kx * kx - em * woc * woc)
+    if not cmath.isfinite(gamma_m):
+        raise LrsppError(f"metal decay rate overflows at omega={omega!r}: lossy permittivity {em!r} times (omega/c)^2")
     kz1 = math.sqrt(eps_prism) * woc * math.cos(theta)
     if kz1 == 0.0:
         raise SingularSystemError("grazing incidence: prism wave has no normal component")
@@ -258,17 +252,15 @@ def _upper_profile(st: _UpperStack, d1: float, scale: complex) -> PiecewiseExpPr
 
 
 def _segment_pairs(f: PiecewiseExpProfile, g: PiecewiseExpProfile, lo: float, hi: float):
-    """Yield (a, b, f_region, g_region) segments covering [lo, hi]."""
-    cuts = {lo, hi}
-    for p in (f, g):
-        for reg in p.regions:
-            for z in (reg.z_lo, reg.z_hi):
-                if lo < z < hi:
-                    cuts.add(z)
-    points = sorted(cuts)
-    for a, b in zip(points, points[1:]):
-        mid = a + 1.0 if b == _INF else (b - 1.0 if a == -_INF else 0.5 * (a + b))
-        yield a, b, f.region_at(mid), g.region_at(mid)
+    """Yield (a, b, f_region, g_region), in z order, for each region pair whose common part
+    [a, b] of [lo, hi] has a < b; ValueError unless lo <= hi and both profiles cover [lo, hi]."""
+    if not max(f.z_lo, g.z_lo) <= lo <= hi <= min(f.regions[-1].z_hi, g.regions[-1].z_hi):
+        raise ValueError(f"span [{lo}, {hi}] is not within both profiles")
+    for rf in f.regions:
+        for rg in g.regions:
+            a, b = max(lo, rf.z_lo, rg.z_lo), min(hi, rf.z_hi, rg.z_hi)
+            if a < b:
+                yield a, b, rf, rg
 
 
 def _segment_integral(rho: complex, length: float) -> complex:

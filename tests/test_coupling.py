@@ -37,11 +37,12 @@ def beta_quadrature_oracle(branch, w, d1, d2, eps_prism=1.51, model=SILVER):
     def piece(f):
         return sum(quad(f, a, b, limit=400)[0] for a, b in zip(edges, edges[1:]))
 
-    n1 = piece(lambda z: abs(phi.eval_x(z)) ** 2 + abs(phi.eval_z(z)) ** 2)
-    n2 = piece(lambda z: abs(psi.eval_x(z)) ** 2 + abs(psi.eval_z(z)) ** 2)
+    n1 = piece(lambda z: sum(abs(c) ** 2 for c in phi.at(z)))
+    n2 = piece(lambda z: sum(abs(c) ** 2 for c in psi.at(z)))
 
     def integrand(z):
-        return phi.eval_x(z).conjugate() * psi.eval_x(z) + phi.eval_z(z).conjugate() * psi.eval_z(z)
+        (fx, fz), (gx, gz) = phi.at(z), psi.at(z)
+        return fx.conjugate() * gx + fz.conjugate() * gz
 
     ov = complex(piece(lambda z: integrand(z).real), piece(lambda z: integrand(z).imag))
     return -(fl.tau * ov / math.sqrt(n1 * n2)).conjugate()

@@ -30,7 +30,7 @@ from lrspp.config import (
     config_from_dict,
     validate_config,
 )
-from lrspp.errors import ConfigError, NoBoundMode, NormalizationError
+from lrspp.errors import ConfigError, ConvergenceError, NoBoundMode, NormalizationError, StencilError
 
 
 SAMPLE_ROWS = [
@@ -265,6 +265,16 @@ class TestConfig:
         assert cfg.material.damping_rate == 0.0
         assert cfg.material.plasma_frequency == 1.402e16
 
+    def test_gap_search_is_read_from_the_run_config(self):
+        cfg = config_from_dict({"d2_min": 6e-8, "d2_max": 1e-6, "d2_steps": 7, "delta_omega": 1e13, "eps_prism": 2.0})
+        assert cli._optimize_config(cfg) == coupling.OptimizeConfig(6e-8, 1e-6, 7, 1e13, 2.0)
+        assert cli._optimize_config(config_from_dict({})) == coupling.OptimizeConfig()
+
+    def test_branches_run_plus_then_minus(self):
+        both = [("plus", dispersion.BranchId.ANTISYMMETRIC), ("minus", dispersion.BranchId.SYMMETRIC)]
+        assert config_from_dict({}).branches() == both
+        assert config_from_dict({"branch": "minus"}).branches() == both[1:]
+
 
 class TestCliExitCodes:
     def test_unknown_flag_is_config_error(self, capsys):
@@ -304,10 +314,40 @@ class TestCliExitCodes:
         cells = [c for row in rows for c in row[1:] if c != "NA"]
         assert rows and cells and all(math.isfinite(float(c)) for c in cells)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "--profile", "atr", "--omega", "3e15"],
+            ["optimize", "--omega-steps", "2", "--d1-steps", "2", "--d2-steps", "2"],
+        ],
+        ids=["field", "optimize"],
+    )
+    def test_overflowing_lossy_stack_names_its_cause(self, argv, tmp_path):
+        """An imaginary correction of 1e300 overflows eps_lossy (omega/c)^2,
+        so the metal's decay rate in the four-layer stack is not finite."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"material": {"plasma_frequency": 1e16, "imag_correction": 1e300}}))
+        code, out, err = run_cli(argv + ["--config", str(path)])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("numerical failure: metal decay rate overflows at omega="), err
+        assert "lossy permittivity (" in err and "+1e+300j)" in err
+
     def test_malformed_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.run(["material", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "list"])
+    def test_unreadable_config_file_is_one_config_error_line(self, kind, tmp_path):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "list":
+            path.write_text("[]")
+        code, out, err = run_cli(["material", "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("config error: config: "), err
 
     def test_unwritable_output_path(self, tmp_path):
         out = tmp_path / "missing" / "out.csv"
@@ -715,6 +755,30 @@ class TestCliDatasets:
         assert cli.run(base + ["--threads", "1", "--out", str(out1)]) == 0
         assert cli.run(base + ["--threads", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, error, column",
+        [("group_velocity", StencilError, "v_group"), ("complex_wavenumber", ConvergenceError, "kappa")],
+        ids=["v_group", "kappa"],
+    )
+    def test_dispersion_cell_whose_solver_fails_is_na(self, name, error, column, monkeypatch):
+        argv = ["dispersion", "--d1-nm", "20", "--k-steps", "3"]
+        _, before, _ = run_cli(argv)
+
+        def failing(sol, model):
+            raise error("monkeypatched failure")
+
+        monkeypatch.setattr(cli, name, failing)
+        code, after, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        lines_before, lines_after = before.splitlines(), after.splitlines()
+        header = lines_after[2].split(",")
+        assert lines_after[:3] == lines_before[:3] and len(lines_after) == len(lines_before) == 9
+        at = header.index(column)
+        for old, new in zip(lines_before[3:], lines_after[3:]):
+            old, new = old.split(","), new.split(",")
+            assert new[at] == "NA" and old[at] != "NA"
+            assert new[:at] + new[at + 1:] == old[:at] + old[at + 1:]
 
     def test_field_dataset_samples_profile(self, capsys):
         code = cli.run(["field", "--profile", "lrspp", "--omega", "4e15", "--d1-nm", "20",
@@ -1291,11 +1355,26 @@ class TestPinnedOutput:
                 "cdf6eb8be8f11ced217441025befd9ffea2704b516ca10aca644297fef215a8d",
                 "",
             ),
+            (  # the strip mode over its default z span
+                "field",
+                "99b17d598e4312e5ba02930492d2c02865e0217a96bbe6e6d785480c619c4119",
+                "",
+            ),
+            (  # the four-layer field, NA rows below the prism face z = -d2
+                "field --profile atr --z-min-nm -800 --z-steps 120",
+                "585ce04ec42e4fbef8d7992b9aee3de755a443e1a7ebea8541edb906314026ad",
+                "",
+            ),
+            (
+                "field --profile atr --branch minus --omega 3e15 --d2-nm 300 --z-steps 60 --format json",
+                "8a1fa3dbc895a10e1977aefc5888af82eb8f2bcc1b90a019f3168093a9b19e10",
+                "",
+            ),
         ],
         ids=[
             "dispersion", "angle", "constraints-fixed-d2", "angle-clipped", "optimize", "cat-entropy",
             "propagate-na-frequency", "cat-entropy-json", "propagate-two-blocks", "cat-entropy-two-blocks",
-            "cat-entropy-json-two-blocks",
+            "cat-entropy-json-two-blocks", "field", "field-atr-na-rows", "field-atr-json",
         ],
     )
     def test_output_bytes(self, command, stdout_sha256, stderr):

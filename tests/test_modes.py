@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from conftest import lossless
 
 from lrspp.constants import C_LIGHT
 from lrspp.dispersion import BranchId, coupling_angle, solve_k, solve_omega
-from lrspp.materials import SILVER, eps_lossy, surface_plasma_frequency
+from lrspp.errors import LrsppError
+from lrspp.materials import SILVER, DielectricModel, eps_lossy, surface_plasma_frequency
 from lrspp.modes import (
     ExpTerm,
     FourLayerField,
     PiecewiseExpProfile,
     Region,
+    _segment_pairs,
     four_layer_solve,
     lrspp_profile,
     overlap_integral,
@@ -30,7 +33,8 @@ def quad_norm(profile: PiecewiseExpProfile, lo: float, hi_tail: float) -> float:
     """Adaptive-quadrature oracle for the profile norm."""
 
     def f(z: float) -> float:
-        return abs(profile.eval_x(z)) ** 2 + abs(profile.eval_z(z)) ** 2
+        ex, ez = profile.at(z)
+        return abs(ex) ** 2 + abs(ez) ** 2
 
     edges = [lo] + [r.z_hi for r in profile.regions if lo < r.z_hi < hi_tail] + [hi_tail]
     total = 0.0
@@ -47,8 +51,16 @@ def hfield(region: Region, z: float, kx: float) -> complex:
     )
 
 
+def strip_and_atr(w: float, d1: float, d2: float) -> tuple[PiecewiseExpProfile, PiecewiseExpProfile]:
+    """The plus-branch strip mode and the four-layer field at its matching angle."""
+    sol = solve_k(BranchId.ANTISYMMETRIC, w, d1, SILVER)
+    fl = four_layer_solve(w, coupling_angle(w, sol.k, 1.51), d1, d2, 1.51, SILVER)
+    return lrspp_profile(BranchId.ANTISYMMETRIC, sol, SILVER), fl.profile
+
+
 def magnitude(profile: PiecewiseExpProfile, z: float) -> float:
-    return math.hypot(abs(profile.eval_x(z)), abs(profile.eval_z(z)))
+    ex, ez = profile.at(z)
+    return math.hypot(abs(ex), abs(ez))
 
 
 class TestStripProfile:
@@ -59,7 +71,7 @@ class TestStripProfile:
         prof = lrspp_profile(branch, sol, SILVER)
         below, metal, above = prof.regions
         for z, (ra, rb) in ((0.0, (below, metal)), (d1, (metal, above))):
-            ex_a, ex_b = ra.eval_x(z), rb.eval_x(z)
+            ex_a, ex_b = ra.at(z)[0], rb.at(z)[0]
             assert abs(ex_a - ex_b) / abs(ex_a) < 1e-10
             h_a, h_b = hfield(ra, z, prof.kx), hfield(rb, z, prof.kx)
             assert abs(h_a - h_b) / abs(h_a) < 1e-10
@@ -73,12 +85,12 @@ class TestStripProfile:
             sol = solve_k(branch, w, 20e-9, SILVER)
             prof = lrspp_profile(branch, sol, SILVER)
             delta = 5e-9
-            assert abs(prof.eval_x(-delta)) == pytest.approx(abs(prof.eval_x(sol.d1 + delta)), rel=1e-12)
+            assert abs(prof.at(-delta)[0]) == pytest.approx(abs(prof.at(sol.d1 + delta)[0]), rel=1e-12)
 
     def test_unit_amplitude_below(self):
         sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
         prof = lrspp_profile(BranchId.ANTISYMMETRIC, sol, SILVER)
-        assert prof.eval_x(0.0) == pytest.approx(1.0)
+        assert prof.at(0.0)[0] == pytest.approx(1.0)
 
     def test_metal_interior_suppressed_when_faces_decouple(self):
         # nu_m d1 >> 4 (C < 1): the midplane field is a few % of the face value
@@ -207,7 +219,7 @@ class TestFourLayer:
         kx = fl.profile.kx
         # interior interfaces
         for z, (ra, rb) in ((0.0, (gap, metal)), (d1, (metal, top))):
-            assert abs(ra.eval_x(z) - rb.eval_x(z)) / abs(ra.eval_x(z)) < 1e-10
+            assert abs(ra.at(z)[0] - rb.at(z)[0]) / abs(ra.at(z)[0]) < 1e-10
             assert abs(hfield(ra, z, kx) - hfield(rb, z, kx)) / abs(hfield(ra, z, kx)) < 1e-10
         # prism face: incident + reflected against the gap field
         woc = w / C_LIGHT
@@ -215,7 +227,7 @@ class TestFourLayer:
         ex_prism = 1.0 + fl.r
         by = lambda rate: (rate * rate - kx * kx) / rate
         hy_prism = by(1j * kz1) * 1.0 + by(-1j * kz1) * fl.r
-        assert abs(ex_prism - gap.eval_x(-d2)) / abs(ex_prism) < 1e-10
+        assert abs(ex_prism - gap.at(-d2)[0]) / abs(ex_prism) < 1e-10
         assert abs(hy_prism - hfield(gap, -d2, kx)) / abs(hy_prism) < 1e-10
 
     def test_below_critical_angle_rejected(self):
@@ -226,6 +238,16 @@ class TestFourLayer:
     def test_prism_not_above_air_rejected(self, eps_prism):
         with pytest.raises(ValueError, match="^eps_prism must be finite and exceed 1, got "):
             four_layer_solve(4e15, 1.2, 20e-9, 500e-9, eps_prism, SILVER)
+
+    def test_overflowing_metal_rate_names_omega_and_permittivity(self):
+        """eps_lossy (omega/c)^2 overflows for an imaginary correction above
+        about 1e294; just below, the field is still finite."""
+        lossy = DielectricModel(plasma_frequency=1e16, imag_correction=1e300)
+        with pytest.raises(LrsppError, match=r"^metal decay rate overflows at omega=3000000000000000\.0: "
+                           r"lossy permittivity \(-10\.11\d*\+1e\+300j\)"):
+            four_layer_solve(3e15, 1.2, 20e-9, 500e-9, 1.51, lossy)
+        fl = four_layer_solve(3e15, 1.2, 20e-9, 500e-9, 1.51, replace(lossy, imag_correction=1e293))
+        assert all(cmath.isfinite(t.ax) for reg in fl.profile.regions for t in reg.terms)
 
 
 class TestNormsAndOverlaps:
@@ -306,3 +328,43 @@ class TestNormsAndOverlaps:
         ab = overlap_integral(prof, fl.profile, -d2, INF)
         ba = overlap_integral(fl.profile, prof, -d2, INF)
         assert ab == pytest.approx(ba.conjugate(), rel=1e-12)
+
+    def test_segments_pair_regions_in_z_order(self):
+        d1, d2 = 20e-9, 500e-9
+        prof, atr = strip_and_atr(4e15, d1, d2)
+        pairs = [(a, b, prof.regions.index(rf), atr.regions.index(rg))
+                 for a, b, rf, rg in _segment_pairs(prof, atr, -d2, INF)]
+        assert pairs == [(-d2, 0.0, 0, 0), (0.0, d1, 1, 1), (d1, INF, 2, 2)]
+        inner = [(a, b) for a, b, _, _ in _segment_pairs(prof, atr, 0.5 * d1, 2.0 * d1)]
+        assert inner == [(0.5 * d1, d1), (d1, 2.0 * d1)]
+        assert list(_segment_pairs(prof, atr, d1, d1)) == []
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(-600e-9, INF), (0.0, -500e-9), (INF, 0.0), (math.nan, INF), (0.0, math.nan)],
+        ids=["below-the-prism", "reversed", "reversed-infinite", "nan-lo", "nan-hi"],
+    )
+    def test_span_not_covered_or_reversed_raises(self, lo, hi):
+        prof, atr = strip_and_atr(4e15, 20e-9, 500e-9)
+        with pytest.raises(ValueError, match="not within both profiles"):
+            overlap_integral(prof, atr, lo, hi)
+        with pytest.raises(ValueError, match="not within both profiles"):
+            profile_norm(atr, lo, hi)
+
+    def test_overlap_adds_over_split_spans(self):
+        d1, d2 = 25e-9, 700e-9
+        prof, atr = strip_and_atr(3.6e15, d1, d2)
+        whole = overlap_integral(prof, atr, -d2, INF)
+        for cut in (-0.5 * d2, 0.0, 0.3 * d1, d1, 3.0 * d1):
+            parts = overlap_integral(prof, atr, -d2, cut) + overlap_integral(prof, atr, cut, INF)
+            assert parts == pytest.approx(whole, rel=1e-12)
+
+
+def test_at_sums_each_term_once_from_the_first_region_holding_z():
+    sol = solve_k(BranchId.SYMMETRIC, 3e15, 30e-9, SILVER)
+    prof = lrspp_profile(BranchId.SYMMETRIC, sol, SILVER)
+    below, metal, above = prof.regions
+    for z, region in ((-40e-9, below), (0.0, below), (12e-9, metal), (30e-9, metal), (55e-9, above)):
+        exps = [cmath.exp(t.rate * (z - t.z_ref)) for t in region.terms]
+        ex = sum((t.ax * e for t, e in zip(region.terms, exps)), 0j)
+        ez = sum((t.az * e for t, e in zip(region.terms, exps)), 0j)
+        assert prof.at(z) == region.at(z) == (ex, ez)

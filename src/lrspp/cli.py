@@ -60,9 +60,14 @@ from .modes import four_layer_solve, lrspp_profile
 #: 2 x 120 x 60 x 80 = 1,152,000 search points.
 MAX_POINTS = 10**7
 
+#: Rows a forked chunk of tasks holds (_fork_map), and the most points of
+#: the x grid in one along-strip block (_x_lists).
+BLOCK_ROWS = 4096
+
 #: What a handler yields: datasets blocks.  A tuple of single cells is one
 #: row; an along-strip handler gives each curve as list columns over the x
-#: grid, cut into lists of at most datasets.BLOCK_ROWS points.
+#: grid, cut into lists of at most BLOCK_ROWS points.  The writer formats an
+#: x list once for consecutive blocks that share it.
 Blocks = Iterator[datasets.Block]
 
 
@@ -76,13 +81,13 @@ def _usable_cpus() -> int:
 def _fork_map(fn: Callable, tasks: Iterable, workers: int) -> Iterator:
     """fn(t) for each t of tasks, yielded in task order.
 
-    The tasks are taken datasets.BLOCK_ROWS at a time, and each chunk is
+    The tasks are taken BLOCK_ROWS at a time, and each chunk is
     computed by _map_chunk before any of its results is yielded: no more
     than one chunk of tasks or results is held at once, and no worker is
     running while the caller has a result.
     """
     tasks = iter(tasks)
-    while chunk := list(itertools.islice(tasks, datasets.BLOCK_ROWS)):
+    while chunk := list(itertools.islice(tasks, BLOCK_ROWS)):
         yield from _map_chunk(fn, chunk, workers)
 
 
@@ -245,7 +250,7 @@ def _cmd_field(cfg: RunConfig) -> Blocks:
     _name, branch = cfg.branches()[0]
     sol = solve_k(branch, w, d1, cfg.material)
     if cfg.profile == "lrspp":
-        profile = lrspp_profile(branch, sol, cfg.material)
+        profile = lrspp_profile(sol, cfg.material)
         z_lo_default = -3.0 / sol.nu_0
     else:
         theta = coupling_angle(w, sol.k, cfg.eps_prism)
@@ -324,9 +329,10 @@ def _cmd_optimize(cfg: RunConfig) -> Blocks:
 
 
 def _x_lists(cfg: RunConfig) -> list[list[float]]:
-    """The x grid in lists of at most datasets.BLOCK_ROWS points: the x
-    column of every along-strip block, the same objects for every curve."""
-    xs, n = cfg.x.points(), datasets.BLOCK_ROWS
+    """The x grid in lists of at most BLOCK_ROWS points: the x column of
+    every along-strip block, the same objects for every curve.  With one
+    list, every block shares it with the block before."""
+    xs, n = cfg.x.points(), BLOCK_ROWS
     return [xs[i:i + n] for i in range(0, len(xs), n)]
 
 

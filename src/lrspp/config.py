@@ -297,7 +297,8 @@ def validate_config(cfg: RunConfig, command: str | None = None) -> tuple[RunConf
     Returns the validated config plus warning records (currently only the
     frequency-grid clip against the surface-mode limit, made only when
     ``command`` samples the omega grid; any command when it is None).
-    Raises ConfigError naming the offending key otherwise, or the grid whose
+    Raises ConfigError naming the offending key otherwise (for ``field``, an
+    omega at or above the surface-plasma frequency too), or the grid whose
     points overflow after the clip.
     """
     for row in PARAMS:
@@ -310,9 +311,12 @@ def validate_config(cfg: RunConfig, command: str | None = None) -> tuple[RunConf
             raise ConfigError(f"{name}: min must be below max, got [{grid.lo!r}, {grid.hi!r}]")
 
     try:
-        w_cap = surface_plasma_frequency(cfg.material) * OMEGA_WINDOW_TOP
+        w_sp = surface_plasma_frequency(cfg.material)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"material: {exc}") from None
+    if command == "field" and not cfg.fixed_omega < w_sp:
+        raise ConfigError(f"omega: must be below the surface-plasma frequency {w_sp!r} rad/s, got {cfg.fixed_omega!r}")
+    w_cap = w_sp * OMEGA_WINDOW_TOP
     warnings: list[str] = []
     if cfg.omega_max > w_cap and command in (None, *_OMEGA_GRID):
         if not cfg.omega_min < w_cap:

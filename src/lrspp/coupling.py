@@ -123,7 +123,7 @@ def overlap_beta(
         raise ValueError(f"d2 must be finite, got {d2!r}")
     sol = solve_k(branch, omega, d1, model)
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
-    return _beta_of_gap(sol, branch, theta, eps_prism, model)(d2)
+    return _beta_of_gap(sol, theta, eps_prism, model)(d2)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -131,7 +131,7 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_prism: float, model: DielectricModel):
+def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model: DielectricModel):
     """beta as a function of the gap d2 at a fixed dispersion solution and
     its matching angle theta: the one beta formula of the library.
 
@@ -148,7 +148,7 @@ def _beta_of_gap(sol: DispersionSolution, branch: BranchId, theta: float, eps_pr
     field for unit incidence is c times this one, so the normalized
     overlap gains the phase c/|c|.
     """
-    phi = modes.lrspp_profile(branch, sol, model)
+    phi = modes.lrspp_profile(sol, model)
     st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model)
     psi = modes._upper_profile(st, sol.d1, 1.0)
     n1_up = modes.profile_norm(phi, 0.0, _INF)
@@ -204,16 +204,16 @@ def constraint_set(
     _require_positive("d2", d2)
     _require_positive("delta_omega", delta_omega)
     sol = solve_k(branch, omega, d1, model)
-    return _constraints(sol, _bandwidth(sol, branch, delta_omega, model), d2)
+    return _constraints(sol, _bandwidth(sol, delta_omega, model), d2)
 
 
-def _bandwidth(sol: DispersionSolution, branch: BranchId, delta_omega: float, model: DielectricModel) -> float:
+def _bandwidth(sol: DispersionSolution, delta_omega: float, model: DielectricModel) -> float:
     """B at the solution's wavevector: one root solve on the other branch."""
     try:
-        other = solve_omega(branch.other, sol.k, sol.d1, model)
+        other = solve_omega(sol.branch.other, sol.k, sol.d1, model)
     except NoBoundMode:
         return _INF
-    gap = sol.omega - other.omega if branch is BranchId.ANTISYMMETRIC else other.omega - sol.omega
+    gap = sol.omega - other.omega if sol.branch is BranchId.ANTISYMMETRIC else other.omega - sol.omega
     return gap / (2.0 * delta_omega)
 
 
@@ -254,11 +254,11 @@ def optimize_d2(
     d2_hi = config.d2_max
     if _constraints(sol, _INF, d2_hi).coupled_surfaces_C < 1.0 or d2_lo > d2_hi:
         return None
-    bandwidth = _bandwidth(sol, branch, config.delta_omega, model)
+    bandwidth = _bandwidth(sol, config.delta_omega, model)
     if bandwidth < 1.0:
         return None
 
-    beta = _beta_of_gap(sol, branch, theta, config.eps_prism, model)
+    beta = _beta_of_gap(sol, theta, config.eps_prism, model)
 
     def value(d2: float) -> float:
         return abs(beta(d2))

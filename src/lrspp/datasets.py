@@ -9,9 +9,10 @@ A dataset is given a *block* of rows at a time.  A block holds one
 column per dataset column, each either a list of the block's cells or a
 single cell that stands for every row of the block; a block with no list
 column is one row.  A single cell is formatted once per block, and a list
-that recurs as the same object (an x grid shared by several curves) once
-per call.  ``csv_chunks`` and ``json_chunks`` give the text a group of
-rows at a time, so that it can be written without being held whole.
+column that is the same object as one of the block before (the x grid
+that consecutive curves share) is formatted once for both.  ``csv_chunks``
+and ``json_chunks`` give the text a block at a time, as each block
+arrives, so that it can be written without being held whole.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ Cell = float | int | str | None
 Column = list[Cell] | Cell
 #: One column per dataset column; a block with no list column is one row.
 Block = tuple[Column, ...]
-
-#: Most lines of one-row blocks a writer buffers, and the longest list the
-#: command-line front end puts in a block.
-BLOCK_ROWS = 4096
-#: Cells of the list columns one writer call memoises: the first lists seen
-#: that fit are held, with their texts, for the rest of the call.
-_MEMO_CELLS = BLOCK_ROWS
 
 
 @dataclass
@@ -60,28 +54,21 @@ def _json_texts(cells: Sequence[Cell]) -> list[str]:
 
 
 def _lines(ds: Dataset, texts_of: Callable[[Sequence[Cell]], list[str]], sep: str) -> Iterator[Iterable[str]]:
-    """The texts of the rows of ds, in non-empty groups: the texts_of their
-    cells joined by sep.  One-row blocks are buffered up to BLOCK_ROWS
-    lines.  A block with list columns is a group of its own: a single cell
-    is formatted once per block, a list column once per call while the
-    memo has room: the memo holds the lists it keeps, so that no other
-    list takes their ids, up to _MEMO_CELLS cells in all."""
-    width, done, buffer = len(ds.columns), 0, []
-    memo: dict[int, tuple[list, list[str]]] = {}
-    room = _MEMO_CELLS
+    """The texts of the rows of ds, a group per non-empty block, as the
+    block arrives: the texts_of their cells joined by sep.  A single cell is
+    formatted once per block; a list column that is the same object as a
+    list column of the block before reuses its texts.  The lists of the
+    block before are held with their texts, so that no other list takes
+    their ids."""
+    width, done = len(ds.columns), 0
+    held: dict[int, tuple[list, list[str]]] = {}
     for block in ds.blocks:
         if list not in map(type, block):
             if len(block) != width:
                 raise ValueError(f"row {done} has {len(block)} cells, expected {width}")
-            buffer.append(sep.join(texts_of(block)))
-            done += 1
-            if len(buffer) == BLOCK_ROWS:
-                yield buffer
-                buffer = []
+            done, held = done + 1, {}
+            yield (sep.join(texts_of(block)),)
             continue
-        if buffer:
-            yield buffer
-            buffer = []
         if len(block) != width:
             raise ValueError(f"block at row {done} has {len(block)} columns, expected {width}")
         lengths = {len(column) for column in block if type(column) is list}
@@ -93,22 +80,18 @@ def _lines(ds: Dataset, texts_of: Callable[[Sequence[Cell]], list[str]], sep: st
         done += n
         texts: list[str | None] = []
         lists: list[list[str]] = []
+        kept: dict[int, tuple[list, list[str]]] = {}
         for column in block:
             if type(column) is not list:
                 texts.append(texts_of([column])[0])
                 continue
             texts.append(None)
-            hit = memo.get(id(column))
-            if hit is None:
-                hit = (column, texts_of(column))
-                if len(column) <= room:
-                    memo[id(column)] = hit
-                    room -= len(column)
+            hit = held.get(id(column)) or (column, texts_of(column))
+            kept[id(column)] = hit
             lists.append(hit[1])
+        held = kept
         template = sep.join("{}" if t is None else t.replace("{", "{{").replace("}", "}}") for t in texts)
         yield map(template.format, *lists)
-    if buffer:
-        yield buffer
 
 
 def _header(ds: Dataset) -> str:
@@ -122,8 +105,7 @@ def csv_chunks(ds: Dataset) -> Iterator[str]:
     """The CSV text of ds in pieces: the header, then each block's rows."""
     yield _header(ds)
     for rows in _lines(ds, _csv_texts, ","):
-        yield "\n".join(rows)
-        yield "\n"
+        yield "\n".join([*rows, ""])
 
 
 def json_chunks(ds: Dataset) -> Iterator[str]:

@@ -79,7 +79,7 @@ class PiecewiseExpProfile:
         raise ValueError(f"z={z} outside profile span [{self.z_lo}, {self.regions[-1].z_hi}]")
 
 
-def lrspp_profile(branch: BranchId, solution: DispersionSolution, model: DielectricModel) -> PiecewiseExpProfile:
+def lrspp_profile(solution: DispersionSolution, model: DielectricModel) -> PiecewiseExpProfile:
     """Bound-mode field of the strip at a dispersion solution.
 
     Three regions: air below (z < 0, x amplitude 1), metal (0 < z < d1),
@@ -91,7 +91,7 @@ def lrspp_profile(branch: BranchId, solution: DispersionSolution, model: Dielect
     k = solution.k
     nu_m, nu_0, d1 = solution.nu_m, solution.nu_0, solution.d1
     em = eps_lossless(model, solution.omega)
-    sgn = 1.0 if branch is BranchId.ANTISYMMETRIC else -1.0
+    sgn = 1.0 if solution.branch is BranchId.ANTISYMMETRIC else -1.0
     p = 0.5 * (1.0 - nu_m / (em * nu_0))
 
     below = Region(-_INF, 0.0, (ExpTerm(1.0 + 0j, -1j * k / nu_0, nu_0, 0.0),))

@@ -27,7 +27,7 @@ def beta_quadrature_oracle(branch, w, d1, d2, eps_prism=1.51, model=SILVER):
     piecewise integration."""
     sol = solve_k(branch, w, d1, model)
     theta = coupling_angle(w, sol.k, eps_prism)
-    phi = lrspp_profile(branch, sol, model)
+    phi = lrspp_profile(sol, model)
     fl = four_layer_solve(w, theta, d1, d2, eps_prism, model)
     psi = fl.profile
     tail = d1 + 45.0 / min(sol.nu_0, fl.gamma_0.real)
@@ -48,12 +48,12 @@ def beta_quadrature_oracle(branch, w, d1, d2, eps_prism=1.51, model=SILVER):
     return -(fl.tau * ov / math.sqrt(n1 * n2)).conjugate()
 
 
-def beta_generic_oracle(branch, sol, d2, eps_prism=1.51, model=SILVER):
+def beta_generic_oracle(sol, d2, eps_prism=1.51, model=SILVER):
     """beta from the full four-layer solve at unit incidence and three
     piecewise closed-form integrals over [-d2, inf): independent of the gap
     algebra of the closed form in coupling."""
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
-    phi = lrspp_profile(branch, sol, model)
+    phi = lrspp_profile(sol, model)
     fl = four_layer_solve(sol.omega, theta, sol.d1, d2, eps_prism, model)
     n1 = profile_norm(phi, -d2, INF)
     n2 = profile_norm(fl.profile, -d2, INF)
@@ -266,10 +266,10 @@ def test_gap_objective_matches_beta(branch, frac, d1, gap):
             return
         d2 = d2_lo * (1.0 / d2_lo) ** gap
         theta = coupling_angle(omega, sol.k, 1.51)
-        beta = coupling._beta_of_gap(sol, branch, theta, 1.51, SILVER)(d2)
+        beta = coupling._beta_of_gap(sol, theta, 1.51, SILVER)(d2)
     except LrsppError:
         return
-    oracle = beta_generic_oracle(branch, sol, d2)
+    oracle = beta_generic_oracle(sol, d2)
     assert abs(beta - oracle) <= 1e-12 * abs(oracle) + sys.float_info.min
     assert abs(beta) <= 1.0
 

@@ -14,7 +14,6 @@ import threading
 import time
 import tracemalloc
 from dataclasses import fields
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,16 +169,14 @@ class TestDatasets:
             st.tuples(st.integers(0, 5), st.lists(st.integers(0, 2), min_size=4, max_size=4)), max_size=12
         ),
         picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=160),
-        block_rows=st.integers(1, 7),
-        memo_cells=st.integers(0, 10),
         streamed=st.booleans(),
     )
-    def test_csv_equals_cell_by_cell_formatter(self, width, pool, shapes, picks, block_rows, memo_cells, streamed):
+    def test_csv_equals_cell_by_cell_formatter(self, width, pool, shapes, picks, streamed):
         # Blocks of 0-5 rows whose columns are single cells, fresh lists or
         # lists that recur as the same object, all picking cells from a
-        # small pool.  A small line buffer (BLOCK_ROWS) flushes both when
-        # full and before a list block; with small memo caps every branch
-        # of the writers is reached.
+        # small pool.  A shared list recurs both in consecutive blocks, whose
+        # texts the writer reuses, and in blocks further apart, whose texts
+        # it formats again.
         draw = itertools.cycle(picks)
         shared: dict[int, list] = {}
         blocks = []
@@ -205,35 +202,50 @@ class TestDatasets:
         def dataset():
             return datasets.Dataset("lrspp x", columns, iter(blocks) if streamed else blocks, ["w"])
 
-        with mock.patch.object(datasets, "BLOCK_ROWS", block_rows), mock.patch.object(datasets, "_MEMO_CELLS", memo_cells):
-            assert datasets.to_csv(dataset()) == expected
-            assert datasets.to_json(dataset()) == expected_json
+        assert datasets.to_csv(dataset()) == expected
+        assert datasets.to_json(dataset()) == expected_json
 
-    def test_row_lines_go_out_in_groups_of_block_rows(self, monkeypatch):
-        # One-row blocks are written BLOCK_ROWS lines at a time, and the
-        # lines held go out before a list block: never a whole table.
-        monkeypatch.setattr(datasets, "BLOCK_ROWS", 4)
-        blocks = [(i,) for i in range(6)] + [([6, 7],)] + [(i,) for i in range(8, 17)]
-        groups = list(datasets.csv_chunks(datasets.Dataset("x", ["a"], blocks)))[1::2]
-        assert [g.split("\n") for g in groups] == [
-            ["0", "1", "2", "3"], ["4", "5"], ["6", "7"], ["8", "9", "10", "11"], ["12", "13", "14", "15"], ["16"]
-        ]
+    def test_each_block_goes_out_before_the_next_is_drawn(self):
+        # One-row and list blocks alike: the writer holds back no block's
+        # text, so no more than one block of text is ever held.
+        blocks = [(0,), (1,), ([2, 3],), ([4],), (5,)]
+        drawn = []
+
+        def dataset():
+            drawn.clear()
+            return datasets.Dataset("x", ["a"], (drawn.append(b) or b for b in blocks))
+
+        csv = [(len(drawn), piece) for piece in datasets.csv_chunks(dataset())]
+        assert csv[1:] == [(1, "0\n"), (2, "1\n"), (3, "2\n3\n"), (4, "4\n"), (5, "5\n")]
+        assert [len(drawn) for _piece in datasets.json_chunks(dataset())] == [0, 1, 2, 3, 4, 5, 5]
+
+    def test_a_list_shared_with_the_block_before_is_formatted_once(self, monkeypatch):
+        xs, other = [0.5, 1.5], [2.5, 3.5]
+        formatted = []
+        real = datasets._csv_texts
+        monkeypatch.setattr(datasets, "_csv_texts", lambda cells: formatted.append(cells) or real(cells))
+        blocks = [(xs, 1.0), (xs, 2.0), (other, 3.0), (xs, 4.0)]
+        assert datasets.to_csv(datasets.Dataset("x", ["x", "y"], blocks)).endswith("0.5,4.0\n1.5,4.0\n")
+        names = [name for cells in formatted for name, given in (("xs", xs), ("other", other)) if cells is given]
+        assert names == ["xs", "other", "xs"]
 
     def test_memo_is_by_object_not_by_id_alone(self):
         # Fresh lists freed after each block: their ids are reused by later
-        # lists of other values, which must not take memoised texts.  Column
-        # b recurs as one object; column c mixes 0.0 and -0.0.
+        # lists of other values, which must not take held texts, also after
+        # an empty block, past which the writer still holds the lists of the
+        # block before.  Column b recurs as one object; column c mixes 0.0
+        # and -0.0.
         kept = [0.5, 1.5, 2.5]
 
         def blocks():
             for i in range(5000):
                 yield [i / 7.0, i / 11.0, i / 13.0], kept if i % 3 else [i / 3.0] * 3, -0.0 if i % 2 else 0.0
+                if i % 4 == 0:
+                    yield [], [], 0.0
 
         expected = cell_by_cell_csv(["a", "b", "c"], rows_of(blocks(), 3))
-        for cells in (0, 10**6):
-            with mock.patch.object(datasets, "_MEMO_CELLS", cells):
-                got = datasets.to_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], blocks()))
-            assert first_difference(got, expected) is None
+        got = datasets.to_csv(datasets.Dataset("lrspp x", ["a", "b", "c"], blocks()))
+        assert first_difference(got, expected) is None
 
 
 class TestConfig:
@@ -289,8 +301,8 @@ class TestCliExitCodes:
         assert "d1" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, capsys):
-        # frequency above the bound band: the inverse solver cannot succeed
-        code = cli.run(["field", "--omega", "5.6e15"])
+        # a valid frequency at which the solver finds no bound mode in its k window
+        code = cli.run(["field", "--omega", "1e10"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
@@ -625,10 +637,9 @@ class TestAtomicOut:
         assert os.listdir(tmp_path) == ["out.csv"]
 
     def test_out_is_written_a_block_at_a_time(self, tmp_path, monkeypatch, capsys):
-        # Small blocks and memo, so that what a block holds is small next to
-        # the 0.9 MB of output: the text is never held whole.
-        monkeypatch.setattr(datasets, "BLOCK_ROWS", 128)
-        monkeypatch.setattr(datasets, "_MEMO_CELLS", 128)
+        # Small blocks, so that what a block holds is small next to the
+        # 0.9 MB of output: the text is never held whole.
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 128)
         argv = (
             "cat-entropy --branch plus --omega-min 3e15 --omega-max 3.6e15 --omega-steps 2 --d1-min-nm 15"
             " --d1-max-nm 45 --d1-steps 2 --d2-steps 8 --x-max 2e-5 --alphas 1,2,3,4,5 --x-steps"
@@ -864,6 +875,8 @@ class TestParamTable:
             (["dispersion", "--d1-nm", "-5"], None, "d1"),
             (["field", "--omega=-4e15"], None, "omega"),
             (["field", "--omega", "-4e15"], None, "omega"),
+            (["field", "--omega", "5.6e15"], None, "omega"),  # above the surface-plasma frequency
+            (["field", "--omega", repr(lrspp.surface_plasma_frequency(lrspp.SILVER))], None, "omega"),
             (["optimize", "--omega-min", "-1e15"], None, "omega_min"),
         ],
     )
@@ -965,7 +978,7 @@ class TestParamTable:
         code, out, err = with_keys
         assert "warning" not in out
         if argv[0] == "field" and "material" in payload:  # 4e15 rad/s is above both limits
-            assert code == 2 and err.startswith("numerical failure: omega=4e+15 rad/s outside the bound-mode band")
+            assert code == 1 and err.startswith("config error: omega: must be below the surface-plasma frequency")
         else:
             assert code == 0 and err == ""
 
@@ -1418,7 +1431,7 @@ def _forked_commands() -> list[str]:
 
 class TestWorkers:
     """--threads N forks up to N workers for the rows of a run, a chunk of
-    datasets.BLOCK_ROWS rows at a time; the bytes, exit codes and stderr
+    cli.BLOCK_ROWS rows at a time; the bytes, exit codes and stderr
     lines of a run do not depend on N or on the chunk length, and no worker
     outlives the run."""
 
@@ -1440,7 +1453,7 @@ class TestWorkers:
         if cpus_seen is not None:  # more workers than cores, shares of unequal length
             cpus(cpus_seen)
         if chunk is not None:  # a run of more rows than a chunk crosses chunk boundaries
-            monkeypatch.setattr(datasets, "BLOCK_ROWS", chunk)
+            monkeypatch.setattr(cli, "BLOCK_ROWS", chunk)
         assert run_cli(command.split() + ["--threads", threads]) == serial
         assert serial[0] == 0
         assert_no_child_left()
@@ -1470,7 +1483,7 @@ class TestWorkers:
                 yield text
 
         cpus(2)
-        monkeypatch.setattr(datasets, "BLOCK_ROWS", 2)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
         monkeypatch.setattr(cli, "_map_chunk", chunk)
         monkeypatch.setattr(datasets, "csv_chunks", csv_chunks)
         code, out, _ = run_cli(command.split() + ["--threads", "2"])

@@ -144,9 +144,11 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
     k2 w0 exp(g0 z) (1, -i kx/g0) in the gap, where the strip mode is
     exp(nu_0 z) (1, -i k/nu_0).  Each gap integral is the product of two
     terms at the face where it is largest times modes._segment_integral,
-    so no amplitude or integral overflows for any d1 and finite d2.  The
-    field for unit incidence is c times this one, so the normalized
-    overlap gains the phase c/|c|.
+    so no amplitude or integral overflows for any d1 and finite d2.  All
+    four gap rates are real, and the closure writes that case of the
+    segment integral out in place.  The field for unit incidence is c
+    times this one, so the normalized overlap gains the phase c/|c| that
+    modes._prism_match returns.
     """
     phi = modes.lrspp_profile(sol, model)
     st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model)
@@ -155,7 +157,6 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
     n2_up = modes.profile_norm(psi, 0.0, _INF)
     o_up = modes.overlap_integral(phi, psi, 0.0, _INF)
 
-    segment = modes._segment_integral
     nu0, g0, a1, k2 = sol.nu_0, st.gamma_0, st.a1, st.k2
     k_nu, kx_g = sol.k / nu0, st.kx / g0
     # Weights of the gap integrals: dot products of the vector amplitudes.
@@ -167,15 +168,24 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
     o_w2 = (1.0 + k_nu * kx_g) * k2
     # exp(nu0 z) exp(-g0 (z + d2)) is largest at the face of the slower rate.
     slow, apart = min(nu0, g0), abs(nu0 - g0)
+    # The rates of the four gap integrals, and the calls of the closure, as locals.
+    two_g0, two_nu0, nu0_g0 = 2.0 * g0, 2.0 * nu0, nu0 + g0
+    exp, expm1, sqrt, prism_match = math.exp, math.expm1, math.sqrt, modes._prism_match
 
     def beta(d2: float) -> complex:
-        w0, c, _, tau = modes._prism_match(st, d2)
-        g0_int = segment(2.0 * g0, d2)
-        n1 = n1_up + n1_w * segment(2.0 * nu0, d2)
+        w0, _, phase, _, tau = prism_match(st, d2)
+        # Each "-expm1(-p) / rate if p else d2", p = rate d2, is
+        # modes._segment_integral(rate, d2) for a real rate, bit for bit.
+        p = two_g0 * d2
+        g0_int = -expm1(-p) / two_g0 if p else d2
+        p = two_nu0 * d2
+        n1 = n1_up + n1_w * (-expm1(-p) / two_nu0 if p else d2)
         n2 = n2_w1 * g0_int + w0 * w0 * (n2_up + n2_w2 * g0_int + n2_cross_w * d2)
-        mixed = math.exp(-slow * d2) * segment(apart, d2)
-        overlap = o_w1 * mixed + w0 * (o_up + o_w2 * segment(nu0 + g0, d2))
-        value = -(tau * (c / abs(c)) * overlap / math.sqrt(n1 * n2)).conjugate()
+        p = apart * d2
+        mixed = exp(-slow * d2) * (-expm1(-p) / apart if p else d2)
+        p = nu0_g0 * d2
+        overlap = o_w1 * mixed + w0 * (o_up + o_w2 * (-expm1(-p) / nu0_g0 if p else d2))
+        value = -(tau * phase * overlap / sqrt(n1 * n2)).conjugate()
         if abs(value) > 1.0 + 1e-9:  # inconsistent norms
             raise NormalizationError(
                 f"|beta| = {abs(value):.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
@@ -259,40 +269,36 @@ def optimize_d2(
         return None
 
     beta = _beta_of_gap(sol, theta, config.eps_prism, model)
-
-    def value(d2: float) -> float:
-        return abs(beta(d2))
-
     n = config.d2_steps
     ratio = d2_hi / d2_lo
-    best_i, best_v = 0, -1.0
+    best_i, best_v, best_beta = 0, -1.0, None
     grid = [d2_lo * ratio ** (i / (n - 1)) for i in range(n)]
     if grid[-1] == _INF:  # the ratio, or its product with d2_lo, overflows
         raise ConfigError(f"d2: the gap grid from {d2_lo!r} to {d2_hi!r} overflows")
     for i, d2 in enumerate(grid):
-        v = value(d2)
+        z = beta(d2)
+        v = abs(z)
         if v > best_v:
-            best_i, best_v = i, v
+            best_i, best_v, best_beta = i, v, z
 
     a = grid[max(best_i - 1, 0)]
     b = grid[min(best_i + 1, n - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = value(c), value(d)
+    fc, fd = abs(beta(c)), abs(beta(d))
     while b - a > D2_REFINE:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = value(c)
+            fc = abs(beta(c))
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = value(d)
+            fd = abs(beta(d))
     d2_best = 0.5 * a + 0.5 * b  # the bits of 0.5 (a + b), which can overflow
     beta_best = beta(d2_best)
-    if abs(beta_best) < best_v:
-        d2_best = grid[best_i]
-        beta_best = beta(d2_best)
+    if abs(beta_best) < best_v:  # the best grid point, with the scan's beta
+        d2_best, beta_best = grid[best_i], best_beta
 
     cons = _constraints(sol, bandwidth, d2_best)
     if not cons.feasible:

@@ -65,8 +65,10 @@ _OMEGA_SQUARE_UNDERFLOW = 1.5717277847026285e-162
 
 
 def _check_omega(omega: float) -> None:
-    """Raise ValueError unless omega > 0 and omega^2 does not underflow to 0."""
-    if not omega > _OMEGA_SQUARE_UNDERFLOW:  # one comparison on the solvers' hot path
+    """Raise ValueError unless omega > 0 and omega^2 does not underflow to 0.
+    On the solvers' hot path the callers make the first comparison inline
+    and call this only when it fails."""
+    if not omega > _OMEGA_SQUARE_UNDERFLOW:
         if not omega > 0.0:
             raise ValueError(f"omega must be positive, got {omega!r}")
         raise ValueError(f"omega={omega!r}: its square underflows to 0")
@@ -78,7 +80,8 @@ def eps_lossless(model: DielectricModel, omega: float) -> float:
     Written with the same float operations as the lossy form so that the
     two agree bit for bit when Gamma = de_i = 0.
     """
-    _check_omega(omega)
+    if not omega > _OMEGA_SQUARE_UNDERFLOW:
+        _check_omega(omega)
     wp = model.plasma_frequency
     return 1.0 - wp * wp / (omega * omega) + model.real_correction_coeff * (omega / wp) ** 2
 
@@ -105,7 +108,8 @@ def eps_lossy(model: DielectricModel, omega: float) -> complex:
     The imaginary part is positive (absorptive convention) whenever
     Gamma > 0 or de_i > 0.
     """
-    _check_omega(omega)
+    if not omega > _OMEGA_SQUARE_UNDERFLOW:
+        _check_omega(omega)
     wp = model.plasma_frequency
     drude = 1.0 - wp * wp / (omega * (omega + 1j * model.damping_rate))
     correction = model.real_correction_coeff * (omega / wp) ** 2 + 1j * model.imag_correction

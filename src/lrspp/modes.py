@@ -144,7 +144,7 @@ def four_layer_solve(
     if not (0.0 < d1 < _INF and 0.0 < d2 < _INF):
         raise ValueError("d1 and d2 must be positive and finite")
     st = _upper_stack(omega, theta, d1, eps_prism, model)
-    w0, c, r, tau = _prism_match(st, d2)
+    w0, c, _, r, tau = _prism_match(st, d2)
     gap = Region(-d2, 0.0, (_term(st.kx, c * st.a1, -st.gamma_0, -d2), _term(st.kx, c * w0 * st.k2, st.gamma_0, 0.0)))
     upper = _upper_profile(st, d1, c * w0)
     profile = PiecewiseExpProfile(regions=(gap,) + upper.regions, kx=st.kx)
@@ -215,15 +215,15 @@ def _upper_stack(omega: float, theta: float, d1: float, eps_prism: float, model:
     )
 
 
-def _prism_match(st: _UpperStack, d2: float) -> tuple[float, complex, complex, complex]:
+def _prism_match(st: _UpperStack, d2: float) -> tuple[float, complex, complex, complex, complex]:
     """Match the gap field to the prism at z = -d2.
 
     Normalised at the prism, the gap field is a1 exp(-gamma_0 (z + d2)) +
     k2 w0 exp(gamma_0 z) and the field above z = 0 is w0 times that of st,
-    with w0 = exp(-gamma_0 d2).  Returns (w0, c, r, tau): c scales this
-    field to unit incidence, r is the reflection and tau the conversion
-    amplitude, with the phase of the unit-incidence top-air amplitude
-    c w0 u_m.
+    with w0 = exp(-gamma_0 d2).  Returns (w0, c, c/|c|, r, tau): c scales
+    this field to unit incidence, r is the reflection and tau the
+    conversion amplitude, with the phase of the unit-incidence top-air
+    amplitude c w0 u_m.
     """
     w0 = math.exp(-st.gamma_0 * d2)
     k2_p = st.k2 * (w0 * w0)
@@ -234,8 +234,9 @@ def _prism_match(st: _UpperStack, d2: float) -> tuple[float, complex, complex, c
         raise SingularSystemError(f"degenerate boundary system at omega={st.omega:.6g}, theta={st.theta:.6g}")
     c = 2.0 * st.q / denom
     r = ax_p * c - 1.0
-    tau = math.sqrt(max(0.0, 1.0 - abs(r) ** 2)) * (c / abs(c)) * st.u_phase
-    return w0, c, r, tau
+    phase = c / abs(c)
+    tau = math.sqrt(max(0.0, 1.0 - abs(r) ** 2)) * phase * st.u_phase
+    return w0, c, phase, r, tau
 
 
 def _term(kx: float, a: complex, rate: complex, ref: float) -> ExpTerm:

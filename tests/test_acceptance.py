@@ -5,6 +5,7 @@ lines; the slowest criterion is the full constrained sweep, criterion 5
 (`lrspp optimize --threads 2` at the default grids, a few seconds).
 """
 
+import hashlib
 import math
 import random
 import time
@@ -105,21 +106,31 @@ def test_criterion_04_unitarity():
     _report(4, f"|r|^2+|tau|^2 = 1 on the 50x50 lossless grid (worst dev {worst:.2e}); mixing identity at 1e-12")
 
 
+#: sha256 of the criterion-5 CSV, `lrspp optimize --branch both` at the
+#: default grids.
+CRITERION_05_CSV_SHA256 = "296dd305073958efdf6d1f02e7d815e96c9cb761fa61515728f19806c423565e"
+
+
 @pytest.fixture(scope="module")
 def default_maxima(tmp_path_factory):
     """Each branch's largest g_tilde as `lrspp optimize --branch both`
     prints it at the default grids: 120 omega from 2e15 to 5.4e15 rad/s,
-    60 d1 from 10 to 100 nm and 80 d2 steps."""
+    60 d1 from 10 to 100 nm and 80 d2 steps.  The CSV's bytes and the two
+    maxima are pinned, recorded like the TestPinnedOutput pins (CPython
+    3.11, glibc 2.36 libm); a change that moves them says so in CHANGES.md."""
     out = tmp_path_factory.mktemp("criterion5") / "optimize.csv"
     start = time.perf_counter()
     assert cli.run(["optimize", "--branch", "both", "--threads", "2", "--out", str(out)]) == 0
     elapsed = time.perf_counter() - start
-    table = read_csv(out.read_text())
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CRITERION_05_CSV_SHA256
+    table = read_csv(data.decode())
     branch_col, g_col = table["columns"].index("branch"), table["columns"].index("g_tilde")
     maxima = {
         name: max(row[g_col] for row in table["rows"] if row[branch_col] == name and row[g_col] is not None)
         for name in ("plus", "minus")
     }
+    assert maxima == {"plus": 0.9129398435351863, "minus": 0.8116494316476529}
     return maxima, elapsed
 
 

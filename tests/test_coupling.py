@@ -2,10 +2,10 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from lrspp import coupling
+from lrspp import coupling, modes
 from lrspp.coupling import (
     ConstraintSet,
     OptimizeConfig,
@@ -15,7 +15,7 @@ from lrspp.coupling import (
     overlap_beta,
 )
 from lrspp.dispersion import BranchId, coupling_angle, solve_k
-from lrspp.errors import LrsppError, NoBoundMode
+from lrspp.errors import LrsppError, NoBoundMode, NoMatchingAngle, NormalizationError
 from lrspp.materials import SILVER, surface_plasma_frequency
 from lrspp.modes import four_layer_solve, lrspp_profile, overlap_integral, profile_norm
 
@@ -59,6 +59,106 @@ def beta_generic_oracle(sol, d2, eps_prism=1.51, model=SILVER):
     n2 = profile_norm(fl.profile, -d2, INF)
     overlap = overlap_integral(phi, fl.profile, -d2, INF) / math.sqrt(n1 * n2)
     return -(fl.tau * overlap).conjugate()
+
+
+def beta_segment_integral_form(sol, theta, eps_prism, model):
+    """The gap closure with every gap integral a modes._segment_integral
+    call and the phase c/|c| taken from c, as _beta_of_gap computed it
+    before it wrote the real-rate integrals out: it must give the same
+    bits, and the same errors."""
+    phi = lrspp_profile(sol, model)
+    stack = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model)
+    psi = modes._upper_profile(stack, sol.d1, 1.0)
+    n1_up = profile_norm(phi, 0.0, INF)
+    n2_up = profile_norm(psi, 0.0, INF)
+    o_up = overlap_integral(phi, psi, 0.0, INF)
+
+    segment = modes._segment_integral
+    nu0, g0, a1, k2 = sol.nu_0, stack.gamma_0, stack.a1, stack.k2
+    k_nu, kx_g = sol.k / nu0, stack.kx / g0
+    n1_w = 1.0 + k_nu * k_nu
+    n2_w1 = (1.0 + kx_g * kx_g) * abs(a1) ** 2
+    n2_w2 = (1.0 + kx_g * kx_g) * abs(k2) ** 2
+    n2_cross_w = 2.0 * (1.0 - kx_g * kx_g) * (a1.conjugate() * k2).real
+    o_w1 = (1.0 - k_nu * kx_g) * a1
+    o_w2 = (1.0 + k_nu * kx_g) * k2
+    slow, apart = min(nu0, g0), abs(nu0 - g0)
+
+    def beta(d2):
+        w0, c, _, _, tau = modes._prism_match(stack, d2)
+        g0_int = segment(2.0 * g0, d2)
+        n1 = n1_up + n1_w * segment(2.0 * nu0, d2)
+        n2 = n2_w1 * g0_int + w0 * w0 * (n2_up + n2_w2 * g0_int + n2_cross_w * d2)
+        mixed = math.exp(-slow * d2) * segment(apart, d2)
+        overlap = o_w1 * mixed + w0 * (o_up + o_w2 * segment(nu0 + g0, d2))
+        value = -(tau * (c / abs(c)) * overlap / math.sqrt(n1 * n2)).conjugate()
+        if abs(value) > 1.0 + 1e-9:
+            raise NormalizationError(
+                f"|beta| = {abs(value):.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
+            )
+        return value
+
+    return beta
+
+
+def written_out_segment(rate, length):
+    """The real-rate segment integral as _beta_of_gap writes it out."""
+    p = rate * length
+    return -math.expm1(-p) / rate if p else length
+
+
+def _bits(call, *args):
+    """The float bits of call(*args), or its error's type and message."""
+    try:
+        z = complex(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    rate=st.floats(min_value=0.0, allow_infinity=False),
+    length=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(rate=0.0, length=1e-9)  # rate * length = 0 for a zero rate
+@example(rate=1e-300, length=1e-300)  # ... and where the product underflows
+@example(rate=1e-160, length=1e-160)  # a subnormal product
+@example(rate=5e-324, length=1.0)
+@example(rate=1e300, length=1e300)  # a product that overflows to inf
+@example(rate=1e-300, length=1.7e308)
+def test_written_out_segment_integral_is_the_segment_integral(rate, length):
+    """Over the whole range of a real rate >= 0 and a positive finite
+    length, the written-out form in _beta_of_gap gives the bits of
+    modes._segment_integral."""
+    assert written_out_segment(rate, length).hex() == modes._segment_integral(rate, length).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    branch=st.sampled_from((BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+    d2=st.floats(min_value=math.log(1e-9), max_value=0.0).map(math.exp),
+    eps_prism=st.floats(min_value=1.01, max_value=20.0),
+)
+def test_gap_closure_has_the_bits_of_the_segment_integral_form(branch, frac, d1, d2, eps_prism):
+    """beta(d2) of _beta_of_gap has the bits of beta_segment_integral_form at any
+    bound-band frequency, strip from 1 nm to 1 mm, gap from 1 nm to 1 m
+    and prism permittivity from 1.01 to 20; where one raises, the other
+    raises the same error.  A frequency whose square underflows has no
+    solution to build on (ValueError)."""
+    omega = frac * surface_plasma_frequency(SILVER)
+    try:
+        sol = solve_k(branch, omega, d1, SILVER)
+        theta = coupling_angle(omega, sol.k, eps_prism)
+    except (NoBoundMode, NoMatchingAngle, ValueError):
+        return
+
+    def value(build):
+        return build(sol, theta, eps_prism, SILVER)(d2)
+
+    assert _bits(value, coupling._beta_of_gap) == _bits(value, beta_segment_integral_form)
 
 
 FEASIBLE_CASES = [
@@ -213,30 +313,64 @@ class TestOptimizeD2:
         assert (pt.omega, pt.d1, pt.g) == (w, d1, math.asin(abs(beta)))
         assert pt.g_tilde == 2.0 * pt.g / math.pi
 
-    def test_scan_takes_the_steps_given(self, monkeypatch):
-        """With d2_steps=2 the scan evaluates beta at the two ends of the gap
-        window and no more: the third evaluation is the first golden point
-        of the refine over the whole window."""
-        gaps = []
+    @pytest.mark.parametrize(
+        "branch,w,d1,steps,falls_back",
+        [
+            (BranchId.ANTISYMMETRIC, 4e15, 60e-9, 2, False),
+            (BranchId.ANTISYMMETRIC, 4e15, 60e-9, 80, False),
+            (BranchId.SYMMETRIC, 3.1e15, 40e-9, 80, True),
+        ],
+        ids=["two-steps", "refined", "grid-point"],
+    )
+    def test_scan_takes_the_steps_given(self, monkeypatch, branch, w, d1, steps, falls_back):
+        """The gap search evaluates beta once per grid point, once per golden
+        point and once at the refined midpoint, and no more: where the
+        midpoint is worse than the best grid point, that point's beta is
+        the scan's.  With d2_steps=2 the grid is the two ends of the gap
+        window, and the third evaluation is the first golden point of the
+        refine over the whole window."""
+        calls = []
         beta_of_gap = coupling._beta_of_gap
 
         def counted(*args):
             beta = beta_of_gap(*args)
 
             def value(d2):
-                gaps.append(d2)
-                return beta(d2)
+                z = beta(d2)
+                calls.append((d2, abs(z)))
+                return z
 
             return value
 
         monkeypatch.setattr(coupling, "_beta_of_gap", counted)
-        config = OptimizeConfig(d2_steps=2)
-        assert optimize_d2(BranchId.ANTISYMMETRIC, 4e15, 60e-9, config) is not None
+        config = OptimizeConfig(d2_steps=steps)
+        pt = optimize_d2(branch, w, d1, config)
+        assert pt is not None
+        gaps, values = [d2 for d2, _ in calls], [v for _, v in calls]
         lo = gaps[0]
-        hi = lo * (config.d2_max / lo) ** 1.0
-        golden = hi - coupling._GOLDEN * (hi - lo)
-        scanned = next((i for i, d2 in enumerate(gaps) if d2 == golden), None)
-        assert scanned == 2 and gaps[:2] == [lo, hi]
+        grid = [lo * (config.d2_max / lo) ** (i / (steps - 1)) for i in range(steps)]
+        best = max(range(steps), key=values.__getitem__)  # the first of equal maxima
+        # The golden-section refine, replayed on the values recorded for it.
+        golden = coupling._GOLDEN
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, steps - 1)]
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        refine = [c, d]
+        fc, fd = values[steps], values[steps + 1]
+        while b - a > coupling.D2_REFINE:
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - golden * (b - a)
+                refine.append(c)
+                fc = values[steps + len(refine) - 1]
+            else:
+                a, c, fc = c, d, fd
+                d = a + golden * (b - a)
+                refine.append(d)
+                fd = values[steps + len(refine) - 1]
+        midpoint = 0.5 * a + 0.5 * b
+        assert gaps == grid + refine + [midpoint]
+        assert (values[-1] < values[best]) == falls_back
+        assert pt.d2 == (grid[best] if falls_back else midpoint)
 
     def test_gap_respects_penetration_bound(self):
         pt = optimize_d2(BranchId.ANTISYMMETRIC, 4.8e15, 30e-9)

@@ -123,7 +123,7 @@ def overlap_beta(
         raise ValueError(f"d2 must be finite, got {d2!r}")
     sol = solve_k(branch, omega, d1, model)
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
-    return _beta_of_gap(sol, theta, eps_prism, model)(d2)
+    return _beta_of_gap(sol, theta, eps_prism, model)(d2)[1]
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -132,8 +132,8 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model: DielectricModel):
-    """beta as a function of the gap d2 at a fixed dispersion solution and
-    its matching angle theta: the one beta formula of the library.
+    """(|beta|, beta) as a function of the gap d2 at a fixed dispersion
+    solution and its matching angle theta: the one beta formula of the library.
 
     Only the prism match and the [-d2, 0] part of the integrals depend on d2:
     the strip mode, the stack above z = 0 and the [0, inf) parts of N1, N2
@@ -172,7 +172,7 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
     two_g0, two_nu0, nu0_g0 = 2.0 * g0, 2.0 * nu0, nu0 + g0
     exp, expm1, sqrt, prism_match = math.exp, math.expm1, math.sqrt, modes._prism_match
 
-    def beta(d2: float) -> complex:
+    def beta(d2: float) -> tuple[float, complex]:
         w0, _, phase, _, tau = prism_match(st, d2)
         # Each "-expm1(-p) / rate if p else d2", p = rate d2, is
         # modes._segment_integral(rate, d2) for a real rate, bit for bit.
@@ -186,11 +186,12 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
         p = nu0_g0 * d2
         overlap = o_w1 * mixed + w0 * (o_up + o_w2 * (-expm1(-p) / nu0_g0 if p else d2))
         value = -(tau * phase * overlap / sqrt(n1 * n2)).conjugate()
-        if abs(value) > 1.0 + 1e-9:  # inconsistent norms
+        size = abs(value)
+        if size > 1.0 + 1e-9:  # inconsistent norms
             raise NormalizationError(
-                f"|beta| = {abs(value):.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
+                f"|beta| = {size:.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
             )
-        return value
+        return size, value
 
     return beta
 
@@ -276,8 +277,7 @@ def optimize_d2(
     if grid[-1] == _INF:  # the ratio, or its product with d2_lo, overflows
         raise ConfigError(f"d2: the gap grid from {d2_lo!r} to {d2_hi!r} overflows")
     for i, d2 in enumerate(grid):
-        z = beta(d2)
-        v = abs(z)
+        v, z = beta(d2)
         if v > best_v:
             best_i, best_v, best_beta = i, v, z
 
@@ -285,25 +285,25 @@ def optimize_d2(
     b = grid[min(best_i + 1, n - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = abs(beta(c)), abs(beta(d))
+    fc, fd = beta(c)[0], beta(d)[0]
     while b - a > D2_REFINE:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = abs(beta(c))
+            fc = beta(c)[0]
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = abs(beta(d))
+            fd = beta(d)[0]
     d2_best = 0.5 * a + 0.5 * b  # the bits of 0.5 (a + b), which can overflow
-    beta_best = beta(d2_best)
-    if abs(beta_best) < best_v:  # the best grid point, with the scan's beta
-        d2_best, beta_best = grid[best_i], best_beta
+    v_best, beta_best = beta(d2_best)
+    if v_best < best_v:  # the best grid point, with the scan's beta
+        d2_best, v_best, beta_best = grid[best_i], best_v, best_beta
 
     cons = _constraints(sol, bandwidth, d2_best)
     if not cons.feasible:
         return None
-    g = math.asin(min(1.0, abs(beta_best)))
+    g = math.asin(min(1.0, v_best))
     return CouplingPoint(
         branch=branch, omega=sol.omega, d1=sol.d1, d2=d2_best, theta=theta,
         beta=beta_best, g=g, g_tilde=2.0 * g / math.pi, constraints=cons, solution=sol,

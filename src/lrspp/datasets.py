@@ -21,6 +21,7 @@ import json
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 SCHEMA_VERSION = 1
 
@@ -44,8 +45,8 @@ class Dataset:
 
 
 def _csv_texts(cells: Sequence[Cell]) -> list[str]:
-    """The CSV text of each cell: NA for None, repr for a float, str otherwise."""
-    return ["NA" if c is None else repr(c) if isinstance(c, float) else str(c) for c in cells]
+    """The CSV text of each cell: NA for None, str otherwise (a float's str is its repr)."""
+    return ["NA" if c is None else str(c) for c in cells]
 
 
 def _json_texts(cells: Sequence[Cell]) -> list[str]:
@@ -55,11 +56,11 @@ def _json_texts(cells: Sequence[Cell]) -> list[str]:
 
 def _lines(ds: Dataset, texts_of: Callable[[Sequence[Cell]], list[str]], sep: str) -> Iterator[Iterable[str]]:
     """The texts of the rows of ds, a group per non-empty block, as the
-    block arrives: the texts_of their cells joined by sep.  A single cell is
-    formatted once per block; a list column that is the same object as a
-    list column of the block before reuses its texts.  The lists of the
-    block before are held with their texts, so that no other list takes
-    their ids."""
+    block arrives: each row joined by sep from its column texts, texts_of
+    its cells.  A single cell is formatted once per block and repeated; a
+    list column that is the same object as one of the block before reuses
+    its texts.  The lists of the block before are held with their texts,
+    so that no other list takes their ids."""
     width, done = len(ds.columns), 0
     held: dict[int, tuple[list, list[str]]] = {}
     for block in ds.blocks:
@@ -78,20 +79,16 @@ def _lines(ds: Dataset, texts_of: Callable[[Sequence[Cell]], list[str]], sep: st
         if not n:
             continue
         done += n
-        texts: list[str | None] = []
-        lists: list[list[str]] = []
+        columns: list[Iterable[str]] = []
         kept: dict[int, tuple[list, list[str]]] = {}
         for column in block:
             if type(column) is not list:
-                texts.append(texts_of([column])[0])
+                columns.append(repeat(texts_of([column])[0]))
                 continue
-            texts.append(None)
-            hit = held.get(id(column)) or (column, texts_of(column))
-            kept[id(column)] = hit
-            lists.append(hit[1])
+            kept[id(column)] = hit = held.get(id(column)) or (column, texts_of(column))
+            columns.append(hit[1])
         held = kept
-        template = sep.join("{}" if t is None else t.replace("{", "{{").replace("}", "}}") for t in texts)
-        yield map(template.format, *lists)
+        yield map(sep.join, zip(*columns))
 
 
 def _header(ds: Dataset) -> str:

@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -158,7 +160,11 @@ def test_gap_closure_has_the_bits_of_the_segment_integral_form(branch, frac, d1,
     def value(build):
         return build(sol, theta, eps_prism, SILVER)(d2)
 
-    assert _bits(value, coupling._beta_of_gap) == _bits(value, beta_segment_integral_form)
+    def closure_beta(*args):  # the beta part of the closure's (|beta|, beta)
+        gap = coupling._beta_of_gap(*args)
+        return lambda d2: gap(d2)[1]
+
+    assert _bits(value, closure_beta) == _bits(value, beta_segment_integral_form)
 
 
 FEASIBLE_CASES = [
@@ -190,6 +196,24 @@ class TestOverlapBeta:
     def test_bounded_by_one(self):
         for branch, w, d1, d2 in FEASIBLE_CASES:
             assert abs(overlap_beta(branch, w, d1, d2)) <= 1.0 + 1e-9
+
+    def test_beta_past_one_is_a_normalization_error(self, monkeypatch):
+        """|beta| above 1 + 1e-9 means the norms are inconsistent: with tau
+        doubled in the prism match, beta raises NormalizationError naming
+        |beta| and the point instead of returning it."""
+        branch, w, d1, d2 = FEASIBLE_CASES[1]
+        size = 2.0 * abs(overlap_beta(branch, w, d1, d2))
+        assert size > 1.0 + 1e-9
+        prism_match = modes._prism_match
+
+        def doubled_tau(*args):
+            w0, c, phase, r, tau = prism_match(*args)
+            return w0, c, phase, r, 2.0 * tau
+
+        monkeypatch.setattr(modes, "_prism_match", doubled_tau)
+        message = f"|beta| = {size:.12f} > 1 at omega={w:.6g}, d1={d1:.4g}, d2={d2:.4g}"
+        with pytest.raises(NormalizationError, match=f"^{re.escape(message)}$"):
+            overlap_beta(branch, w, d1, d2)
 
 
 class TestConstraintSet:
@@ -336,9 +360,9 @@ class TestOptimizeD2:
             beta = beta_of_gap(*args)
 
             def value(d2):
-                z = beta(d2)
-                calls.append((d2, abs(z)))
-                return z
+                size, z = beta(d2)
+                calls.append((d2, size))
+                return size, z
 
             return value
 
@@ -400,7 +424,7 @@ def test_gap_objective_matches_beta(branch, frac, d1, gap):
             return
         d2 = d2_lo * (1.0 / d2_lo) ** gap
         theta = coupling_angle(omega, sol.k, 1.51)
-        beta = coupling._beta_of_gap(sol, theta, 1.51, SILVER)(d2)
+        beta = coupling._beta_of_gap(sol, theta, 1.51, SILVER)(d2)[1]
     except LrsppError:
         return
     oracle = beta_generic_oracle(sol, d2)
@@ -423,6 +447,23 @@ class TestOptimizePath:
             # independent re-evaluation of the emitted point
             cons = constraint_set(pt.branch, w, pt.d1, pt.d2)
             assert cons.feasible
+
+    @pytest.mark.parametrize(
+        "thinner, best_d1",
+        [(0.5 + 5e-10, 30e-9), (0.5, 30e-9), (0.5 - 5e-10, 30e-9), (0.5 - 2e-9, 60e-9), (0.5 + 2e-9, 30e-9)],
+    )
+    def test_equal_coupling_prefers_the_thinner_strip(self, monkeypatch, thinner, best_d1):
+        """Two strips whose |beta| lie within 1e-9 of each other couple
+        equally, and the thinner one wins even when it comes second and
+        couples a little less; outside 1e-9 the larger |beta| wins."""
+        beta = {60e-9: 0.5, 30e-9: thinner}
+
+        def stub(branch, omega, d1, config, model):
+            return SimpleNamespace(d1=d1, beta=complex(0.0, beta[d1]))
+
+        monkeypatch.setattr(coupling, "optimize_d2", stub)
+        pt = best_over_d1(BranchId.ANTISYMMETRIC, 4e15, [60e-9, 30e-9], self._CFG, SILVER)
+        assert pt.d1 == best_d1
 
     def test_best_path_shape(self):
         """Above the coupling peak the optimal strip thins toward higher

@@ -249,6 +249,10 @@ class TestDatasets:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("hi", [2.0, 5.0, 1.0])
+    def test_one_step_grid_is_its_lower_bound(self, hi):
+        assert GridSpec(2.0, hi, 1).points() == [2.0]
+
     def test_empty_config_gives_defaults(self):
         cfg, warnings = validate_config(config_from_dict({}))
         assert warnings == []

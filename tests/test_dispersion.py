@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import dataclasses
 import hashlib
 import math
 import random
@@ -55,6 +56,23 @@ def test_residual_and_ordering_on_k_grid():
         assert plus.relative_residual(SILVER) < 1e-10
         assert minus.relative_residual(SILVER) < 1e-10
         assert plus.omega > minus.omega
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda sol: {"k": 0.5 * sol.omega / C_LIGHT},  # below the light line: nu_0 is not real
+        lambda sol: {"branch": sol.branch.other},  # the other branch's sign: lhs < 0
+        lambda sol: {"omega": 1.1 * W_SP},  # above omega_sp: rhs < 0
+    ],
+    ids=["light-line", "other-branch", "above-omega-sp"],
+)
+def test_residual_off_the_bound_mode_domain_is_inf(change):
+    """Where the dispersion equation has no bound-mode form, the residual
+    of a point is inf, not an error."""
+    sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 30e-9, SILVER)
+    assert sol.relative_residual(SILVER) < 1e-10
+    assert dataclasses.replace(sol, **change(sol)).relative_residual(SILVER) == math.inf
 
 
 def test_round_trip_solve_omega_solve_k():

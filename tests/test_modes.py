@@ -230,6 +230,22 @@ class TestFourLayer:
         assert abs(ex_prism - gap.at(-d2)[0]) / abs(ex_prism) < 1e-10
         assert abs(hy_prism - hfield(gap, -d2, kx)) / abs(hy_prism) < 1e-10
 
+    @pytest.mark.parametrize("d1, d2", [
+        (0.0, 500e-9), (-20e-9, 500e-9), (math.nan, 500e-9), (INF, 500e-9),
+        (20e-9, 0.0), (20e-9, -500e-9), (20e-9, math.nan), (20e-9, INF),
+    ])
+    def test_strip_or_gap_not_positive_and_finite_rejected(self, d1, d2):
+        with pytest.raises(ValueError, match="^d1 and d2 must be positive and finite$"):
+            four_layer_solve(4e15, 1.2, d1, d2, 1.51, SILVER)
+
+    @pytest.mark.parametrize("z", [-5.001e-7, -INF, math.nan], ids=["below", "-inf", "nan"])
+    def test_field_outside_the_span_is_refused(self, z):
+        """The four-layer field spans [-d2, inf): below the prism face, or
+        at NaN, no region holds z."""
+        _, atr = strip_and_atr(4e15, 30e-9, 500e-9)
+        with pytest.raises(ValueError, match=rf"^z={z} outside profile span \[-5e-07, inf\]$"):
+            atr.at(z)
+
     def test_below_critical_angle_rejected(self):
         with pytest.raises(ValueError):
             four_layer_solve(4e15, 0.3, 20e-9, 500e-9, 1.51, SILVER)

@@ -247,6 +247,11 @@ class TestG2:
         with pytest.raises(ValueError):
             g2_zero(0)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.0, -0.3, -math.inf, math.nan])
+    def test_efficiency_not_positive_is_rejected(self, eta):
+        with pytest.raises(ValueError, match="^total efficiency must be positive for a detectable signal$"):
+            g2_zero(2, beta_sq=eta)
+
     def test_classically_forbidden_for_all_n(self):
         for n in range(1, 12):
             assert g2_zero(n) < 1.0

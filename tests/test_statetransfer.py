@@ -320,6 +320,11 @@ class TestFockOracle:
         purity = float(np.real(np.trace(out @ out)))
         assert purity == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("eta", [-0.1, 1.1, -math.inf, math.nan])
+    def test_kraus_transmissivity_outside_unit_interval_rejected(self, eta):
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\]$"):
+            fock.amplitude_damping_kraus(eta, 6)
+
     def test_kraus_completeness(self):
         dim, eta = 20, 0.37
         ops = fock.amplitude_damping_kraus(eta, dim)

@@ -42,7 +42,6 @@ from dataclasses import fields
 from . import coupling, datasets, propagation, statetransfer
 from .config import NM, GridSpec, RunConfig, build_parser, config_from_args, validate_config
 from .dispersion import (
-    BranchId,
     complex_wavenumber,
     coupling_angle,
     group_velocity,
@@ -198,21 +197,16 @@ def _cmd_material(cfg: RunConfig) -> Blocks:
         yield w, eps_lossless(cfg.material, w), e.real, e.imag
 
 
-def _branch_rows(cfg: RunConfig, grid: GridSpec) -> Iterator[tuple[str, BranchId, float]]:
-    """(branch name, branch, grid point) per row of every requested branch, in grid order."""
-    return ((name, branch, x) for name, branch in cfg.branches() for x in grid.points())
-
-
 def _cmd_dispersion(cfg: RunConfig) -> Blocks:
     """dispersion rows over a wavevector grid"""
     d1 = cfg.fixed_d1
 
     def row(task):
-        name, branch, k = task
+        branch, k = task
         try:
             sol = solve_omega(branch, k, d1, cfg.material)
         except NoBoundMode:
-            return name, d1, k, None, None, None, None, None
+            return branch.value, d1, k, None, None, None, None, None
         try:
             vg = group_velocity(sol, cfg.material)
         except StencilError:
@@ -221,9 +215,9 @@ def _cmd_dispersion(cfg: RunConfig) -> Blocks:
             kappa = complex_wavenumber(sol, cfg.material).kappa
         except LrsppError:
             kappa = None
-        return name, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa
+        return branch.value, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa
 
-    yield from _fork_map(row, _branch_rows(cfg, cfg.k), cfg.threads)
+    yield from _fork_map(row, itertools.product(cfg.branches(), cfg.k.points()), cfg.threads)
 
 
 def _cmd_angle(cfg: RunConfig) -> Blocks:
@@ -231,15 +225,15 @@ def _cmd_angle(cfg: RunConfig) -> Blocks:
     d1 = cfg.fixed_d1
 
     def row(task):
-        name, branch, w = task
+        branch, w = task
         try:
             sol = solve_k(branch, w, d1, cfg.material)
             theta = coupling_angle(w, sol.k, cfg.eps_prism)
         except (NoBoundMode, NoMatchingAngle):
-            return name, d1, w, None, None
-        return name, d1, w, sol.k, theta
+            return branch.value, d1, w, None, None
+        return branch.value, d1, w, sol.k, theta
 
-    yield from _fork_map(row, _branch_rows(cfg, cfg.omega), cfg.threads)
+    yield from _fork_map(row, itertools.product(cfg.branches(), cfg.omega.points()), cfg.threads)
 
 
 def _cmd_field(cfg: RunConfig) -> Blocks:
@@ -247,7 +241,7 @@ def _cmd_field(cfg: RunConfig) -> Blocks:
     d1 = cfg.fixed_d1
     d2 = cfg.fixed_d2 if cfg.fixed_d2 is not None else 500.0 * NM
     w = cfg.fixed_omega
-    _name, branch = cfg.branches()[0]
+    branch = cfg.branches()[0]  # a BranchId: plus for 'both'
     sol = solve_k(branch, w, d1, cfg.material)
     if cfg.profile == "lrspp":
         profile = lrspp_profile(sol, cfg.material)
@@ -259,7 +253,7 @@ def _cmd_field(cfg: RunConfig) -> Blocks:
     z_lo = cfg.z_min if cfg.z_min is not None else z_lo_default
     z_hi = cfg.z_max if cfg.z_max is not None else d1 + 3.0 / sol.nu_0
     if not z_lo < z_hi:
-        raise ConfigError("z: min must be below max")
+        raise ConfigError(f"z: min must be below max, got [{z_lo!r}, {z_hi!r}]")
     for z in GridSpec(z_lo, z_hi, cfg.z_steps).checked("z").points():
         if z < profile.z_lo:
             yield z, None, None, None, None
@@ -273,7 +267,7 @@ def _cmd_constraints(cfg: RunConfig) -> Blocks:
     opt_cfg = _optimize_config(cfg)
 
     def row(cell):
-        (name, branch, w), d1 = cell
+        branch, w, d1 = cell
         d2 = cfg.fixed_d2
         if d2 is not None:
             try:
@@ -284,28 +278,29 @@ def _cmd_constraints(cfg: RunConfig) -> Blocks:
             pt = coupling.optimize_d2(branch, w, d1, opt_cfg, cfg.material)
             d2, cons = (None, None) if pt is None else (pt.d2, pt.constraints)
         if cons is None:
-            return name, w, d1, d2, None, None, None, 0
+            return branch.value, w, d1, d2, None, None, None, 0
         return (
-            name, w, d1, d2,
+            branch.value, w, d1, d2,
             cons.bandwidth_B, cons.penetration_P, cons.coupled_surfaces_C,
             int(cons.feasible),
         )
 
-    cells = itertools.product(_branch_rows(cfg, cfg.omega), cfg.d1.points())
+    cells = itertools.product(cfg.branches(), cfg.omega.points(), cfg.d1.points())
     yield from _fork_map(row, cells, cfg.threads)
 
 
 def _rows(cfg: RunConfig) -> Iterator[tuple[str, float, coupling.CouplingPoint | None]]:
     """(branch name, omega, best point or None) per (branch, omega) row of
-    every requested branch, in grid order, streamed from the gap search."""
+    every requested branch, in grid order, streamed from the gap search.
+    The branches are BranchIds; a row names its branch by the value."""
     opt_cfg = _optimize_config(cfg)
     d1s = cfg.d1.points()
 
     def row(task):
-        name, branch, w = task
-        return name, w, coupling.best_over_d1(branch, w, d1s, opt_cfg, cfg.material)
+        branch, w = task
+        return branch.value, w, coupling.best_over_d1(branch, w, d1s, opt_cfg, cfg.material)
 
-    return _fork_map(row, _branch_rows(cfg, cfg.omega), cfg.threads)
+    return _fork_map(row, itertools.product(cfg.branches(), cfg.omega.points()), cfg.threads)
 
 
 def _propagating(cfg: RunConfig):

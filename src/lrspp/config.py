@@ -32,7 +32,6 @@ NM = 1e-9
 #: Integers beyond 2**53 are not exact once a JSON reader takes them as doubles.
 _INT_LIMIT = 2**53
 _MATERIAL_KEYS = tuple(f.name for f in fields(DielectricModel))
-_BRANCH_IDS = {branch.value: branch for branch in BranchId}  # plus, then minus
 #: The library's default gap search, whose grid is the d2 grid's default.
 _GAP_SEARCH = OptimizeConfig()
 
@@ -153,7 +152,7 @@ PARAMS: tuple[Param, ...] = (
     Param("out", _text, None, _ALL, (lambda v: "\0" not in v, "must not hold a NUL byte"), help="output path (default: stdout)"),
     Param("format", _text, "csv", _ALL, _one_of("csv", "json")),
     Param("threads", _integer, 1, _FORKED, _COUNT, help="worker processes for the rows (default: 1)"),
-    Param("branch", _text, "both", _BRANCHED, _one_of(*_BRANCH_IDS, "both")),
+    Param("branch", _text, "both", _BRANCHED, _one_of(*(branch.value for branch in BranchId), "both")),
     Param("delta_omega", _number, DEFAULT_DELTA_OMEGA, _STRIP_GRIDS, _POSITIVE),
     Param("eps_prism", _number, DEFAULT_EPS_PRISM, ("angle", "field", *_STRIP_GRIDS), (lambda v: v > 1.0, "must exceed 1")),
     Param("mu", _number, 0.65, ("propagate",), (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
@@ -185,9 +184,9 @@ def _grid_spec(name: str) -> property:
     return property(lambda cfg: GridSpec(*(getattr(cfg, f"{name}_{part}") for part in ("min", "max", "steps"))))
 
 
-def _branches(cfg) -> list[tuple[str, BranchId]]:
-    """(name, branch) pairs to run: plus, then minus for 'both'."""
-    return [(name, branch) for name, branch in _BRANCH_IDS.items() if cfg.branch in (name, "both")]
+def _branches(cfg) -> list[BranchId]:
+    """The branches to run, each named by its value: plus, then minus for 'both'."""
+    return [branch for branch in BranchId if cfg.branch in (branch.value, "both")]
 
 
 RunConfig = make_dataclass(
@@ -284,7 +283,7 @@ def load_config_file(path: str) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, or text that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed, too deeply nested, or not UTF-8
         raise ConfigError(f"config: malformed JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config: top level must be a JSON object")

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import C_LIGHT
-from .dispersion import BranchId, DispersionSolution
+from .dispersion import DispersionSolution
 from .errors import LrsppError, SingularSystemError
 from .materials import DielectricModel, eps_lossless, eps_lossy
 
@@ -91,7 +91,7 @@ def lrspp_profile(solution: DispersionSolution, model: DielectricModel) -> Piece
     k = solution.k
     nu_m, nu_0, d1 = solution.nu_m, solution.nu_0, solution.d1
     em = eps_lossless(model, solution.omega)
-    sgn = 1.0 if solution.branch is BranchId.ANTISYMMETRIC else -1.0
+    sgn = solution.branch.sign
     p = 0.5 * (1.0 - nu_m / (em * nu_0))
 
     below = Region(-_INF, 0.0, (ExpTerm(1.0 + 0j, -1j * k / nu_0, nu_0, 0.0),))

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import stat
 import subprocess
@@ -287,9 +289,30 @@ class TestConfig:
         assert cli._optimize_config(config_from_dict({})) == coupling.OptimizeConfig()
 
     def test_branches_run_plus_then_minus(self):
-        both = [("plus", dispersion.BranchId.ANTISYMMETRIC), ("minus", dispersion.BranchId.SYMMETRIC)]
+        both = [dispersion.BranchId.ANTISYMMETRIC, dispersion.BranchId.SYMMETRIC]
         assert config_from_dict({}).branches() == both
         assert config_from_dict({"branch": "minus"}).branches() == both[1:]
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_blocks(language: str) -> list[str]:
+    with open(README, encoding="utf-8") as fh:
+        return re.findall(rf"^```{language}\n(.*?)^```$", fh.read(), re.M | re.S)
+
+
+def test_readme_runs_are_valid_configs():
+    """Each lrspp line of the README's sh blocks, and its JSON config example,
+    is a run the parser and validate_config take without an error or a
+    warning.  Nothing is computed."""
+    runs = [line for block in _readme_blocks("sh") for line in block.splitlines() if line.startswith("lrspp ")]
+    assert len(runs) >= 8, runs
+    for line in runs:
+        args = cli._parser().parse_args(shlex.split(line)[1:])
+        assert validate_config(config_from_args(args), args.command)[1] == [], line
+    [example] = _readme_blocks("json")
+    assert validate_config(config_from_dict(json.loads(example)))[1] == []
 
 
 class TestCliExitCodes:
@@ -354,16 +377,20 @@ class TestCliExitCodes:
         bad.write_text("{not json")
         assert cli.run(["material", "--config", str(bad)]) == 1
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "list"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "list", "nested"])
     def test_unreadable_config_file_is_one_config_error_line(self, kind, tmp_path):
         path = tmp_path / "cfg.json"
         if kind == "directory":
             path.mkdir()
         elif kind == "list":
             path.write_text("[]")
+        elif kind == "nested":  # deeper than the JSON reader recurses
+            path.write_text("[" * 200_000 + "]" * 200_000)
         code, out, err = run_cli(["material", "--config", str(path)])
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("config error: config: "), err
+        if kind == "nested":
+            assert err.startswith(f"config error: config: malformed JSON in {path}: "), err
 
     def test_unwritable_output_path(self, tmp_path):
         out = tmp_path / "missing" / "out.csv"
@@ -1213,6 +1240,22 @@ class TestGridBounds:
         assert (code, out) == (1, "")
         assert err.startswith(f"config error: {key}: the grid from ") and err.endswith(" steps overflows\n"), err
         assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize(
+        "argv, lo, hi",
+        [
+            (["material", "--omega-min", "3e15", "--omega-max", "2e15"], 3e15, 2e15),
+            (["dispersion", "--k-min", "1e7", "--k-max", "2e6"], 1e7, 2e6),
+            (["constraints", "--d1-min-nm", "50", "--d1-max-nm", "20"], 50 * 1e-9, 20 * 1e-9),
+            (["optimize", "--d2-min-nm", "500", "--d2-max-nm", "100"], 500 * 1e-9, 100 * 1e-9),
+            (["propagate", "--x-min", "2e-6", "--x-max", "1e-6"], 2e-6, 1e-6),
+            (["field", "--z-min-nm", "100", "--z-max-nm", "-100"], 100 * 1e-9, -100 * 1e-9),
+        ],
+        ids=["omega", "k", "d1", "d2", "x", "z"],
+    )
+    def test_reversed_grid_is_one_config_error_naming_its_bounds(self, argv, lo, hi):
+        name = argv[1][2:].split("-")[0]
+        assert run_cli(argv) == (1, "", f"config error: {name}: min must be below max, got [{lo!r}, {hi!r}]\n")
 
     def test_clipped_grid_is_checked_as_clipped(self):
         code, out, err = run_cli(["material", "--omega-max", "1e308", "--omega-steps", "3"])

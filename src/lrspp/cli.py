@@ -318,7 +318,7 @@ def _cmd_optimize(cfg: RunConfig) -> Blocks:
             continue
         c = pt.constraints
         yield (
-            name, w, pt.g_tilde, pt.d1, pt.d2, pt.theta, abs(pt.beta),
+            name, w, pt.g_tilde, pt.solution.d1, pt.d2, pt.theta, abs(pt.beta),
             c.bandwidth_B, c.penetration_P, c.coupled_surfaces_C,
         )
 

@@ -149,7 +149,8 @@ _X_GRID = ("propagate", "cat-entropy")
 
 PARAMS: tuple[Param, ...] = (
     Param("material", _material, SILVER, ()),
-    Param("out", _text, None, _ALL, (lambda v: "\0" not in v, "must not hold a NUL byte"), help="output path (default: stdout)"),
+    Param("out", _text, None, _ALL, (lambda v: v != "" and "\0" not in v, "must be a non-empty path without a NUL byte"),
+          help="output path (default: stdout)"),
     Param("format", _text, "csv", _ALL, _one_of("csv", "json")),
     Param("threads", _integer, 1, _FORKED, _COUNT, help="worker processes for the rows (default: 1)"),
     Param("branch", _text, "both", _BRANCHED, _one_of(*(branch.value for branch in BranchId), "both")),

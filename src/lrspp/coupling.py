@@ -58,22 +58,21 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class CouplingPoint:
-    """One optimized conversion point.
+    """One optimized conversion point: the lossless bound point it was
+    searched at, whose branch, omega and d1 are the point's, and what the
+    gap search adds to it.
 
     g = arcsin|beta| is the mixing angle of the photon/surface-mode
     beamsplitter; g_tilde = 2g/pi normalizes it to [0, 1].
     """
 
-    branch: BranchId
-    omega: float
-    d1: float
     d2: float
     theta: float
     beta: complex
     g: float
     g_tilde: float
     constraints: ConstraintSet
-    solution: DispersionSolution  # the lossless bound point at (branch, omega, d1)
+    solution: DispersionSolution
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,7 @@ def optimize_d2(
         return None
     g = math.asin(min(1.0, v_best))
     return CouplingPoint(
-        branch=branch, omega=sol.omega, d1=sol.d1, d2=d2_best, theta=theta,
-        beta=beta_best, g=g, g_tilde=2.0 * g / math.pi, constraints=cons, solution=sol,
+        d2=d2_best, theta=theta, beta=beta_best, g=g, g_tilde=2.0 * g / math.pi, constraints=cons, solution=sol
     )
 
 
@@ -326,8 +324,8 @@ def best_over_d1(
         pt = optimize_d2(branch, omega, d1, config, model)
         if pt is None:
             continue
-        if best is None or abs(pt.beta) > abs(best.beta) + 1e-9:
-            best = pt
-        elif abs(abs(pt.beta) - abs(best.beta)) <= 1e-9 and pt.d1 < best.d1:
-            best = pt  # equal coupling: prefer the thinner strip
+        v = abs(pt.beta)
+        # A larger |beta| wins; within 1e-9, equal coupling, the thinner strip.
+        if best is None or v > best_v + 1e-9 or (abs(v - best_v) <= 1e-9 and pt.solution.d1 < best.solution.d1):
+            best, best_v = pt, v
     return best

@@ -32,7 +32,7 @@ BRANCHES = (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
 
 
 def _report(num: int, text: str) -> None:
-    print(f"ACCEPTANCE {num:2d} PASS: {text}")
+    print(f"ACCEPTANCE {num} PASS: {text}")
 
 
 def test_criterion_01_dispersion_fidelity():

@@ -334,7 +334,7 @@ class TestOptimizeD2:
         beta = overlap_beta(branch, w, d1, pt.d2)
         assert (pt.beta.real.hex(), pt.beta.imag.hex()) == (beta.real.hex(), beta.imag.hex())
         assert pt.constraints == constraint_set(branch, w, d1, pt.d2)
-        assert (pt.omega, pt.d1, pt.g) == (w, d1, math.asin(abs(beta)))
+        assert (pt.solution.omega, pt.solution.d1, pt.g) == (w, d1, math.asin(abs(beta)))
         assert pt.g_tilde == 2.0 * pt.g / math.pi
 
     @pytest.mark.parametrize(
@@ -445,7 +445,7 @@ class TestOptimizePath:
             assert pt.constraints.feasible
             assert 0.0 <= pt.g_tilde <= 1.0
             # independent re-evaluation of the emitted point
-            cons = constraint_set(pt.branch, w, pt.d1, pt.d2)
+            cons = constraint_set(pt.solution.branch, w, pt.solution.d1, pt.d2)
             assert cons.feasible
 
     @pytest.mark.parametrize(
@@ -459,11 +459,11 @@ class TestOptimizePath:
         beta = {60e-9: 0.5, 30e-9: thinner}
 
         def stub(branch, omega, d1, config, model):
-            return SimpleNamespace(d1=d1, beta=complex(0.0, beta[d1]))
+            return SimpleNamespace(solution=SimpleNamespace(d1=d1), beta=complex(0.0, beta[d1]))
 
         monkeypatch.setattr(coupling, "optimize_d2", stub)
         pt = best_over_d1(BranchId.ANTISYMMETRIC, 4e15, [60e-9, 30e-9], self._CFG, SILVER)
-        assert pt.d1 == best_d1
+        assert pt.solution.d1 == best_d1
 
     def test_best_path_shape(self):
         """Above the coupling peak the optimal strip thins toward higher
@@ -475,6 +475,6 @@ class TestOptimizePath:
         pts = [pt for pt in points if pt is not None]
         assert len(pts) >= 6
         peak = max(range(len(pts)), key=lambda i: pts[i].g_tilde)
-        upper_d1 = [p.d1 for p in pts[peak:]]
+        upper_d1 = [p.solution.d1 for p in pts[peak:]]
         assert all(a >= b for a, b in zip(upper_d1, upper_d1[1:]))
         assert pts[0].d2 > pts[-1].d2

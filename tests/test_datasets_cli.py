@@ -504,7 +504,13 @@ class TestCliExitCodes:
 
     def test_nul_byte_in_out_path_is_config_error(self):
         code, _, err = run_cli(["g2", "--out", "a\0b"])
-        assert (code, err) == (1, "config error: out: must not hold a NUL byte, got 'a\\x00b'\n")
+        assert (code, err) == (1, "config error: out: must be a non-empty path without a NUL byte, got 'a\\x00b'\n")
+
+    @pytest.mark.parametrize("argv", [[], *([name] for name in cli._COMMANDS)], ids=lambda argv: " ".join(argv) or "lrspp")
+    def test_help_exits_0_with_usage_on_stdout(self, argv):
+        code, out, err = run_cli(argv + ["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ")
 
 
 class TestRunCap:
@@ -535,6 +541,49 @@ class TestRunCap:
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("config error: grids: the run visits "), err
+
+    _GAP = ["--omega-steps", "2", "--d1-steps", "2", "--d2-steps", "4"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["material", "--omega-steps", "3"],
+            ["dispersion", "--k-steps", "3"],
+            ["angle", "--omega-steps", "3"],
+            ["field", "--profile", "lrspp", "--z-steps", "5"],
+            ["field", "--profile", "atr", "--z-steps", "5"],
+            ["constraints", *_GAP],
+            ["constraints", *_GAP, "--d2-nm", "300"],
+            ["optimize", *_GAP],
+            ["propagate", *_GAP, "--x-steps", "3"],
+            ["propagate", *_GAP, "--branch", "plus", "--x-steps", str(cli.BLOCK_ROWS + 1)],
+            ["g2", "--etas", "1.0,0.5,0.1"],
+            ["cat-entropy", *_GAP, "--x-steps", "3"],
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_size_is_what_the_run_visits(self, argv, monkeypatch):
+        """The size a run is refused by is the rows it writes plus, for a
+        gap search, its points: d2_steps per (branch, omega, d1) cell that
+        optimize_d2 takes on."""
+        cells = []
+        optimize_d2 = coupling.optimize_d2
+
+        def counted(*args):
+            cells.append(args[:3])
+            return optimize_d2(*args)
+
+        monkeypatch.setattr(coupling, "optimize_d2", counted)
+        args = cli._parser().parse_args(argv)
+        cfg, _ = validate_config(config_from_args(args), args.command)
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        searches = args.command in ("optimize", "propagate", "cat-entropy") or (
+            args.command == "constraints" and cfg.fixed_d2 is None
+        )
+        search = cli._search_points(cfg) if searches else 0
+        assert len(cells) * cfg.d2_steps == search
+        assert cli._COMMANDS[args.command][2](cfg) == len(read_csv(out)["rows"]) + search
 
     def test_fixed_gap_constraints_not_sized_by_the_gap_grid(self):
         _handler, _columns, points = cli._COMMANDS["constraints"]
@@ -895,6 +944,8 @@ class TestParamTable:
             (["g2"], {"mu": 10**400}, "mu"),
             (["g2"], {"n_photons": 2**60}, "n_photons"),
             (["g2"], {"out": "a\x00b"}, "out"),
+            (["g2"], {"out": ""}, "out"),
+            (["g2", "--out", ""], None, "out"),
             (["g2"], {"bogus": 1}, "unknown config keys"),
             (["g2"], {"n_photons": 0}, "n_photons"),
             (["field"], {"z_steps": 1}, "z_steps"),

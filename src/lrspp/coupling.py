@@ -19,16 +19,21 @@ Three dimensionless feasibility parameters gate the optimization:
     P = 2 / (nu_0 d2)                 strip-mode penetration into the prism
     C = 4 / (nu_m d1)                 coupling between the strip's faces
 
-with feasibility B >= 1, P <= 1 and C >= 1.
+with feasibility B >= 1, P <= 1 and C >= 1.  The gap search decides
+B >= 1 from the bracket of the other branch's root; B itself is solved on
+the first read of a point's constraints, once per row in best_over_d1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import modes
-from .dispersion import BranchId, DispersionSolution, coupling_angle, solve_k, solve_omega
+from .dispersion import (
+    BranchId, DispersionSolution, _omega_window, _window_root, coupling_angle, solve_k, solve_omega,
+)
 from .errors import ConfigError, NoBoundMode, NoMatchingAngle, NormalizationError
 from .materials import DielectricModel, SILVER
 
@@ -60,7 +65,7 @@ class ConstraintSet:
 class CouplingPoint:
     """One optimized conversion point: the lossless bound point it was
     searched at, whose branch, omega and d1 are the point's, and what the
-    gap search adds to it.
+    gap search adds to it, with the bandwidth and model it searched under.
 
     g = arcsin|beta| is the mixing angle of the photon/surface-mode
     beamsplitter; g_tilde = 2g/pi normalizes it to [0, 1].
@@ -71,8 +76,16 @@ class CouplingPoint:
     beta: complex
     g: float
     g_tilde: float
-    constraints: ConstraintSet
     solution: DispersionSolution
+    delta_omega: float
+    model: DielectricModel
+
+    @functools.cached_property
+    def constraints(self) -> ConstraintSet:
+        """(B, P, C) at the point, those of constraint_set.  The search
+        decided B >= 1 from a bracket; B's root is solved on the first
+        read, and the value is kept (and pickled) with the point."""
+        return _constraints(self.solution, _bandwidth(self.solution, self.delta_omega, self.model), self.d2)
 
 
 @dataclass(frozen=True)
@@ -118,8 +131,6 @@ def overlap_beta(
     roundoff (inconsistent norms).
     """
     _require_positive("d2", d2)
-    if d2 == _INF:
-        raise ValueError(f"d2 must be finite, got {d2!r}")
     sol = solve_k(branch, omega, d1, model)
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
     return _beta_of_gap(sol, theta, eps_prism, model)(d2)[1]
@@ -128,6 +139,8 @@ def overlap_beta(
 def _require_positive(name: str, value: float) -> None:
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    if value == _INF:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model: DielectricModel):
@@ -209,7 +222,8 @@ def constraint_set(
     wavepacket bandwidth: the other branch's frequency is evaluated at the
     same k the incoming beam phase-matches.  If the other branch has no
     bound mode at that k, simultaneous excitation is impossible and
-    B = +inf.
+    B = +inf.  Raises ValueError naming d2 or delta_omega unless it is
+    positive and finite.
     """
     _require_positive("d2", d2)
     _require_positive("delta_omega", delta_omega)
@@ -218,13 +232,44 @@ def constraint_set(
 
 
 def _bandwidth(sol: DispersionSolution, delta_omega: float, model: DielectricModel) -> float:
-    """B at the solution's wavevector: one root solve on the other branch."""
+    """B at the solution's wavevector: one root solve on the other branch.
+    0.5 gap / delta_omega is gap / (2 delta_omega) bit for bit wherever
+    2 delta_omega is finite, and no 0 beyond."""
     try:
         other = solve_omega(sol.branch.other, sol.k, sol.d1, model)
     except NoBoundMode:
         return _INF
     gap = sol.omega - other.omega if sol.branch is BranchId.ANTISYMMETRIC else other.omega - sol.omega
-    return gap / (2.0 * delta_omega)
+    return 0.5 * gap / delta_omega
+
+
+#: Margin of _bandwidth_at_least_one, a fraction of the other branch's window
+#: top: far above the rounding of B and of the root's polish.
+GATE_MARGIN = 1e-9
+
+
+def _bandwidth_at_least_one(sol: DispersionSolution, delta_omega: float, model: DielectricModel) -> bool:
+    """Whether B >= 1, from the bracket of the other branch's root w': B >= 1
+    where w' <= t = w - 2 delta_omega (plus branch), w' >= t = w + 2 delta_omega
+    (minus).  The bisection of solve_omega's window stops once its bracket
+    lies wholly beyond t -/+ m, m = GATE_MARGIN of the window top; a t that
+    overflows to -/+inf gives the tiny B's answer.  No bound mode is B = inf.
+    A bracket that closes within the margin, or an exact zero of H, falls
+    back to _bandwidth."""
+    other = sol.branch.other
+    try:
+        lo, hi = _omega_window(other, sol.k, sol.d1, model)
+    except NoBoundMode:
+        return True
+    sign = sol.branch.sign
+    t = sol.omega - sign * 2.0 * delta_omega
+    m = GATE_MARGIN * hi
+    side = _window_root(other.sign, sol.k, None, sol.d1, model, lo, hi, t - m, t + m)
+    if side is None:
+        return True
+    if math.isinf(side):  # w' wholly below t - m (-inf) passes on plus, above t + m (+inf) on minus
+        return side * sign < 0.0
+    return _bandwidth(sol, delta_omega, model) >= 1.0
 
 
 def _constraints(sol: DispersionSolution, bandwidth: float, d2: float) -> ConstraintSet:
@@ -251,7 +296,8 @@ def optimize_d2(
     Coarse scan on a log-spaced gap grid followed by golden-section
     refinement.  Returns None when no gap satisfies the constraints (the
     subtracted regions of the coupling maps).  Raises ConfigError naming d2
-    when the top of the gap grid overflows.
+    when the top of the gap grid overflows.  B >= 1 is decided from a
+    bracket; the point's constraints are computed on their first read.
     """
     try:
         sol = solve_k(branch, omega, d1, model)
@@ -259,13 +305,12 @@ def optimize_d2(
     except (NoBoundMode, NoMatchingAngle):
         return None
 
-    # C (B = inf here) and the gap window of P <= 1 go before the root solve of B.
+    # C (B = inf here) and the gap window of P <= 1 go before B >= 1 is decided.
     d2_lo = max(config.d2_min, 2.0 / sol.nu_0)
     d2_hi = config.d2_max
     if _constraints(sol, _INF, d2_hi).coupled_surfaces_C < 1.0 or d2_lo > d2_hi:
         return None
-    bandwidth = _bandwidth(sol, config.delta_omega, model)
-    if bandwidth < 1.0:
+    if not _bandwidth_at_least_one(sol, config.delta_omega, model):
         return None
 
     beta = _beta_of_gap(sol, theta, config.eps_prism, model)
@@ -299,12 +344,12 @@ def optimize_d2(
     if v_best < best_v:  # the best grid point, with the scan's beta
         d2_best, v_best, beta_best = grid[best_i], best_v, best_beta
 
-    cons = _constraints(sol, bandwidth, d2_best)
-    if not cons.feasible:
+    if not _constraints(sol, _INF, d2_best).feasible:  # B >= 1 is decided above
         return None
     g = math.asin(min(1.0, v_best))
     return CouplingPoint(
-        d2=d2_best, theta=theta, beta=beta_best, g=g, g_tilde=2.0 * g / math.pi, constraints=cons, solution=sol
+        d2=d2_best, theta=theta, beta=beta_best, g=g, g_tilde=2.0 * g / math.pi, solution=sol,
+        delta_omega=config.delta_omega, model=model,
     )
 
 
@@ -318,7 +363,9 @@ def best_over_d1(
     """Best feasible point at one frequency over the strip-thickness grid,
     each thickness optimized over the gap (None: no feasible point).  The
     row function of optimize, propagate and cat-entropy: cli._rows maps it
-    over the (branch, omega) rows, in worker processes under --threads."""
+    over the (branch, omega) rows, in worker processes under --threads.
+    The returned point's constraints are read here: the row's one full root
+    of B runs in the worker and travels back with the point."""
     best: CouplingPoint | None = None
     for d1 in d1_grid:
         pt = optimize_d2(branch, omega, d1, config, model)
@@ -328,4 +375,6 @@ def best_over_d1(
         # A larger |beta| wins; within 1e-9, equal coupling, the thinner strip.
         if best is None or v > best_v + 1e-9 or (abs(v - best_v) <= 1e-9 and pt.solution.d1 < best.solution.d1):
             best, best_v = pt, v
+    if best is not None:
+        best.constraints  # solves B in full, cached on the point
     return best

@@ -25,7 +25,10 @@ the root on the log residual
 whose slopes along k and omega follow by the chain rule.  Each solve
 computes the terms fixed along its unknown (eps_m and (w/c)^2 for k, k^2
 for omega) once, and H keeps the float operations of computing them per
-evaluation, so the roots are the same bit for bit.  The polish keeps the
+evaluation, so the roots are the same bit for bit.  Given bounds, the same
+bisection stops as soon as its bracket lies wholly beyond one and says
+which: coupling decides B >= 1 that way, on solve_omega's window
+(_omega_window), without polishing the root.  The polish keeps the
 relative residual of the defining equation near machine precision up to
 nu_m d1 of about 13.  Beyond that exp(-nu_m d1) drops below the rounding
 of the right-hand side: both branches coincide with the single-interface
@@ -170,13 +173,16 @@ def _h_slope(sign: int, k, omega: float, em, nu_m, nu_0, u, d1: float, model: Di
 
 
 def _window_root(sign: int, k: float | None, omega: float | None, d1: float, model: DielectricModel,
-                 lo: float, hi: float) -> float | None:
+                 lo: float, hi: float, below: float = -math.inf, above: float = math.inf) -> float | None:
     """The root, along the unknown k or omega (passed as None), of the
     pole-free residual H = e^{-nu_m d1} (nu_m - eps_m nu_0) - sign (nu_m +
     eps_m nu_0) in the window [lo, hi]: lo itself where H(lo) is 0, else
     the end point of a bisection; None unless H changes sign across the
     window.  H is 0 exactly at branch roots, +inf outside the bound-mode
     domain, and evaluated inline at lo, at hi and at every midpoint.
+    Given bounds, it returns +inf once the bracket lies wholly above
+    `above` and -inf once wholly below `below`: the end that just moved
+    has passed the bound.  The solvers pass none.
     """
     sqrt, exp, c, tol = math.sqrt, math.exp, C_LIGHT, BISECT_REL_TOL
     minus_d1 = -d1  # exp(nu_m * -d1) is exp(-nu_m * d1) bit for bit
@@ -207,8 +213,12 @@ def _window_root(sign: int, k: float | None, omega: float | None, d1: float, mod
         if i > 1:  # a midpoint
             if (h < 0.0) == lo_negative:
                 lo = x
+                if lo > above:
+                    return math.inf
             else:
                 hi = x
+                if hi < below:
+                    return -math.inf
             if hi - lo <= tol * hi:  # hi > 0 in both windows
                 break
         elif i == 0:  # the window's low end
@@ -277,6 +287,17 @@ def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -
     (the antisymmetric branch sits above it for intermediate k at small d1),
     and when k is so small that omega^2 underflows in the window.
     """
+    lo, hi = _omega_window(branch, k, d1, model)
+    return _solve(branch, k, None, d1, model, lo, hi, lambda: (
+        f"{branch.value} branch has no bound mode below the surface-mode "
+        f"limit at k={k:.6g} rad/m, d1={d1:.4g} m"
+    ))
+
+
+def _omega_window(branch: BranchId, k: float, d1: float, model: DielectricModel) -> tuple[float, float]:
+    """solve_omega's window (lo, hi) at k, below the light line and w_sp.
+    Raises ValueError unless k and d1 are positive, and NoBoundMode where
+    omega^2 underflows in it."""
     if not k > 0.0:
         raise ValueError(f"k must be positive, got {k!r}")
     if not d1 > 0.0:
@@ -286,10 +307,7 @@ def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -
     lo = 1e-3 * hi
     if not 0.5 * lo > _OMEGA_SQUARE_UNDERFLOW:  # the Newton polish may reach lo / 2
         raise NoBoundMode(f"{branch.value} branch at k={k:.6g} rad/m: omega^2 underflows in the search window")
-    return _solve(branch, k, None, d1, model, lo, hi, lambda: (
-        f"{branch.value} branch has no bound mode below the surface-mode "
-        f"limit at k={k:.6g} rad/m, d1={d1:.4g} m"
-    ))
+    return lo, hi
 
 
 def solve_k(branch: BranchId, omega: float, d1: float, model: DielectricModel) -> DispersionSolution:

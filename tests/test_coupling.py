@@ -16,7 +16,7 @@ from lrspp.coupling import (
     optimize_d2,
     overlap_beta,
 )
-from lrspp.dispersion import BranchId, coupling_angle, solve_k
+from lrspp.dispersion import BranchId, coupling_angle, solve_k, solve_omega
 from lrspp.errors import LrsppError, NoBoundMode, NoMatchingAngle, NormalizationError
 from lrspp.materials import SILVER, surface_plasma_frequency
 from lrspp.modes import four_layer_solve, lrspp_profile, overlap_integral, profile_norm
@@ -260,8 +260,83 @@ def test_gap_and_bandwidth_must_be_positive(bad):
             call(*args, bad)
     with pytest.raises(ValueError, match=f"^delta_omega must be positive, got {bad!r}$"):
         constraint_set(*args, 600e-9, delta_omega=bad)
-    with pytest.raises(ValueError, match="^d2 must be finite, got inf$"):
-        overlap_beta(*args, INF)
+    for call in (overlap_beta, constraint_set):
+        with pytest.raises(ValueError, match="^d2 must be finite, got inf$"):
+            call(*args, INF)
+    with pytest.raises(ValueError, match="^delta_omega must be finite, got inf$"):
+        constraint_set(*args, 600e-9, delta_omega=INF)
+
+
+def test_bandwidth_near_the_float_limit_does_not_underflow():
+    """B = 0.5 gap / delta_omega: at delta_omega = 1e308, where 2 delta_omega
+    overflows, B is the tiny positive quotient, 1.25 times smaller than at
+    8e307, not 0.  Below the limit it keeps the bits of gap / (2 delta_omega).
+    The gate reads the overflowed threshold as the tiny B does: B < 1."""
+    args = (BranchId.ANTISYMMETRIC, 4e15, 20e-9, 500e-9)
+    sol = solve_k(*args[:3], SILVER)
+    gap = sol.omega - solve_omega(BranchId.SYMMETRIC, sol.k, sol.d1, SILVER).omega
+    near, at = (constraint_set(*args, delta_omega=dw).bandwidth_B for dw in (8e307, 1e308))
+    assert near == gap / (2.0 * 8e307) and 0.0 < at == 0.5 * gap / 1e308
+    assert at == pytest.approx(near / 1.25, rel=1e-15)
+    assert constraint_set(*args).bandwidth_B == gap / (2.0 * coupling.DEFAULT_DELTA_OMEGA)
+    for branch in BranchId:
+        sol = solve_k(branch, 4e15, 20e-9, SILVER)
+        assert coupling._bandwidth_at_least_one(sol, 1e308, SILVER) is False
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record the arguments of every call of module.name from here on."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    branch=st.sampled_from((BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+    delta_omega=st.floats(min_value=math.log(1e9), max_value=math.log(1e16)).map(math.exp),
+    near=st.one_of(st.none(), st.floats(min_value=-2.0, max_value=2.0)),
+)
+def test_gate_decides_as_the_full_bandwidth(branch, frac, d1, delta_omega, near):
+    """_bandwidth_at_least_one answers B >= 1 as _bandwidth does, over the
+    whole band, strips of 1 nm to 1 mm and bandwidths of 1e9 to 1e16
+    rad/s.  With near, delta_omega is half the branch separation moved by
+    near times the gate's margin, so the bisection's bracket closes within
+    the margin and the gate falls back to the full root."""
+    try:
+        sol = solve_k(branch, frac * surface_plasma_frequency(SILVER), d1, SILVER)
+    except (LrsppError, ValueError):
+        return
+    if near is not None:
+        b = coupling._bandwidth(sol, 1.0, SILVER)  # the separation over 2
+        if not 0.0 < b < INF:
+            return
+        delta_omega = b + 0.5 * near * coupling.GATE_MARGIN * sol.omega
+        if not delta_omega > 0.0:  # a separation inside the margin
+            return
+    assert coupling._bandwidth_at_least_one(sol, delta_omega, SILVER) == (
+        coupling._bandwidth(sol, delta_omega, SILVER) >= 1.0)
+
+
+@pytest.mark.parametrize("at_the_threshold", [False, True], ids=["decided", "falls-back"])
+def test_gate_solves_the_root_only_within_its_margin(monkeypatch, at_the_threshold):
+    """With the default bandwidth the bracket decides B >= 1 and no root of
+    the other branch is solved.  With delta_omega at half the branch
+    separation the other root sits on the threshold, the bracket closes
+    inside the margin, and the gate takes the one full root of _bandwidth."""
+    sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
+    delta_omega = coupling._bandwidth(sol, 1.0, SILVER) if at_the_threshold else coupling.DEFAULT_DELTA_OMEGA
+    expected = coupling._bandwidth(sol, delta_omega, SILVER) >= 1.0
+    solved = count_calls(monkeypatch, coupling, "solve_omega")
+    assert coupling._bandwidth_at_least_one(sol, delta_omega, SILVER) == expected
+    assert len(solved) == int(at_the_threshold)
 
 
 @pytest.mark.parametrize(
@@ -297,6 +372,16 @@ class TestOptimizeD2:
         for d2 in (pt.d2 - step, pt.d2 + step):
             assert abs(overlap_beta(BranchId.ANTISYMMETRIC, 4e15, 60e-9, d2)) <= abs(pt.beta) + 1e-12
 
+    def test_constraints_are_solved_on_first_read(self, monkeypatch):
+        """The search decides B >= 1 without the other branch's root; the
+        point's constraints solve it once, on first read, and are kept."""
+        solved = count_calls(monkeypatch, coupling, "solve_omega")
+        pt = optimize_d2(BranchId.ANTISYMMETRIC, 4e15, 60e-9)
+        assert pt is not None and solved == [] and "constraints" not in vars(pt)
+        assert pt.constraints is pt.constraints and len(solved) == 1
+        assert pt.constraints == constraint_set(BranchId.ANTISYMMETRIC, 4e15, 60e-9, pt.d2)
+        assert (pt.delta_omega, pt.model) == (coupling.DEFAULT_DELTA_OMEGA, SILVER)
+
     def test_subtracted_region_returns_none(self):
         assert optimize_d2(BranchId.SYMMETRIC, 5e15, 15e-9) is None
 
@@ -310,7 +395,7 @@ class TestOptimizeD2:
     )
     def test_ruled_out_before_the_other_branch_is_solved(self, monkeypatch, d1, config, c_below_1):
         """C < 1 (a 300 nm strip) or an empty gap window (P > 1 at d2_max)
-        rules a cell out before B's root solve on the other branch."""
+        rules a cell out before B >= 1 is decided or solved."""
         cons = constraint_set(BranchId.ANTISYMMETRIC, 4e15, d1, config.d2_max)
         assert (cons.coupled_surfaces_C < 1.0, cons.penetration_P > 1.0) == (c_below_1, not c_below_1)
         solved = []
@@ -320,8 +405,9 @@ class TestOptimizeD2:
             raise NoBoundMode("B = inf")
 
         monkeypatch.setattr(coupling, "solve_omega", solve_omega)
+        gated = count_calls(monkeypatch, coupling, "_bandwidth_at_least_one")
         assert optimize_d2(BranchId.ANTISYMMETRIC, 4e15, d1, config) is None
-        assert solved == []
+        assert solved == [] and gated == []
 
     @pytest.mark.parametrize(
         "branch,w,d1", [(BranchId.ANTISYMMETRIC, 4e15, 60e-9), (BranchId.SYMMETRIC, 3.1e15, 40e-9)]
@@ -459,7 +545,7 @@ class TestOptimizePath:
         beta = {60e-9: 0.5, 30e-9: thinner}
 
         def stub(branch, omega, d1, config, model):
-            return SimpleNamespace(solution=SimpleNamespace(d1=d1), beta=complex(0.0, beta[d1]))
+            return SimpleNamespace(solution=SimpleNamespace(d1=d1), beta=complex(0.0, beta[d1]), constraints=None)
 
         monkeypatch.setattr(coupling, "optimize_d2", stub)
         pt = best_over_d1(BranchId.ANTISYMMETRIC, 4e15, [60e-9, 30e-9], self._CFG, SILVER)

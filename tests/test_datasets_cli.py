@@ -824,6 +824,37 @@ class TestCliDatasets:
         assert capsys.readouterr().out
         assert calls == {"solve_k": 8, "optimize_d2": 8, "complex_wavenumber": 4}
 
+    def test_optimize_solves_b_once_per_row_with_a_point(self, monkeypatch):
+        """The gap search decides B >= 1 from the other branch's bracket;
+        the full root of B is solved for the one point a row returns, so a
+        run takes at most one solve_omega per row that has a point."""
+        solved = []
+        solve_omega = coupling.solve_omega
+
+        def counted(*args):
+            solved.append(args)
+            return solve_omega(*args)
+
+        monkeypatch.setattr(coupling, "solve_omega", counted)
+        code, out, _ = run_cli(["optimize", "--branch", "both", "--omega-steps", "8", "--d1-steps", "4",
+                                "--d2-steps", "8", "--threads", "1"])
+        rows = read_csv(out)["rows"]
+        with_point = sum(row[2] is not None for row in rows)
+        assert code == 0 and 0 < with_point < len(rows) == 16
+        assert 0 < len(solved) <= with_point
+
+    def test_bandwidth_near_the_float_limit_is_printed(self):
+        """B is 0.5 gap / delta_omega: at delta_omega = 1e308, where
+        2 delta_omega overflows, each B is 1.25 times smaller than at 8e307,
+        not 0."""
+        argv = ["constraints", "--branch", "plus", "--omega-min", "3.9e15", "--omega-max", "4e15", "--omega-steps",
+                "2", "--d1-min-nm", "20", "--d1-max-nm", "30", "--d1-steps", "2", "--d2-nm", "500", "--delta-omega"]
+        runs = [run_cli(argv + [dw]) for dw in ("8e307", "1e308")]
+        assert [(code, err) for code, _, err in runs] == [(0, "")] * 2
+        (near, at) = ([row[4] for row in read_csv(out)["rows"]] for _, out, _ in runs)
+        assert len(at) == 4 and all(b > 0.0 for b in at)
+        assert at == pytest.approx([b / 1.25 for b in near], rel=1e-15)
+
     def test_config_file_applies(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"omega_min": 2e15, "omega_max": 3e15, "omega_steps": 4}))
@@ -1589,6 +1620,26 @@ class TestWorkers:
         last_chunk = max(i for i, event in enumerate(events) if event == "chunk")
         assert events.count("chunk") == 3 and events.index("rows") < last_chunk, events
         assert_no_child_left()
+
+    def test_a_worker_point_carries_its_b(self, monkeypatch, cpus):
+        """A row a worker computes comes back with its point's constraints
+        solved: reading them in the parent solves no root, and they are
+        those of constraint_set at the point."""
+        cpus(2)
+        cfg = coupling.OptimizeConfig(d2_steps=6)
+        d1s = [20e-9, 40e-9]
+        tasks = [(branch, w) for branch in dispersion.BranchId for w in (3.4e15, 4e15)]
+        points = cli._map_chunk(lambda t: coupling.best_over_d1(*t, d1s, cfg, lrspp.SILVER), tasks, 2)
+        assert_no_child_left()
+        worker_points = [pt for pt in points[1::2] if pt is not None]
+        assert worker_points and all("constraints" in vars(pt) for pt in worker_points)
+        solved = []
+        monkeypatch.setattr(coupling, "solve_omega", lambda *args: solved.append(args))
+        read = [None if pt is None else pt.constraints for pt in points]
+        assert solved == []
+        monkeypatch.undo()
+        for (branch, w), pt, cons in zip(tasks, points, read):
+            assert cons == (None if pt is None else coupling.constraint_set(branch, w, pt.solution.d1, pt.d2))
 
     def test_out_file_open_across_the_fork(self, tmp_path, cpus):
         """Workers fork while the --out file holds unwritten text; none of it is written twice."""

@@ -12,6 +12,21 @@ bounded by 1 and |beta| <= |tau|.  One closed form, built once per
 (branch, omega, d1) as a function of d2 (_beta_of_gap), computes every beta
 reported here: the gap search, optimize_d2's point and overlap_beta.
 
+The gap search scans a log-spaced grid of d2 and stops at the first point
+past which no gap can beat the best |beta| found so far.  Two facts bound
+every later gap.  First, |beta| <= |tau| (above).  Second, |tau| falls for
+every d2 >= d2* = ln|k2/a1| / (2 g0), critical coupling, where the gap
+field at the metal is a1 exp(-g0 z) + k2 exp(g0 z): with u =
+exp(-2 g0 d2), v = (k2/a1) u, g = 1/g0 and the prism admittance q purely
+imaginary, the prism match gives r = ((q-g) v + (q+g)) / ((q+g) v + (q-g)),
+so 1 - |r|^2 = K u / (a u^2 - 2 b u + c) with constant K, a, b, c, which
+rises with u up to |a1/k2| and falls above it; u falls as d2 grows and is
+at most |a1/k2| from d2* on.  So the closure returns, with beta, the ceiling
+|tau(d2)| once d2 >= d2* (else 1), and the scan ends at the first point
+whose ceiling, plus CEILING_MARGIN for tau's rounding, lies below the best
+|beta| so far: no later point can pass the scan's strict v > best test,
+and the result keeps every bit of the full scan.
+
 Three dimensionless feasibility parameters gate the optimization:
 
     B = (w_plus - w_minus) / (2 dw)   branch separation vs. bandwidth,
@@ -46,6 +61,9 @@ DEFAULT_EPS_PRISM = 1.51
 #: Width (m) at which the golden-section refine of the gap stops.  It must
 #: exceed the float spacing of d2, or the window never shrinks below it.
 D2_REFINE = 1e-10
+#: Margin of the gap scan's stop: far above the absolute resolution of
+#: |tau| = sqrt(max(0, 1 - |r|^2)), about 1.5e-8, and the rounding of |beta|.
+CEILING_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,8 +162,11 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model: DielectricModel):
-    """(|beta|, beta) as a function of the gap d2 at a fixed dispersion
-    solution and its matching angle theta: the one beta formula of the library.
+    """(|beta|, beta, ceiling) as a function of the gap d2 at a fixed
+    dispersion solution and its matching angle theta: the one beta formula
+    of the library.  The ceiling bounds |beta| at d2 and at every larger
+    gap, up to tau's rounding: |tau(d2)| once d2 >= d2* (critical coupling,
+    where |tau| peaks), else 1.
 
     Only the prism match and the [-d2, 0] part of the integrals depend on d2:
     the strip mode, the stack above z = 0 and the [0, inf) parts of N1, N2
@@ -183,8 +204,11 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
     # The rates of the four gap integrals, and the calls of the closure, as locals.
     two_g0, two_nu0, nu0_g0 = 2.0 * g0, 2.0 * nu0, nu0 + g0
     exp, expm1, sqrt, prism_match = math.exp, math.expm1, math.sqrt, modes._prism_match
+    # Critical coupling: |tau| falls for every d2 >= d2*.  Where a1 or k2 is
+    # 0, no gap is taken to be past it (d2* = inf: the scan runs in full).
+    d2_star = (math.log(abs(k2)) - math.log(abs(a1))) / two_g0 if a1 and k2 else _INF
 
-    def beta(d2: float) -> tuple[float, complex]:
+    def beta(d2: float) -> tuple[float, complex, float]:
         w0, _, phase, _, tau = prism_match(st, d2)
         # Each "-expm1(-p) / rate if p else d2", p = rate d2, is
         # modes._segment_integral(rate, d2) for a real rate, bit for bit.
@@ -203,7 +227,7 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
             raise NormalizationError(
                 f"|beta| = {size:.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
             )
-        return size, value
+        return size, value, (abs(tau) if d2 >= d2_star else 1.0)
 
     return beta
 
@@ -294,10 +318,17 @@ def optimize_d2(
     """Maximize |beta| over the prism gap subject to B >= 1, P <= 1, C >= 1.
 
     Coarse scan on a log-spaced gap grid followed by golden-section
-    refinement.  Returns None when no gap satisfies the constraints (the
-    subtracted regions of the coupling maps).  Raises ConfigError naming d2
-    when the top of the gap grid overflows.  B >= 1 is decided from a
-    bracket; the point's constraints are computed on their first read.
+    refinement.  The scan stops at the first grid point at or past
+    critical coupling whose |tau| + CEILING_MARGIN lies below the best
+    |beta| so far: |beta| <= |tau| and |tau| only falls from there, so no
+    later point can win and the result is that of the full scan, bit for
+    bit.  The points are computed one at a time, so d2_steps sizes no
+    list.  A NormalizationError or SingularSystemError that beta would
+    raise at a gap past the stop is not raised.  Returns None when no gap
+    satisfies the constraints (the subtracted regions of the coupling
+    maps).  Raises ConfigError naming d2 when the top of the gap grid
+    overflows.  B >= 1 is decided from a bracket; the point's constraints
+    are computed on their first read.
     """
     try:
         sol = solve_k(branch, omega, d1, model)
@@ -316,17 +347,22 @@ def optimize_d2(
     beta = _beta_of_gap(sol, theta, config.eps_prism, model)
     n = config.d2_steps
     ratio = d2_hi / d2_lo
-    best_i, best_v, best_beta = 0, -1.0, None
-    grid = [d2_lo * ratio ** (i / (n - 1)) for i in range(n)]
-    if grid[-1] == _INF:  # the ratio, or its product with d2_lo, overflows
+
+    def grid(i: int) -> float:
+        return d2_lo * ratio ** (i / (n - 1))
+
+    if grid(n - 1) == _INF:  # the ratio, or its product with d2_lo, overflows
         raise ConfigError(f"d2: the gap grid from {d2_lo!r} to {d2_hi!r} overflows")
-    for i, d2 in enumerate(grid):
-        v, z = beta(d2)
+    best_i, best_v, best_beta = 0, -1.0, None
+    for i in range(n):
+        v, z, ceiling = beta(grid(i))
         if v > best_v:
             best_i, best_v, best_beta = i, v, z
+        elif ceiling + CEILING_MARGIN < best_v:  # no later gap can win
+            break
 
-    a = grid[max(best_i - 1, 0)]
-    b = grid[min(best_i + 1, n - 1)]
+    a = grid(max(best_i - 1, 0))
+    b = grid(min(best_i + 1, n - 1))
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = beta(c)[0], beta(d)[0]
@@ -340,9 +376,9 @@ def optimize_d2(
             d = a + _GOLDEN * (b - a)
             fd = beta(d)[0]
     d2_best = 0.5 * a + 0.5 * b  # the bits of 0.5 (a + b), which can overflow
-    v_best, beta_best = beta(d2_best)
+    v_best, beta_best, _ = beta(d2_best)
     if v_best < best_v:  # the best grid point, with the scan's beta
-        d2_best, v_best, beta_best = grid[best_i], best_v, best_beta
+        d2_best, v_best, beta_best = grid(best_i), best_v, best_beta
 
     if not _constraints(sol, _INF, d2_best).feasible:  # B >= 1 is decided above
         return None

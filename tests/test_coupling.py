@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,7 @@ from lrspp.coupling import (
     overlap_beta,
 )
 from lrspp.dispersion import BranchId, coupling_angle, solve_k, solve_omega
-from lrspp.errors import LrsppError, NoBoundMode, NoMatchingAngle, NormalizationError
+from lrspp.errors import ConfigError, LrsppError, NoBoundMode, NoMatchingAngle, NormalizationError
 from lrspp.materials import SILVER, surface_plasma_frequency
 from lrspp.modes import four_layer_solve, lrspp_profile, overlap_integral, profile_norm
 
@@ -109,6 +110,61 @@ def written_out_segment(rate, length):
     return -math.expm1(-p) / rate if p else length
 
 
+def optimize_d2_full_scan(branch, omega, d1, config, model=SILVER):
+    """optimize_d2 with beta evaluated at every point of the gap grid, a
+    list built up front, before the same refine, fall-back and feasibility
+    test: the search as it was before the scan stopped early, kept as the
+    reference that the early stop must match bit for bit."""
+    try:
+        sol = solve_k(branch, omega, d1, model)
+        theta = coupling_angle(sol.omega, sol.k, config.eps_prism)
+    except (NoBoundMode, NoMatchingAngle):
+        return None
+    d2_lo = max(config.d2_min, 2.0 / sol.nu_0)
+    d2_hi = config.d2_max
+    if coupling._constraints(sol, INF, d2_hi).coupled_surfaces_C < 1.0 or d2_lo > d2_hi:
+        return None
+    if not coupling._bandwidth_at_least_one(sol, config.delta_omega, model):
+        return None
+
+    beta = coupling._beta_of_gap(sol, theta, config.eps_prism, model)
+    n = config.d2_steps
+    ratio = d2_hi / d2_lo
+    best_i, best_v, best_beta = 0, -1.0, None
+    grid = [d2_lo * ratio ** (i / (n - 1)) for i in range(n)]
+    if grid[-1] == INF:
+        raise ConfigError(f"d2: the gap grid from {d2_lo!r} to {d2_hi!r} overflows")
+    for i, d2 in enumerate(grid):
+        v, z, _ = beta(d2)
+        if v > best_v:
+            best_i, best_v, best_beta = i, v, z
+
+    golden = coupling._GOLDEN
+    a = grid[max(best_i - 1, 0)]
+    b = grid[min(best_i + 1, n - 1)]
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = beta(c)[0], beta(d)[0]
+    while b - a > coupling.D2_REFINE:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = beta(c)[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = beta(d)[0]
+    d2_best = 0.5 * a + 0.5 * b
+    v_best, beta_best, _ = beta(d2_best)
+    if v_best < best_v:
+        d2_best, v_best, beta_best = grid[best_i], best_v, best_beta
+
+    if not coupling._constraints(sol, INF, d2_best).feasible:
+        return None
+    g = math.asin(min(1.0, v_best))
+    return SimpleNamespace(d2=d2_best, beta=beta_best, g_tilde=2.0 * g / math.pi)
+
+
 def _bits(call, *args):
     """The float bits of call(*args), or its error's type and message."""
     try:
@@ -160,7 +216,7 @@ def test_gap_closure_has_the_bits_of_the_segment_integral_form(branch, frac, d1,
     def value(build):
         return build(sol, theta, eps_prism, SILVER)(d2)
 
-    def closure_beta(*args):  # the beta part of the closure's (|beta|, beta)
+    def closure_beta(*args):  # the beta part of the closure's (|beta|, beta, ceiling)
         gap = coupling._beta_of_gap(*args)
         return lambda d2: gap(d2)[1]
 
@@ -433,12 +489,15 @@ class TestOptimizeD2:
         ids=["two-steps", "refined", "grid-point"],
     )
     def test_scan_takes_the_steps_given(self, monkeypatch, branch, w, d1, steps, falls_back):
-        """The gap search evaluates beta once per grid point, once per golden
-        point and once at the refined midpoint, and no more: where the
-        midpoint is worse than the best grid point, that point's beta is
-        the scan's.  With d2_steps=2 the grid is the two ends of the gap
-        window, and the third evaluation is the first golden point of the
-        refine over the whole window."""
+        """The gap search evaluates beta once per point of a prefix grid[:m]
+        of the gap grid, once per golden point and once at the refined
+        midpoint, and no more: where the midpoint is worse than the best
+        grid point, that point's beta is the scan's.  The scan stops at the
+        first point whose ceiling plus CEILING_MARGIN is below the best
+        |beta| so far, and every grid point after it, evaluated here, is
+        below the scan's best.  With d2_steps=2 the grid is the two ends of
+        the gap window, and the third evaluation is the first golden point
+        of the refine over the whole window."""
         calls = []
         beta_of_gap = coupling._beta_of_gap
 
@@ -446,9 +505,9 @@ class TestOptimizeD2:
             beta = beta_of_gap(*args)
 
             def value(d2):
-                size, z = beta(d2)
-                calls.append((d2, size))
-                return size, z
+                size, z, ceiling = beta(d2)
+                calls.append((d2, size, ceiling))
+                return size, z, ceiling
 
             return value
 
@@ -456,29 +515,39 @@ class TestOptimizeD2:
         config = OptimizeConfig(d2_steps=steps)
         pt = optimize_d2(branch, w, d1, config)
         assert pt is not None
-        gaps, values = [d2 for d2, _ in calls], [v for _, v in calls]
+        gaps, values = [d2 for d2, _, _ in calls], [v for _, v, _ in calls]
         lo = gaps[0]
         grid = [lo * (config.d2_max / lo) ** (i / (steps - 1)) for i in range(steps)]
-        best = max(range(steps), key=values.__getitem__)  # the first of equal maxima
+        # The scan, replayed on the values recorded for it.
+        best, m = 0, steps
+        for i in range(1, steps):
+            if values[i] > values[best]:  # the first of equal maxima
+                best = i
+            elif calls[i][2] + coupling.CEILING_MARGIN < values[best]:
+                m = i + 1
+                break
         # The golden-section refine, replayed on the values recorded for it.
         golden = coupling._GOLDEN
         a, b = grid[max(best - 1, 0)], grid[min(best + 1, steps - 1)]
         c, d = b - golden * (b - a), a + golden * (b - a)
         refine = [c, d]
-        fc, fd = values[steps], values[steps + 1]
+        fc, fd = values[m], values[m + 1]
         while b - a > coupling.D2_REFINE:
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - golden * (b - a)
                 refine.append(c)
-                fc = values[steps + len(refine) - 1]
+                fc = values[m + len(refine) - 1]
             else:
                 a, c, fc = c, d, fd
                 d = a + golden * (b - a)
                 refine.append(d)
-                fd = values[steps + len(refine) - 1]
+                fd = values[m + len(refine) - 1]
         midpoint = 0.5 * a + 0.5 * b
-        assert gaps == grid + refine + [midpoint]
+        assert gaps == grid[:m] + refine + [midpoint]
+        assert (m < steps) == (steps > 2)  # the 80-point scans stop early
+        tail = beta_of_gap(pt.solution, pt.theta, config.eps_prism, SILVER)
+        assert all(tail(d2)[0] < values[best] for d2 in grid[m:])
         assert (values[-1] < values[best]) == falls_back
         assert pt.d2 == (grid[best] if falls_back else midpoint)
 
@@ -486,6 +555,95 @@ class TestOptimizeD2:
         pt = optimize_d2(BranchId.ANTISYMMETRIC, 4.8e15, 30e-9)
         assert pt is not None
         assert pt.constraints.penetration_P <= 1.0 + 1e-12
+
+    def test_a_long_gap_grid_is_not_built(self):
+        """The gap grid is computed one point at a time: a search over 10**7
+        points allocates no list of them (10**7 floats and their list take
+        about 320 MB).  Over a window up to 1 m the scan stops near point
+        18,000 here (near 156,000 up to the default 3 um)."""
+        tracemalloc.start()
+        try:
+            pt = optimize_d2(BranchId.SYMMETRIC, 3.1e15, 40e-9, OptimizeConfig(d2_max=1.0, d2_steps=10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pt is not None and peak < 1_000_000
+
+
+def _search_outcome(search, branch, omega, d1, config):
+    """(d2, beta, g_tilde) as hex of a search's point, None, or the type
+    and message of the error it raised."""
+    try:
+        pt = search(branch, omega, d1, config)
+    except (LrsppError, ValueError) as exc:
+        return type(exc), str(exc)
+    if pt is None:
+        return None
+    return pt.d2.hex(), pt.beta.real.hex(), pt.beta.imag.hex(), pt.g_tilde.hex()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    branch=st.sampled_from((BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+    d2_min=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-6)).map(math.exp),
+    log_ratio=st.floats(min_value=1e-3, max_value=8.0),
+    d2_steps=st.integers(min_value=2, max_value=200),
+    eps_prism=st.floats(min_value=1.01, max_value=20.0),
+    delta_omega=st.floats(min_value=math.log(1e9), max_value=math.log(1e15)).map(math.exp),
+)
+# Two cells of test_scan_takes_the_steps_given at the default gap grid
+# (omega_sp of silver is about 5.5088e15 rad/s).
+@example(BranchId.ANTISYMMETRIC, 4e15 / 5.5088e15, 60e-9, 50e-9, math.log(60.0), 80, 1.51, 3.02e13)
+@example(BranchId.SYMMETRIC, 3.1e15 / 5.5088e15, 40e-9, 50e-9, math.log(60.0), 80, 1.51, 3.02e13)
+def test_early_stop_matches_the_full_scan(branch, frac, d1, d2_min, log_ratio, d2_steps, eps_prism, delta_omega):
+    """optimize_d2, whose scan stops once no later gap can win, gives the
+    full scan's d2, beta and g_tilde bit for bit, or raises the same error,
+    over the whole band, strips of 1 nm to 1 mm, gap windows from 1 nm to
+    1 um and up to e^8 wide, 2 to 200 grid points, prism permittivities of
+    1.01 to 20 and bandwidths of 1e9 to 1e15 rad/s."""
+    omega = frac * surface_plasma_frequency(SILVER)
+    config = OptimizeConfig(d2_min=d2_min, d2_max=d2_min * math.exp(log_ratio), d2_steps=d2_steps,
+                            delta_omega=delta_omega, eps_prism=eps_prism)
+    assert _search_outcome(optimize_d2, branch, omega, d1, config) == _search_outcome(
+        optimize_d2_full_scan, branch, omega, d1, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    branch=st.sampled_from((BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+    eps_prism=st.floats(min_value=1.01, max_value=20.0),
+    start=st.floats(min_value=-10.0, max_value=40.0),
+    later=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=16),
+)
+def test_ceiling_bounds_every_larger_gap(branch, frac, d1, eps_prism, start, later):
+    """For every d2' >= d2, |beta(d2')| <= ceiling(d2) + CEILING_MARGIN, over
+    the whole band, strips of 1 nm to 1 mm and prism permittivities of 1.01
+    to 20.  The gaps are drawn around critical coupling d2* =
+    ln|k2/a1| / (2 gamma_0), in units of 1 / (2 gamma_0): d2 from 10 units
+    before d2* (or 0) to 40 after, each d2' up to 60 units past d2."""
+    omega = frac * surface_plasma_frequency(SILVER)
+    try:
+        sol = solve_k(branch, omega, d1, SILVER)
+        theta = coupling_angle(omega, sol.k, eps_prism)
+        stack = modes._upper_stack(omega, theta, d1, eps_prism, SILVER)
+        beta = coupling._beta_of_gap(sol, theta, eps_prism, SILVER)
+    except (LrsppError, ValueError):
+        return
+    unit = 0.5 / stack.gamma_0
+    d2_star = math.log(abs(stack.k2) / abs(stack.a1)) * unit
+    d2 = max(d2_star, 0.0) + start * unit
+    if not 0.0 < d2 < INF:
+        return
+    try:
+        ceiling = beta(d2)[2]
+        sizes = [beta(d2 + t * unit)[0] for t in later]
+    except LrsppError:
+        return
+    assert all(size <= ceiling + coupling.CEILING_MARGIN for size in sizes)
 
 
 @settings(max_examples=200, deadline=None)

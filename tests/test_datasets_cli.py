@@ -843,6 +843,30 @@ class TestCliDatasets:
         assert code == 0 and 0 < with_point < len(rows) == 16
         assert 0 < len(solved) <= with_point
 
+    def test_gap_scans_stop_once_no_later_gap_can_win(self, monkeypatch):
+        """Each gap scan stops at the first point past critical coupling
+        whose |tau| lies below the best |beta| so far.  On the bench sweep's
+        grid at seed 0 (2 x 20 omega x 10 d1 x 40 d2) the run takes at most
+        4,500 beta evaluations: 3,974 here, 10,244 for the full scans."""
+        evaluations = [0]
+        beta_of_gap = coupling._beta_of_gap
+
+        def counted(*args):
+            beta = beta_of_gap(*args)
+
+            def value(d2):
+                evaluations[0] += 1
+                return beta(d2)
+
+            return value
+
+        monkeypatch.setattr(coupling, "_beta_of_gap", counted)
+        code, out, err = run_cli(["optimize", "--branch", "both", "--threads", "1", "--omega-min", "2.2e15",
+                                  "--omega-max", "5.2e15", "--omega-steps", "20", "--d1-min-nm", "10.0",
+                                  "--d1-max-nm", "100.0", "--d1-steps", "10", "--d2-steps", "40"])
+        assert (code, err) == (0, "") and len(read_csv(out)["rows"]) == 40
+        assert 0 < evaluations[0] <= 4500
+
     def test_bandwidth_near_the_float_limit_is_printed(self):
         """B is 0.5 gap / delta_omega: at delta_omega = 1e308, where
         2 delta_omega overflows, each B is 1.25 times smaller than at 8e307,

@@ -208,11 +208,11 @@ def _cmd_dispersion(cfg: RunConfig) -> Blocks:
         except NoBoundMode:
             return branch.value, d1, k, None, None, None, None, None
         try:
-            vg = group_velocity(sol, cfg.material)
+            vg = group_velocity(sol)
         except StencilError:
             vg = None
         try:
-            kappa = complex_wavenumber(sol, cfg.material).kappa
+            kappa = complex_wavenumber(sol).kappa
         except LrsppError:
             kappa = None
         return branch.value, d1, k, sol.omega, sol.nu_m, sol.nu_0, vg, kappa
@@ -244,7 +244,7 @@ def _cmd_field(cfg: RunConfig) -> Blocks:
     branch = cfg.branches()[0]  # a BranchId: plus for 'both'
     sol = solve_k(branch, w, d1, cfg.material)
     if cfg.profile == "lrspp":
-        profile = lrspp_profile(sol, cfg.material)
+        profile = lrspp_profile(sol)
         z_lo_default = -3.0 / sol.nu_0
     else:
         theta = coupling_angle(w, sol.k, cfg.eps_prism)
@@ -271,7 +271,7 @@ def _cmd_constraints(cfg: RunConfig) -> Blocks:
         d2 = cfg.fixed_d2
         if d2 is not None:
             try:
-                cons = coupling.constraint_set(branch, w, d1, d2, cfg.delta_omega, cfg.material)
+                cons = coupling.constraint_set(solve_k(branch, w, d1, cfg.material), d2, cfg.delta_omega)
             except NoBoundMode:
                 cons = None
         else:  # optimize_d2 returns feasible points only
@@ -307,7 +307,7 @@ def _propagating(cfg: RunConfig):
     """(branch name, omega, best point, kappa0) per frequency of the best
     paths; point and kappa0 are None where no point is feasible."""
     for name, w, pt in _rows(cfg):
-        yield name, w, pt, None if pt is None else complex_wavenumber(pt.solution, cfg.material).kappa
+        yield name, w, pt, None if pt is None else complex_wavenumber(pt.solution).kappa
 
 
 def _cmd_optimize(cfg: RunConfig) -> Blocks:

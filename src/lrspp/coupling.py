@@ -8,9 +8,10 @@ The conversion amplitude at a matched frequency is
 over z in [-d2, +inf): the reflection-dip amplitude tau of the lossy
 four-layer stack times the normalized overlap of the strip mode with the
 transmitted field.  Both norms use the same domain, so the overlap is
-bounded by 1 and |beta| <= |tau|.  One closed form, built once per
-(branch, omega, d1) as a function of d2 (_beta_of_gap), computes every beta
-reported here: the gap search, optimize_d2's point and overlap_beta.
+bounded by 1 and |beta| <= |tau|.  One closed form, built once per bound
+point (a DispersionSolution, in its own model) as a function of d2
+(_beta_of_gap), computes every beta reported here: the gap search,
+optimize_d2's point and overlap_beta.
 
 The gap search scans a log-spaced grid of d2 and stops at the first point
 past which no gap can beat the best |beta| found so far.  Two facts bound
@@ -82,8 +83,8 @@ class ConstraintSet:
 @dataclass(frozen=True)
 class CouplingPoint:
     """One optimized conversion point: the lossless bound point it was
-    searched at, whose branch, omega and d1 are the point's, and what the
-    gap search adds to it, with the bandwidth and model it searched under.
+    searched at, whose branch, omega, d1 and model are the point's, and
+    what the gap search adds to it, with the bandwidth it searched under.
 
     g = arcsin|beta| is the mixing angle of the photon/surface-mode
     beamsplitter; g_tilde = 2g/pi normalizes it to [0, 1].
@@ -96,14 +97,13 @@ class CouplingPoint:
     g_tilde: float
     solution: DispersionSolution
     delta_omega: float
-    model: DielectricModel
 
     @functools.cached_property
     def constraints(self) -> ConstraintSet:
-        """(B, P, C) at the point, those of constraint_set.  The search
-        decided B >= 1 from a bracket; B's root is solved on the first
-        read, and the value is kept (and pickled) with the point."""
-        return _constraints(self.solution, _bandwidth(self.solution, self.delta_omega, self.model), self.d2)
+        """(B, P, C) at the point: constraint_set(solution, d2, delta_omega).
+        The search decided B >= 1 from a bracket; B's root is solved on the
+        first read, and the value is kept (and pickled) with the point."""
+        return constraint_set(self.solution, self.d2, self.delta_omega)
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,17 @@ class OptimizeConfig:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
-def overlap_beta(
-    branch: BranchId,
-    omega: float,
-    d1: float,
-    d2: float,
-    eps_prism: float = DEFAULT_EPS_PRISM,
-    model: DielectricModel = SILVER,
-) -> complex:
-    """Conversion amplitude beta at a matched frequency.
+def overlap_beta(sol: DispersionSolution, d2: float, eps_prism: float = DEFAULT_EPS_PRISM) -> complex:
+    """Conversion amplitude beta at the bound point sol, matched through the
+    prism, at gap d2, in the solution's model.
 
-    Raises ValueError unless d2 is positive and finite, NoBoundMode /
-    NoMatchingAngle when the branch or the phase-matching angle does not
-    exist, and NormalizationError when the computed |beta| exceeds 1 beyond
-    roundoff (inconsistent norms).
+    Raises ValueError unless d2 is positive and finite, NoMatchingAngle
+    when the phase-matching angle does not exist, and NormalizationError
+    when the computed |beta| exceeds 1 beyond roundoff (inconsistent norms).
     """
     _require_positive("d2", d2)
-    sol = solve_k(branch, omega, d1, model)
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
-    return _beta_of_gap(sol, theta, eps_prism, model)(d2)[1]
+    return _beta_of_gap(sol, theta, eps_prism)(d2)[1]
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -161,7 +153,7 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model: DielectricModel):
+def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float):
     """(|beta|, beta, ceiling) as a function of the gap d2 at a fixed
     dispersion solution and its matching angle theta: the one beta formula
     of the library.  The ceiling bounds |beta| at d2 and at every larger
@@ -183,8 +175,8 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
     times this one, so the normalized overlap gains the phase c/|c| that
     modes._prism_match returns.
     """
-    phi = modes.lrspp_profile(sol, model)
-    st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model)
+    phi = modes.lrspp_profile(sol)
+    st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, sol.model)
     psi = modes._upper_profile(st, sol.d1, 1.0)
     n1_up = modes.profile_norm(phi, 0.0, _INF)
     n2_up = modes.profile_norm(psi, 0.0, _INF)
@@ -232,15 +224,8 @@ def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float, model:
     return beta
 
 
-def constraint_set(
-    branch: BranchId,
-    omega: float,
-    d1: float,
-    d2: float,
-    delta_omega: float = DEFAULT_DELTA_OMEGA,
-    model: DielectricModel = SILVER,
-) -> ConstraintSet:
-    """(B, P, C) at the given configuration.
+def constraint_set(sol: DispersionSolution, d2: float, delta_omega: float = DEFAULT_DELTA_OMEGA) -> ConstraintSet:
+    """(B, P, C) at the bound point sol and gap d2, in the solution's model.
 
     B compares the branch separation at the *matched wavevector* with the
     wavepacket bandwidth: the other branch's frequency is evaluated at the
@@ -251,16 +236,15 @@ def constraint_set(
     """
     _require_positive("d2", d2)
     _require_positive("delta_omega", delta_omega)
-    sol = solve_k(branch, omega, d1, model)
-    return _constraints(sol, _bandwidth(sol, delta_omega, model), d2)
+    return _constraints(sol, _bandwidth(sol, delta_omega), d2)
 
 
-def _bandwidth(sol: DispersionSolution, delta_omega: float, model: DielectricModel) -> float:
+def _bandwidth(sol: DispersionSolution, delta_omega: float) -> float:
     """B at the solution's wavevector: one root solve on the other branch.
     0.5 gap / delta_omega is gap / (2 delta_omega) bit for bit wherever
     2 delta_omega is finite, and no 0 beyond."""
     try:
-        other = solve_omega(sol.branch.other, sol.k, sol.d1, model)
+        other = solve_omega(sol.branch.other, sol.k, sol.d1, sol.model)
     except NoBoundMode:
         return _INF
     gap = sol.omega - other.omega if sol.branch is BranchId.ANTISYMMETRIC else other.omega - sol.omega
@@ -272,7 +256,7 @@ def _bandwidth(sol: DispersionSolution, delta_omega: float, model: DielectricMod
 GATE_MARGIN = 1e-9
 
 
-def _bandwidth_at_least_one(sol: DispersionSolution, delta_omega: float, model: DielectricModel) -> bool:
+def _bandwidth_at_least_one(sol: DispersionSolution, delta_omega: float) -> bool:
     """Whether B >= 1, from the bracket of the other branch's root w': B >= 1
     where w' <= t = w - 2 delta_omega (plus branch), w' >= t = w + 2 delta_omega
     (minus).  The bisection of solve_omega's window stops once its bracket
@@ -282,18 +266,18 @@ def _bandwidth_at_least_one(sol: DispersionSolution, delta_omega: float, model: 
     back to _bandwidth."""
     other = sol.branch.other
     try:
-        lo, hi = _omega_window(other, sol.k, sol.d1, model)
+        lo, hi = _omega_window(other, sol.k, sol.d1, sol.model)
     except NoBoundMode:
         return True
     sign = sol.branch.sign
     t = sol.omega - sign * 2.0 * delta_omega
     m = GATE_MARGIN * hi
-    side = _window_root(other.sign, sol.k, None, sol.d1, model, lo, hi, t - m, t + m)
+    side = _window_root(other.sign, sol.k, None, sol.d1, sol.model, lo, hi, t - m, t + m)
     if side is None:
         return True
     if math.isinf(side):  # w' wholly below t - m (-inf) passes on plus, above t + m (+inf) on minus
         return side * sign < 0.0
-    return _bandwidth(sol, delta_omega, model) >= 1.0
+    return _bandwidth(sol, delta_omega) >= 1.0
 
 
 def _constraints(sol: DispersionSolution, bandwidth: float, d2: float) -> ConstraintSet:
@@ -341,10 +325,10 @@ def optimize_d2(
     d2_hi = config.d2_max
     if _constraints(sol, _INF, d2_hi).coupled_surfaces_C < 1.0 or d2_lo > d2_hi:
         return None
-    if not _bandwidth_at_least_one(sol, config.delta_omega, model):
+    if not _bandwidth_at_least_one(sol, config.delta_omega):
         return None
 
-    beta = _beta_of_gap(sol, theta, config.eps_prism, model)
+    beta = _beta_of_gap(sol, theta, config.eps_prism)
     n = config.d2_steps
     ratio = d2_hi / d2_lo
 
@@ -385,7 +369,7 @@ def optimize_d2(
     g = math.asin(min(1.0, v_best))
     return CouplingPoint(
         d2=d2_best, theta=theta, beta=beta_best, g=g, g_tilde=2.0 * g / math.pi, solution=sol,
-        delta_omega=config.delta_omega, model=model,
+        delta_omega=config.delta_omega,
     )
 
 

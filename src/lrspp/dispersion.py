@@ -9,9 +9,10 @@ with decay constants nu_m^2 = k^2 - eps_m (w/c)^2 into the metal and
 nu_0^2 = k^2 - (w/c)^2 into the air.  The '+' sign selects the
 antisymmetric (higher-frequency, low-loss) branch, the '-' sign the
 symmetric branch.  Both solvers below work on the lossless dielectric
-function; the complex propagation constant of the damped mode is obtained
-separately by continuing the root into the complex plane with the lossy
-dielectric function.
+function, and the bound point they return carries the model it was solved
+in; the complex propagation constant of the damped mode is obtained
+separately by continuing that root into the complex plane with the lossy
+dielectric function of the same model.
 
 Both directions, k at fixed omega (solve_k) and omega at fixed k
 (solve_omega), go through one root routine: the search window is the
@@ -92,7 +93,8 @@ class BranchId(enum.Enum):
 
 @dataclass(frozen=True)
 class DispersionSolution:
-    """One bound-mode point: (branch, k, omega) plus decay constants."""
+    """One bound-mode point: (branch, k, omega), decay constants, and the
+    metal model it was solved in, which everything evaluated at it uses."""
 
     branch: BranchId
     k: float
@@ -100,10 +102,11 @@ class DispersionSolution:
     nu_m: float
     nu_0: float
     d1: float
+    model: DielectricModel
 
-    def relative_residual(self, model: DielectricModel) -> float:
+    def relative_residual(self) -> float:
         """|lhs - rhs| / |lhs| of the dispersion equation at this point."""
-        gd = _log_residual(self.branch.sign, self.k, self.omega, self.d1, model)
+        gd = _log_residual(self.branch.sign, self.k, self.omega, self.d1, self.model)
         if gd is None:
             return math.inf
         return abs(math.expm1(gd[0]))
@@ -276,7 +279,7 @@ def _solve(
             f"{branch.value} branch has no finite bound mode at k={k:.6g} rad/m, omega={omega:.6g} rad/s: "
             "eps_m overflows"
         )
-    return DispersionSolution(branch=branch, k=k, omega=omega, nu_m=nus[0], nu_0=nus[1], d1=d1)
+    return DispersionSolution(branch=branch, k=k, omega=omega, nu_m=nus[0], nu_0=nus[1], d1=d1, model=model)
 
 
 def solve_omega(branch: BranchId, k: float, d1: float, model: DielectricModel) -> DispersionSolution:
@@ -335,16 +338,17 @@ def solve_k(branch: BranchId, omega: float, d1: float, model: DielectricModel) -
     ))
 
 
-def complex_wavenumber(solution: DispersionSolution, model: DielectricModel) -> ComplexWavenumber:
-    """Complex root K = k + i*kappa of H with the lossy dielectric function,
-    by Newton steps in complex k from the lossless bound point solution.
+def complex_wavenumber(solution: DispersionSolution) -> ComplexWavenumber:
+    """Complex root K = k + i*kappa of H with the lossy dielectric function
+    of the solution's model, by Newton steps in complex k from the lossless
+    bound point solution.
 
     The stopping rule (see COMPLEX_SETTLED_ULPS) resolves kappa to its own
     precision, not only to that of |K|.  Raises ConvergenceError with
     diagnostics if it takes more than COMPLEX_MAX_ITER steps, and where
     the root is a growing mode.
     """
-    branch, omega, d1 = solution.branch, solution.omega, solution.d1
+    branch, omega, d1, model = solution.branch, solution.omega, solution.d1, solution.model
     sign = branch.sign
     em = eps_lossy(model, omega)
     woc = omega / C_LIGHT
@@ -379,16 +383,16 @@ def complex_wavenumber(solution: DispersionSolution, model: DielectricModel) -> 
     return ComplexWavenumber(k=kc.real, kappa=kappa)
 
 
-def group_velocity(solution: DispersionSolution, model: DielectricModel) -> float:
+def group_velocity(solution: DispersionSolution) -> float:
     """d(omega)/dk = -(dH/dk)/(dH/domega) at the bound point solution, from
-    the analytic slopes of the pole-free residual H.
+    the analytic slopes of the pole-free residual H in its model.
 
     Raises StencilError where the slopes give no velocity in the physical
     range (0, c).
     """
     s = solution
-    em = eps_lossless(model, s.omega)
-    at = (s.branch.sign, s.k, s.omega, em, s.nu_m, s.nu_0, math.exp(-s.nu_m * s.d1), s.d1, model)
+    em = eps_lossless(s.model, s.omega)
+    at = (s.branch.sign, s.k, s.omega, em, s.nu_m, s.nu_0, math.exp(-s.nu_m * s.d1), s.d1, s.model)
     dh_dw = _h_slope(*at, True)
     v = -_h_slope(*at, False) / dh_dw if dh_dw else math.nan
     if not 0.0 < v < C_LIGHT:

@@ -19,6 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: The largest float whose square rounds to 0, where wp^2 / omega^2 would
+#: divide by zero.
+_OMEGA_SQUARE_UNDERFLOW = 1.5717277847026285e-162
+
 
 @dataclass(frozen=True)
 class DielectricModel:
@@ -26,7 +30,9 @@ class DielectricModel:
 
     Attributes (each finite; NaN or +/-inf is a ValueError naming it):
         plasma_frequency: bulk plasma frequency wp (rad/s), > 0, with
-            wp^2 finite (wp below about 1.34e154)
+            wp^2 finite (wp below about 1.34e154) and, for c_r >= 0, the
+            square of w_sp = wp/sqrt(1 + sqrt(1 + c_r)) above 0 (else a
+            ValueError names plasma_frequency and real_correction_coeff)
         damping_rate: electron collision rate Gamma (rad/s), >= 0
         real_correction_coeff: coefficient c_r of the w^2/wp^2 real correction
         imag_correction: constant imaginary offset de_i, >= 0
@@ -47,6 +53,15 @@ class DielectricModel:
         ):
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
+        cr = self.real_correction_coeff
+        if cr >= 0.0 and not _closed_form_wsp(wp, cr) > _OMEGA_SQUARE_UNDERFLOW:
+            raise ValueError("plasma_frequency and real_correction_coeff: the surface-plasma frequency "
+                             f"wp/sqrt(1 + sqrt(1 + c_r)) has a square that underflows to 0, got {wp!r} and {cr!r}")
+
+
+def _closed_form_wsp(wp: float, cr: float) -> float:
+    """wp/sqrt(1 + sqrt(1 + c_r)), the root of eps_lossless = -1 for c_r >= 0."""
+    return wp / math.sqrt(1.0 + math.sqrt(1.0 + cr))
 
 
 #: Silver preset used throughout: wp = 1.402e16 rad/s, Gamma = 6.25e13 rad/s,
@@ -57,11 +72,6 @@ SILVER = DielectricModel(
     real_correction_coeff=29.0,
     imag_correction=0.22,
 )
-
-
-#: The largest float whose square rounds to 0, where wp^2 / omega^2 would
-#: divide by zero.
-_OMEGA_SQUARE_UNDERFLOW = 1.5717277847026285e-162
 
 
 def _check_omega(omega: float) -> None:
@@ -128,7 +138,7 @@ def surface_plasma_frequency(model: DielectricModel) -> float:
     cr = model.real_correction_coeff
     if cr < 0.0:
         raise ValueError("real_correction_coeff must be non-negative")
-    w = wp / math.sqrt(1.0 + math.sqrt(1.0 + cr))
+    w = _closed_form_wsp(wp, cr)
     if cr == 0.0:
         return w
     return w - (eps_lossless(model, w) + 1.0) / _eps_derivative(model, w)

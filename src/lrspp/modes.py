@@ -79,8 +79,8 @@ class PiecewiseExpProfile:
         raise ValueError(f"z={z} outside profile span [{self.z_lo}, {self.regions[-1].z_hi}]")
 
 
-def lrspp_profile(solution: DispersionSolution, model: DielectricModel) -> PiecewiseExpProfile:
-    """Bound-mode field of the strip at a dispersion solution.
+def lrspp_profile(solution: DispersionSolution) -> PiecewiseExpProfile:
+    """Bound-mode field of the strip at a dispersion solution, in its model.
 
     Three regions: air below (z < 0, x amplitude 1), metal (0 < z < d1),
     air above (z > d1, x amplitude -/+ 1 for the antisymmetric/symmetric
@@ -90,7 +90,7 @@ def lrspp_profile(solution: DispersionSolution, model: DielectricModel) -> Piece
     """
     k = solution.k
     nu_m, nu_0, d1 = solution.nu_m, solution.nu_0, solution.d1
-    em = eps_lossless(model, solution.omega)
+    em = eps_lossless(solution.model, solution.omega)
     sgn = solution.branch.sign
     p = 0.5 * (1.0 - nu_m / (em * nu_0))
 

@@ -43,9 +43,9 @@ def test_criterion_01_dispersion_fidelity():
         k = 2e6 + i * (1.8e7 - 2e6) / 199
         plus = solve_omega(BranchId.ANTISYMMETRIC, k, d1, SILVER)
         minus = solve_omega(BranchId.SYMMETRIC, k, d1, SILVER)
-        worst = max(worst, plus.relative_residual(SILVER), minus.relative_residual(SILVER))
-        assert plus.relative_residual(SILVER) < 1e-10
-        assert minus.relative_residual(SILVER) < 1e-10
+        worst = max(worst, plus.relative_residual(), minus.relative_residual())
+        assert plus.relative_residual() < 1e-10
+        assert minus.relative_residual() < 1e-10
         assert plus.omega > minus.omega
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -100,7 +100,7 @@ def test_criterion_04_unitarity():
         (BranchId.SYMMETRIC, 3.1e15, 45e-9, 600e-9),
     ]
     for branch, w, d1, d2 in coupling_cases:
-        beta = overlap_beta(branch, w, d1, d2)
+        beta = overlap_beta(solve_k(branch, w, d1, SILVER), d2)
         alpha_sq = 1.0 - abs(beta) ** 2
         assert abs(alpha_sq + abs(beta) ** 2 - 1.0) < 1e-12
     _report(4, f"|r|^2+|tau|^2 = 1 on the 50x50 lossless grid (worst dev {worst:.2e}); mixing identity at 1e-12")
@@ -155,14 +155,14 @@ def test_criterion_06_overlap_oracle():
         d1 = rng.uniform(12e-9, 90e-9)
         d2 = rng.uniform(150e-9, 2.0e-6)
         try:
-            cons = constraint_set(branch, w, d1, d2)
+            sol = solve_k(branch, w, d1, SILVER)
         except NoBoundMode:
             continue
-        if not cons.feasible:
+        if not constraint_set(sol, d2).feasible:
             continue
         try:
-            closed = overlap_beta(branch, w, d1, d2)
-        except (NoBoundMode, NoMatchingAngle):
+            closed = overlap_beta(sol, d2)
+        except NoMatchingAngle:
             continue
         oracle = beta_quadrature_oracle(branch, w, d1, d2)
         dev = abs(closed - oracle) / abs(oracle)
@@ -185,7 +185,7 @@ def test_criterion_07_propagation():
     assert mean_count(cfg0.mu, cfg0.kappa0, cfg0.x, beta_sq, wp.n) == 0.65 * beta_sq * wp.n
 
     kappa_plus, kappa_minus = (
-        complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER), SILVER).kappa
+        complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER)).kappa
         for b in (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
     )
     assert kappa_plus < kappa_minus

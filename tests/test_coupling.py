@@ -30,7 +30,7 @@ def beta_quadrature_oracle(branch, w, d1, d2, eps_prism=1.51, model=SILVER):
     piecewise integration."""
     sol = solve_k(branch, w, d1, model)
     theta = coupling_angle(w, sol.k, eps_prism)
-    phi = lrspp_profile(sol, model)
+    phi = lrspp_profile(sol)
     fl = four_layer_solve(w, theta, d1, d2, eps_prism, model)
     psi = fl.profile
     tail = d1 + 45.0 / min(sol.nu_0, fl.gamma_0.real)
@@ -51,26 +51,26 @@ def beta_quadrature_oracle(branch, w, d1, d2, eps_prism=1.51, model=SILVER):
     return -(fl.tau * ov / math.sqrt(n1 * n2)).conjugate()
 
 
-def beta_generic_oracle(sol, d2, eps_prism=1.51, model=SILVER):
+def beta_generic_oracle(sol, d2, eps_prism=1.51):
     """beta from the full four-layer solve at unit incidence and three
     piecewise closed-form integrals over [-d2, inf): independent of the gap
     algebra of the closed form in coupling."""
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
-    phi = lrspp_profile(sol, model)
-    fl = four_layer_solve(sol.omega, theta, sol.d1, d2, eps_prism, model)
+    phi = lrspp_profile(sol)
+    fl = four_layer_solve(sol.omega, theta, sol.d1, d2, eps_prism, sol.model)
     n1 = profile_norm(phi, -d2, INF)
     n2 = profile_norm(fl.profile, -d2, INF)
     overlap = overlap_integral(phi, fl.profile, -d2, INF) / math.sqrt(n1 * n2)
     return -(fl.tau * overlap).conjugate()
 
 
-def beta_segment_integral_form(sol, theta, eps_prism, model):
+def beta_segment_integral_form(sol, theta, eps_prism):
     """The gap closure with every gap integral a modes._segment_integral
     call and the phase c/|c| taken from c, as _beta_of_gap computed it
     before it wrote the real-rate integrals out: it must give the same
     bits, and the same errors."""
-    phi = lrspp_profile(sol, model)
-    stack = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, model)
+    phi = lrspp_profile(sol)
+    stack = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, sol.model)
     psi = modes._upper_profile(stack, sol.d1, 1.0)
     n1_up = profile_norm(phi, 0.0, INF)
     n2_up = profile_norm(psi, 0.0, INF)
@@ -124,10 +124,10 @@ def optimize_d2_full_scan(branch, omega, d1, config, model=SILVER):
     d2_hi = config.d2_max
     if coupling._constraints(sol, INF, d2_hi).coupled_surfaces_C < 1.0 or d2_lo > d2_hi:
         return None
-    if not coupling._bandwidth_at_least_one(sol, config.delta_omega, model):
+    if not coupling._bandwidth_at_least_one(sol, config.delta_omega):
         return None
 
-    beta = coupling._beta_of_gap(sol, theta, config.eps_prism, model)
+    beta = coupling._beta_of_gap(sol, theta, config.eps_prism)
     n = config.d2_steps
     ratio = d2_hi / d2_lo
     best_i, best_v, best_beta = 0, -1.0, None
@@ -214,7 +214,7 @@ def test_gap_closure_has_the_bits_of_the_segment_integral_form(branch, frac, d1,
         return
 
     def value(build):
-        return build(sol, theta, eps_prism, SILVER)(d2)
+        return build(sol, theta, eps_prism)(d2)
 
     def closure_beta(*args):  # the beta part of the closure's (|beta|, beta, ceiling)
         gap = coupling._beta_of_gap(*args)
@@ -240,25 +240,26 @@ THICK_STRIP_CASE = (BranchId.ANTISYMMETRIC, 2e15, 10e-6, 800e-9)
 
 class TestOverlapBeta:
     def test_no_transmission_no_conversion(self):
-        beta = overlap_beta(BranchId.ANTISYMMETRIC, 4e15, 20e-9, 5e-6)
+        beta = overlap_beta(solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER), 5e-6)
         assert abs(beta) < 1e-3
 
     @pytest.mark.parametrize("branch,w,d1,d2", FEASIBLE_CASES + [THICK_STRIP_CASE])
     def test_against_quadrature_oracle(self, branch, w, d1, d2):
-        closed = overlap_beta(branch, w, d1, d2)
+        closed = overlap_beta(solve_k(branch, w, d1, SILVER), d2)
         oracle = beta_quadrature_oracle(branch, w, d1, d2)
         assert abs(closed - oracle) / abs(oracle) < 1e-8
 
     def test_bounded_by_one(self):
         for branch, w, d1, d2 in FEASIBLE_CASES:
-            assert abs(overlap_beta(branch, w, d1, d2)) <= 1.0 + 1e-9
+            assert abs(overlap_beta(solve_k(branch, w, d1, SILVER), d2)) <= 1.0 + 1e-9
 
     def test_beta_past_one_is_a_normalization_error(self, monkeypatch):
         """|beta| above 1 + 1e-9 means the norms are inconsistent: with tau
         doubled in the prism match, beta raises NormalizationError naming
         |beta| and the point instead of returning it."""
         branch, w, d1, d2 = FEASIBLE_CASES[1]
-        size = 2.0 * abs(overlap_beta(branch, w, d1, d2))
+        sol = solve_k(branch, w, d1, SILVER)
+        size = 2.0 * abs(overlap_beta(sol, d2))
         assert size > 1.0 + 1e-9
         prism_match = modes._prism_match
 
@@ -269,29 +270,29 @@ class TestOverlapBeta:
         monkeypatch.setattr(modes, "_prism_match", doubled_tau)
         message = f"|beta| = {size:.12f} > 1 at omega={w:.6g}, d1={d1:.4g}, d2={d2:.4g}"
         with pytest.raises(NormalizationError, match=f"^{re.escape(message)}$"):
-            overlap_beta(branch, w, d1, d2)
+            overlap_beta(sol, d2)
 
 
 class TestConstraintSet:
     def test_branch_separation_always_positive(self):
         for w, d1 in ((2.4e15, 15e-9), (3.2e15, 40e-9), (4.5e15, 25e-9)):
-            cons = constraint_set(BranchId.ANTISYMMETRIC, w, d1, 600e-9)
+            cons = constraint_set(solve_k(BranchId.ANTISYMMETRIC, w, d1, SILVER), 600e-9)
             assert cons.bandwidth_B > 0.0
 
     def test_bandwidth_infinite_when_other_branch_absent(self):
         # at this point the matched wavevector sits where the antisymmetric
         # branch has left the bound band: simultaneous excitation impossible
-        cons = constraint_set(BranchId.SYMMETRIC, 4.2e15, 20e-9, 600e-9)
+        cons = constraint_set(solve_k(BranchId.SYMMETRIC, 4.2e15, 20e-9, SILVER), 600e-9)
         assert cons.bandwidth_B == INF
         assert cons.feasible
 
     def test_penetration_boundary_exact(self):
         sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
-        cons = constraint_set(BranchId.ANTISYMMETRIC, 4e15, 20e-9, 2.0 / sol.nu_0)
+        cons = constraint_set(sol, 2.0 / sol.nu_0)
         assert cons.penetration_P == 1.0
 
     def test_faces_decouple_at_large_thickness_low_frequency(self):
-        cons = constraint_set(BranchId.ANTISYMMETRIC, 2.2e15, 95e-9, 600e-9)
+        cons = constraint_set(solve_k(BranchId.ANTISYMMETRIC, 2.2e15, 95e-9, SILVER), 600e-9)
         assert cons.coupled_surfaces_C < 1.0
         assert not cons.feasible
 
@@ -303,24 +304,24 @@ class TestConstraintSet:
 
     def test_delta_omega_validation(self):
         with pytest.raises(ValueError):
-            constraint_set(BranchId.ANTISYMMETRIC, 4e15, 20e-9, 600e-9, delta_omega=0.0)
+            constraint_set(solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER), 600e-9, delta_omega=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, -50e-9], ids=["nan", "zero", "negative-zero", "negative"])
 def test_gap_and_bandwidth_must_be_positive(bad):
     """The public entry points name a bad gap or bandwidth instead of
     dividing by zero, returning NaN or reporting a degenerate system."""
-    args = (BranchId.ANTISYMMETRIC, 4e15, 40e-9)
+    sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 40e-9, SILVER)
     for call in (overlap_beta, constraint_set):
         with pytest.raises(ValueError, match=f"^d2 must be positive, got {bad!r}$"):
-            call(*args, bad)
+            call(sol, bad)
     with pytest.raises(ValueError, match=f"^delta_omega must be positive, got {bad!r}$"):
-        constraint_set(*args, 600e-9, delta_omega=bad)
+        constraint_set(sol, 600e-9, delta_omega=bad)
     for call in (overlap_beta, constraint_set):
         with pytest.raises(ValueError, match="^d2 must be finite, got inf$"):
-            call(*args, INF)
+            call(sol, INF)
     with pytest.raises(ValueError, match="^delta_omega must be finite, got inf$"):
-        constraint_set(*args, 600e-9, delta_omega=INF)
+        constraint_set(sol, 600e-9, delta_omega=INF)
 
 
 def test_bandwidth_near_the_float_limit_does_not_underflow():
@@ -328,16 +329,15 @@ def test_bandwidth_near_the_float_limit_does_not_underflow():
     overflows, B is the tiny positive quotient, 1.25 times smaller than at
     8e307, not 0.  Below the limit it keeps the bits of gap / (2 delta_omega).
     The gate reads the overflowed threshold as the tiny B does: B < 1."""
-    args = (BranchId.ANTISYMMETRIC, 4e15, 20e-9, 500e-9)
-    sol = solve_k(*args[:3], SILVER)
+    sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
     gap = sol.omega - solve_omega(BranchId.SYMMETRIC, sol.k, sol.d1, SILVER).omega
-    near, at = (constraint_set(*args, delta_omega=dw).bandwidth_B for dw in (8e307, 1e308))
+    near, at = (constraint_set(sol, 500e-9, delta_omega=dw).bandwidth_B for dw in (8e307, 1e308))
     assert near == gap / (2.0 * 8e307) and 0.0 < at == 0.5 * gap / 1e308
     assert at == pytest.approx(near / 1.25, rel=1e-15)
-    assert constraint_set(*args).bandwidth_B == gap / (2.0 * coupling.DEFAULT_DELTA_OMEGA)
+    assert constraint_set(sol, 500e-9).bandwidth_B == gap / (2.0 * coupling.DEFAULT_DELTA_OMEGA)
     for branch in BranchId:
         sol = solve_k(branch, 4e15, 20e-9, SILVER)
-        assert coupling._bandwidth_at_least_one(sol, 1e308, SILVER) is False
+        assert coupling._bandwidth_at_least_one(sol, 1e308) is False
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -371,14 +371,14 @@ def test_gate_decides_as_the_full_bandwidth(branch, frac, d1, delta_omega, near)
     except (LrsppError, ValueError):
         return
     if near is not None:
-        b = coupling._bandwidth(sol, 1.0, SILVER)  # the separation over 2
+        b = coupling._bandwidth(sol, 1.0)  # the separation over 2
         if not 0.0 < b < INF:
             return
         delta_omega = b + 0.5 * near * coupling.GATE_MARGIN * sol.omega
         if not delta_omega > 0.0:  # a separation inside the margin
             return
-    assert coupling._bandwidth_at_least_one(sol, delta_omega, SILVER) == (
-        coupling._bandwidth(sol, delta_omega, SILVER) >= 1.0)
+    assert coupling._bandwidth_at_least_one(sol, delta_omega) == (
+        coupling._bandwidth(sol, delta_omega) >= 1.0)
 
 
 @pytest.mark.parametrize("at_the_threshold", [False, True], ids=["decided", "falls-back"])
@@ -388,10 +388,10 @@ def test_gate_solves_the_root_only_within_its_margin(monkeypatch, at_the_thresho
     separation the other root sits on the threshold, the bracket closes
     inside the margin, and the gate takes the one full root of _bandwidth."""
     sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
-    delta_omega = coupling._bandwidth(sol, 1.0, SILVER) if at_the_threshold else coupling.DEFAULT_DELTA_OMEGA
-    expected = coupling._bandwidth(sol, delta_omega, SILVER) >= 1.0
+    delta_omega = coupling._bandwidth(sol, 1.0) if at_the_threshold else coupling.DEFAULT_DELTA_OMEGA
+    expected = coupling._bandwidth(sol, delta_omega) >= 1.0
     solved = count_calls(monkeypatch, coupling, "solve_omega")
-    assert coupling._bandwidth_at_least_one(sol, delta_omega, SILVER) == expected
+    assert coupling._bandwidth_at_least_one(sol, delta_omega) == expected
     assert len(solved) == int(at_the_threshold)
 
 
@@ -425,8 +425,9 @@ class TestOptimizeD2:
         pt = optimize_d2(BranchId.ANTISYMMETRIC, 4e15, 60e-9)
         assert pt is not None and pt.constraints.feasible
         step = 1e-9
+        sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 60e-9, SILVER)
         for d2 in (pt.d2 - step, pt.d2 + step):
-            assert abs(overlap_beta(BranchId.ANTISYMMETRIC, 4e15, 60e-9, d2)) <= abs(pt.beta) + 1e-12
+            assert abs(overlap_beta(sol, d2)) <= abs(pt.beta) + 1e-12
 
     def test_constraints_are_solved_on_first_read(self, monkeypatch):
         """The search decides B >= 1 without the other branch's root; the
@@ -435,8 +436,8 @@ class TestOptimizeD2:
         pt = optimize_d2(BranchId.ANTISYMMETRIC, 4e15, 60e-9)
         assert pt is not None and solved == [] and "constraints" not in vars(pt)
         assert pt.constraints is pt.constraints and len(solved) == 1
-        assert pt.constraints == constraint_set(BranchId.ANTISYMMETRIC, 4e15, 60e-9, pt.d2)
-        assert (pt.delta_omega, pt.model) == (coupling.DEFAULT_DELTA_OMEGA, SILVER)
+        assert pt.constraints == constraint_set(solve_k(BranchId.ANTISYMMETRIC, 4e15, 60e-9, SILVER), pt.d2)
+        assert (pt.delta_omega, pt.solution.model) == (coupling.DEFAULT_DELTA_OMEGA, SILVER)
 
     def test_subtracted_region_returns_none(self):
         assert optimize_d2(BranchId.SYMMETRIC, 5e15, 15e-9) is None
@@ -452,7 +453,7 @@ class TestOptimizeD2:
     def test_ruled_out_before_the_other_branch_is_solved(self, monkeypatch, d1, config, c_below_1):
         """C < 1 (a 300 nm strip) or an empty gap window (P > 1 at d2_max)
         rules a cell out before B >= 1 is decided or solved."""
-        cons = constraint_set(BranchId.ANTISYMMETRIC, 4e15, d1, config.d2_max)
+        cons = constraint_set(solve_k(BranchId.ANTISYMMETRIC, 4e15, d1, SILVER), config.d2_max)
         assert (cons.coupled_surfaces_C < 1.0, cons.penetration_P > 1.0) == (c_below_1, not c_below_1)
         solved = []
 
@@ -473,9 +474,10 @@ class TestOptimizeD2:
         constraint_set at its gap, bit for bit, and g is arcsin|beta|."""
         pt = optimize_d2(branch, w, d1)
         assert pt is not None
-        beta = overlap_beta(branch, w, d1, pt.d2)
+        sol = solve_k(branch, w, d1, SILVER)
+        beta = overlap_beta(sol, pt.d2)
         assert (pt.beta.real.hex(), pt.beta.imag.hex()) == (beta.real.hex(), beta.imag.hex())
-        assert pt.constraints == constraint_set(branch, w, d1, pt.d2)
+        assert pt.constraints == constraint_set(sol, pt.d2)
         assert (pt.solution.omega, pt.solution.d1, pt.g) == (w, d1, math.asin(abs(beta)))
         assert pt.g_tilde == 2.0 * pt.g / math.pi
 
@@ -546,7 +548,7 @@ class TestOptimizeD2:
         midpoint = 0.5 * a + 0.5 * b
         assert gaps == grid[:m] + refine + [midpoint]
         assert (m < steps) == (steps > 2)  # the 80-point scans stop early
-        tail = beta_of_gap(pt.solution, pt.theta, config.eps_prism, SILVER)
+        tail = beta_of_gap(pt.solution, pt.theta, config.eps_prism)
         assert all(tail(d2)[0] < values[best] for d2 in grid[m:])
         assert (values[-1] < values[best]) == falls_back
         assert pt.d2 == (grid[best] if falls_back else midpoint)
@@ -630,7 +632,7 @@ def test_ceiling_bounds_every_larger_gap(branch, frac, d1, eps_prism, start, lat
         sol = solve_k(branch, omega, d1, SILVER)
         theta = coupling_angle(omega, sol.k, eps_prism)
         stack = modes._upper_stack(omega, theta, d1, eps_prism, SILVER)
-        beta = coupling._beta_of_gap(sol, theta, eps_prism, SILVER)
+        beta = coupling._beta_of_gap(sol, theta, eps_prism)
     except (LrsppError, ValueError):
         return
     unit = 0.5 / stack.gamma_0
@@ -668,7 +670,7 @@ def test_gap_objective_matches_beta(branch, frac, d1, gap):
             return
         d2 = d2_lo * (1.0 / d2_lo) ** gap
         theta = coupling_angle(omega, sol.k, 1.51)
-        beta = coupling._beta_of_gap(sol, theta, 1.51, SILVER)(d2)[1]
+        beta = coupling._beta_of_gap(sol, theta, 1.51)(d2)[1]
     except LrsppError:
         return
     oracle = beta_generic_oracle(sol, d2)
@@ -689,7 +691,7 @@ class TestOptimizePath:
             assert pt.constraints.feasible
             assert 0.0 <= pt.g_tilde <= 1.0
             # independent re-evaluation of the emitted point
-            cons = constraint_set(pt.solution.branch, w, pt.solution.d1, pt.d2)
+            cons = constraint_set(solve_k(pt.solution.branch, w, pt.solution.d1, SILVER), pt.d2)
             assert cons.feasible
 
     @pytest.mark.parametrize(

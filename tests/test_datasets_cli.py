@@ -15,6 +15,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import dataclasses
 from dataclasses import fields
 
 import pytest
@@ -911,7 +912,7 @@ class TestCliDatasets:
         argv = ["dispersion", "--d1-nm", "20", "--k-steps", "3"]
         _, before, _ = run_cli(argv)
 
-        def failing(sol, model):
+        def failing(sol):
             raise error("monkeypatched failure")
 
         monkeypatch.setattr(cli, name, failing)
@@ -1006,6 +1007,12 @@ class TestParamTable:
             (["field"], {"z_steps": 1}, "z_steps"),
             (["g2"], {"material": {"plasma_frequency": "1e16"}}, "material"),
             (["g2"], {"material": {"real_correction_coeff": -1.0}}, "material"),
+            # The surface-plasma frequency's square underflows: the error names the model's fields.
+            (
+                ["material"],
+                {"material": {"plasma_frequency": 1e-300}},
+                "material: plasma_frequency and real_correction_coeff",
+            ),
             (["g2", "--etas", "1.0,2.0"], None, "etas"),
             (["material", "--omega-steps", "2.7"], None, "omega_steps"),
             (["propagate", "--mu", "nan"], None, "mu"),
@@ -1611,6 +1618,21 @@ class TestWorkers:
         assert serial[0] == 0
         assert_no_child_left()
 
+    @pytest.mark.parametrize("command", ["optimize", "propagate"])
+    def test_a_config_material_reaches_the_workers(self, tmp_path, cpus, command):
+        """With a --config material of half silver's damping, the rows a
+        worker computes are in that material: the bytes at --threads 2 are
+        those at --threads 1, and the rows differ from silver's."""
+        cpus(2)
+        path = tmp_path / "half-damping.json"
+        path.write_text(json.dumps({"material": {"damping_rate": 0.5 * lrspp.SILVER.damping_rate}}))
+        argv = [command] + self.SMALL[1:]
+        silver = run_cli(argv + ["--threads", "1"])
+        serial, forked = (run_cli(argv + ["--config", str(path), "--threads", n]) for n in ("1", "2"))
+        assert_no_child_left()
+        assert serial[0] == silver[0] == 0 and forked == serial
+        assert read_csv(serial[1])["rows"] != read_csv(silver[1])["rows"]
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -1647,23 +1669,30 @@ class TestWorkers:
 
     def test_a_worker_point_carries_its_b(self, monkeypatch, cpus):
         """A row a worker computes comes back with its point's constraints
-        solved: reading them in the parent solves no root, and they are
-        those of constraint_set at the point."""
+        solved and its material: reading the constraints in the parent
+        solves no root, and they are those of constraint_set at the point,
+        whose solution carries the model the row was searched in (here
+        silver with half its damping, which moves no bound point)."""
         cpus(2)
         cfg = coupling.OptimizeConfig(d2_steps=6)
         d1s = [20e-9, 40e-9]
+        material = dataclasses.replace(lrspp.SILVER, damping_rate=0.5 * lrspp.SILVER.damping_rate)
         tasks = [(branch, w) for branch in dispersion.BranchId for w in (3.4e15, 4e15)]
-        points = cli._map_chunk(lambda t: coupling.best_over_d1(*t, d1s, cfg, lrspp.SILVER), tasks, 2)
+        points = cli._map_chunk(lambda t: coupling.best_over_d1(*t, d1s, cfg, material), tasks, 2)
         assert_no_child_left()
         worker_points = [pt for pt in points[1::2] if pt is not None]
         assert worker_points and all("constraints" in vars(pt) for pt in worker_points)
+        assert all(pt.solution.model == material for pt in worker_points)
         solved = []
         monkeypatch.setattr(coupling, "solve_omega", lambda *args: solved.append(args))
         read = [None if pt is None else pt.constraints for pt in points]
         assert solved == []
         monkeypatch.undo()
         for (branch, w), pt, cons in zip(tasks, points, read):
-            assert cons == (None if pt is None else coupling.constraint_set(branch, w, pt.solution.d1, pt.d2))
+            if pt is None:
+                assert cons is None
+            else:
+                assert cons == coupling.constraint_set(dispersion.solve_k(branch, w, pt.solution.d1, material), pt.d2)
 
     def test_out_file_open_across_the_fork(self, tmp_path, cpus):
         """Workers fork while the --out file holds unwritten text; none of it is written twice."""

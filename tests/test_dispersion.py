@@ -8,7 +8,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lrspp import dispersion
 from lrspp.constants import C_LIGHT
@@ -20,10 +20,9 @@ from lrspp.dispersion import (
     solve_k,
     solve_omega,
 )
-from lrspp.errors import ConvergenceError, NoBoundMode, NoMatchingAngle
+from lrspp.errors import ConvergenceError, LrsppError, NoBoundMode, NoMatchingAngle
 from lrspp.materials import DielectricModel, SILVER, eps_lossless, eps_lossy, surface_plasma_frequency
 
-from conftest import lossless
 
 BRANCHES = (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
 W_SP = surface_plasma_frequency(SILVER)
@@ -53,8 +52,8 @@ def test_residual_and_ordering_on_k_grid():
         k = 2e6 + i * (1.8e7 - 2e6) / 49
         plus = solve_omega(BranchId.ANTISYMMETRIC, k, d1, SILVER)
         minus = solve_omega(BranchId.SYMMETRIC, k, d1, SILVER)
-        assert plus.relative_residual(SILVER) < 1e-10
-        assert minus.relative_residual(SILVER) < 1e-10
+        assert plus.relative_residual() < 1e-10
+        assert minus.relative_residual() < 1e-10
         assert plus.omega > minus.omega
 
 
@@ -71,8 +70,8 @@ def test_residual_off_the_bound_mode_domain_is_inf(change):
     """Where the dispersion equation has no bound-mode form, the residual
     of a point is inf, not an error."""
     sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 30e-9, SILVER)
-    assert sol.relative_residual(SILVER) < 1e-10
-    assert dataclasses.replace(sol, **change(sol)).relative_residual(SILVER) == math.inf
+    assert sol.relative_residual() < 1e-10
+    assert dataclasses.replace(sol, **change(sol)).relative_residual() == math.inf
 
 
 def test_round_trip_solve_omega_solve_k():
@@ -100,7 +99,7 @@ def test_round_trip_property(w, d1, branch):
         return
     back = solve_omega(branch, sol.k, d1, SILVER)
     assert back.omega == pytest.approx(w, rel=1e-9)
-    assert sol.relative_residual(SILVER) < 1e-10
+    assert sol.relative_residual() < 1e-10
     assert sol.nu_0 > 0.0 and sol.nu_m > 0.0
 
 
@@ -126,7 +125,7 @@ def test_solvers_over_whole_ranges(branch, d1, frac):
         back = solve_omega(branch, sol.k, d1, SILVER)
         assert back.omega == pytest.approx(omega, rel=1e-9)
     if sol.nu_m * d1 <= 10.0 and omega >= 2e15:
-        assert sol.relative_residual(SILVER) < 1e-10
+        assert sol.relative_residual() < 1e-10
 
 
 def test_symmetric_branch_unreachable_at_high_frequency_thin_strip(w_sp):
@@ -491,15 +490,52 @@ def test_root_bits_are_pinned():
     assert digest.hexdigest() == ROOT_BITS_SHA256
 
 
+def _with_loss(damping: float, imag: float) -> DielectricModel:
+    """SILVER with its damping rate and imaginary offset scaled."""
+    return dataclasses.replace(
+        SILVER, damping_rate=damping * SILVER.damping_rate, imag_correction=imag * SILVER.imag_correction
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    branch=st.sampled_from(BRANCHES),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    d1=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)).map(math.exp),
+    losses=st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=4, max_size=4),
+)
+@example(BranchId.ANTISYMMETRIC, 4e15 / W_SP, 20e-9, [0.0, 0.0, 1.0, 1.0])  # lossless and SILVER itself
+@example(BranchId.SYMMETRIC, 0.5, 1e-3, [1e3, 0.0, 0.0, 1e3])
+def test_bound_point_does_not_depend_on_the_loss_it_carries(branch, frac, d1, losses):
+    """solve_k at omega = frac w_sp and solve_omega at k = 3 frac w_sp/c
+    give the same k, omega, nu_m and nu_0 bits, or the same error, under
+    two models that differ only in damping_rate and imag_correction (each
+    0 to 1e3 times SILVER's), over the whole band and strips of 1 nm to
+    1 mm; and each solution carries the model it was solved in.  So a
+    caller can solve under the lossy model itself."""
+    models = _with_loss(*losses[:2]), _with_loss(*losses[2:])
+
+    def outcome(solve, x, model):
+        try:
+            sol = solve(branch, x, d1, model)
+        except (LrsppError, ValueError) as exc:
+            return type(exc), str(exc)
+        assert sol.model is model
+        return tuple(v.hex() for v in (sol.k, sol.omega, sol.nu_m, sol.nu_0))
+
+    for solve, x in ((solve_k, frac * W_SP), (solve_omega, 3.0 * frac * W_SP / C_LIGHT)):
+        assert outcome(solve, x, models[0]) == outcome(solve, x, models[1])
+
+
 class TestComplexWavenumber:
     def test_loss_free_limit(self, silver_lossless):
         sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, silver_lossless)
-        cw = complex_wavenumber(sol, silver_lossless)
+        cw = complex_wavenumber(sol)
         assert cw.kappa == 0.0
         assert cw.k == pytest.approx(sol.k, rel=1e-12)
 
     def test_antisymmetric_is_long_range(self):
-        plus, minus = (complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER), SILVER) for b in BRANCHES)
+        plus, minus = (complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER)) for b in BRANCHES)
         assert 0.0 < plus.kappa < minus.kappa
 
     def test_perturbative_oracle_small_loss(self):
@@ -514,7 +550,7 @@ class TestComplexWavenumber:
         )
         w, d1 = 4e15, 20e-9
         for branch in BRANCHES:
-            sol = solve_k(branch, w, d1, lossless(weak))
+            sol = solve_k(branch, w, d1, weak)
             em0 = eps_lossless(weak, w)
             woc2 = (w / C_LIGHT) ** 2
             sign = branch.sign
@@ -530,7 +566,7 @@ class TestComplexWavenumber:
             df_de = (resid(sol.k, em0 + he) - resid(sol.k, em0 - he)) / (2 * he)
             delta_em = eps_lossy(weak, w) - em0
             kappa_pert = (-df_de * delta_em / df_dk).imag
-            kappa_full = complex_wavenumber(sol, weak).kappa
+            kappa_full = complex_wavenumber(sol).kappa
             assert kappa_full == pytest.approx(kappa_pert, rel=0.10)
 
     @settings(max_examples=200, deadline=None)
@@ -557,7 +593,7 @@ class TestComplexWavenumber:
         """Whether both solvers converge at (branch, d1, w); where they do,
         assert that kappa agrees with mpmath's to 1e-10."""
         try:
-            kw = complex_wavenumber(solve_k(branch, w, d1, SILVER), SILVER)
+            kw = complex_wavenumber(solve_k(branch, w, d1, SILVER))
         except (NoBoundMode, ConvergenceError):
             return False
         oracle = kappa_oracle(branch, w, d1, SILVER, complex(kw.k, kw.kappa))
@@ -572,7 +608,7 @@ class TestGroupVelocity:
         for w in (2.5e15, 3.5e15, 4.5e15):
             for branch in BRANCHES:
                 try:
-                    v = group_velocity(solve_k(branch, w, 20e-9, SILVER), SILVER)
+                    v = group_velocity(solve_k(branch, w, 20e-9, SILVER))
                 except NoBoundMode:
                     continue
                 assert 0.0 < v < C_LIGHT
@@ -580,7 +616,7 @@ class TestGroupVelocity:
     def test_flat_band_near_limit(self, w_sp):
         # deep in the electrostatic regime the band flattens
         k = 30.0 * w_sp / C_LIGHT
-        v = group_velocity(solve_omega(BranchId.ANTISYMMETRIC, k, 20e-9, SILVER), SILVER)
+        v = group_velocity(solve_omega(BranchId.ANTISYMMETRIC, k, 20e-9, SILVER))
         assert v < 0.05 * C_LIGHT
 
     def test_richardson_oracle(self):
@@ -591,7 +627,7 @@ class TestGroupVelocity:
             ks = {m: solve_k(branch, w + m * h, d1, SILVER).k for m in (-2, -1, 1, 2)}
             dk_dw = (-ks[2] + 8 * ks[1] - 8 * ks[-1] + ks[-2]) / (12 * h)
             oracle = 1.0 / dk_dw
-            v = group_velocity(solve_k(branch, w, d1, SILVER), SILVER)
+            v = group_velocity(solve_k(branch, w, d1, SILVER))
             assert v == pytest.approx(oracle, rel=1e-3)
 
     @settings(max_examples=300, deadline=None)
@@ -609,7 +645,7 @@ class TestGroupVelocity:
             oracle = richardson_velocity(lambda x: solve_k(branch, x, d1, SILVER).k, w)
         except NoBoundMode:
             return
-        assert group_velocity(solve_k(branch, w, d1, SILVER), SILVER) == pytest.approx(oracle, rel=1e-8)
+        assert group_velocity(solve_k(branch, w, d1, SILVER)) == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("d1", [1e-6, 1e-5, 1e-3, math.inf])
     def test_thick_strip_is_single_interface(self, d1):
@@ -626,7 +662,7 @@ class TestGroupVelocity:
             w = frac * W_SP
             oracle = richardson_velocity(k_single, w)
             for branch in BRANCHES:
-                assert group_velocity(solve_k(branch, w, d1, SILVER), SILVER) == pytest.approx(oracle, rel=1e-9)
+                assert group_velocity(solve_k(branch, w, d1, SILVER)) == pytest.approx(oracle, rel=1e-9)
 
 
 def richardson_velocity(k_of, w: float) -> float:

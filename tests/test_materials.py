@@ -86,20 +86,36 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
-@given(wp=_log_uniform(1e10, 1e150), cr=st.just(0.0) | _log_uniform(1e-12, 1e300))
+@given(wp=_log_uniform(5e-324, 1e150), cr=st.just(0.0) | _log_uniform(1e-12, 1e300))
 @example(wp=SILVER.plasma_frequency, cr=1e24)  # roots below 1e-6 wp
 @example(wp=SILVER.plasma_frequency, cr=1e25)
 @example(wp=SILVER.plasma_frequency, cr=1e300)
 @example(wp=1e104, cr=1.0)  # w_sp^3 overflows
 @example(wp=1.3407807929942596e154, cr=1.0)  # the largest wp whose square is finite
+@example(wp=3e-162, cr=29.0)  # w_sp^2 underflows to 0
+@example(wp=1e-100, cr=1e300)
+@example(wp=5e-324, cr=0.0)  # the least positive float
+@example(wp=2.222758749485078e-162, cr=0.0)  # the least wp of the bare Drude model accepted
+@example(wp=2.2227587494850775e-162, cr=0.0)  # the largest refused
 def test_surface_plasma_frequency_over_whole_range(wp, cr):
     """Finite, in (0, wp/sqrt(2)], and within 2 ulps of the exact root
     wp/sqrt(1 + sqrt(1 + c_r)) at 100 digits, for any c_r >= 0 and any wp
-    up to 1e150, where w_sp^3 is past the float range."""
-    wsp = surface_plasma_frequency(DielectricModel(wp, real_correction_coeff=cr))
-    assert math.isfinite(wsp) and 0.0 < wsp <= wp / math.sqrt(2.0)
+    from the least positive float up to 1e150, where w_sp^3 is past the
+    float range; or, only where that root is within 2 ulps of the largest
+    float whose square underflows to 0 or below it, a ValueError naming
+    both fields, raised by the model itself."""
     with mpmath.workdps(100):
         exact = mpmath.mpf(wp) / mpmath.sqrt(1 + mpmath.sqrt(1 + mpmath.mpf(cr)))
+    try:
+        model = DielectricModel(wp, real_correction_coeff=cr)
+    except ValueError as exc:
+        floor = materials._OMEGA_SQUARE_UNDERFLOW
+        assert str(exc).startswith("plasma_frequency and real_correction_coeff: ")
+        assert float(exact) <= floor + 2 * math.ulp(floor)
+        return
+    wsp = surface_plasma_frequency(model)
+    assert math.isfinite(wsp) and 0.0 < wsp <= wp / math.sqrt(2.0)
+    with mpmath.workdps(100):
         assert abs(mpmath.mpf(wsp) - exact) <= 2 * math.ulp(float(exact))
 
 

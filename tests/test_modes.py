@@ -55,7 +55,7 @@ def strip_and_atr(w: float, d1: float, d2: float) -> tuple[PiecewiseExpProfile, 
     """The plus-branch strip mode and the four-layer field at its matching angle."""
     sol = solve_k(BranchId.ANTISYMMETRIC, w, d1, SILVER)
     fl = four_layer_solve(w, coupling_angle(w, sol.k, 1.51), d1, d2, 1.51, SILVER)
-    return lrspp_profile(sol, SILVER), fl.profile
+    return lrspp_profile(sol), fl.profile
 
 
 def magnitude(profile: PiecewiseExpProfile, z: float) -> float:
@@ -68,7 +68,7 @@ class TestStripProfile:
     @pytest.mark.parametrize("w,d1", [(3e15, 20e-9), (4.5e15, 35e-9), (2.5e15, 60e-9)])
     def test_tangential_continuity(self, branch, w, d1):
         sol = solve_k(branch, w, d1, SILVER)
-        prof = lrspp_profile(sol, SILVER)
+        prof = lrspp_profile(sol)
         below, metal, above = prof.regions
         for z, (ra, rb) in ((0.0, (below, metal)), (d1, (metal, above))):
             ex_a, ex_b = ra.at(z)[0], rb.at(z)[0]
@@ -83,13 +83,13 @@ class TestStripProfile:
         for i in range(20):
             w = 2.4e15 + i * (w_hi - 2.4e15) / 19
             sol = solve_k(branch, w, 20e-9, SILVER)
-            prof = lrspp_profile(sol, SILVER)
+            prof = lrspp_profile(sol)
             delta = 5e-9
             assert abs(prof.at(-delta)[0]) == pytest.approx(abs(prof.at(sol.d1 + delta)[0]), rel=1e-12)
 
     def test_unit_amplitude_below(self):
         sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
-        prof = lrspp_profile(sol, SILVER)
+        prof = lrspp_profile(sol)
         assert prof.at(0.0)[0] == pytest.approx(1.0)
 
     def test_metal_interior_suppressed_when_faces_decouple(self):
@@ -99,7 +99,7 @@ class TestStripProfile:
             sol = solve_k(branch, w, d1, SILVER)
             coupled_C = 4.0 / (sol.nu_m * d1)
             assert coupled_C < 0.75
-            prof = lrspp_profile(sol, SILVER)
+            prof = lrspp_profile(sol)
             ratio = magnitude(prof, d1 / 2.0) / magnitude(prof, 0.0)
             assert ratio < 0.02
 
@@ -276,7 +276,7 @@ class TestNormsAndOverlaps:
         ]
         for branch, w, d1, d2 in cases:
             sol = solve_k(branch, w, d1, SILVER)
-            prof = lrspp_profile(sol, SILVER)
+            prof = lrspp_profile(sol)
             closed = profile_norm(prof, -d2, INF)
             tail = d1 + 40.0 / sol.nu_0
             oracle = quad_norm(prof, -d2, tail)
@@ -310,7 +310,7 @@ class TestNormsAndOverlaps:
             except (NoBoundMode, NoMatchingAngle):
                 continue
             if accepted % 2 == 0:
-                prof = lrspp_profile(sol, SILVER)
+                prof = lrspp_profile(sol)
                 tail = d1 + 40.0 / sol.nu_0
             else:
                 fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER)
@@ -323,7 +323,7 @@ class TestNormsAndOverlaps:
 
     def test_norm_homogeneity(self):
         sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
-        prof = lrspp_profile(sol, SILVER)
+        prof = lrspp_profile(sol)
         c = 2.0 - 0.5j
         scaled = PiecewiseExpProfile(
             regions=tuple(
@@ -338,7 +338,7 @@ class TestNormsAndOverlaps:
     def test_overlap_hermitian_symmetry(self):
         w, d1, d2 = 4e15, 20e-9, 500e-9
         sol = solve_k(BranchId.ANTISYMMETRIC, w, d1, SILVER)
-        prof = lrspp_profile(sol, SILVER)
+        prof = lrspp_profile(sol)
         theta = coupling_angle(w, sol.k, 1.51)
         fl = four_layer_solve(w, theta, d1, d2, 1.51, SILVER)
         ab = overlap_integral(prof, fl.profile, -d2, INF)
@@ -377,7 +377,7 @@ class TestNormsAndOverlaps:
 
 def test_at_sums_each_term_once_from_the_first_region_holding_z():
     sol = solve_k(BranchId.SYMMETRIC, 3e15, 30e-9, SILVER)
-    prof = lrspp_profile(sol, SILVER)
+    prof = lrspp_profile(sol)
     below, metal, above = prof.regions
     for z, region in ((-40e-9, below), (0.0, below), (12e-9, metal), (30e-9, metal), (55e-9, above)):
         exps = [cmath.exp(t.rate * (z - t.z_ref)) for t in region.terms]

@@ -285,8 +285,9 @@ def test_long_range_branch_keeps_more_excitation():
     from lrspp.materials import SILVER
 
     w, d1, d2 = 3e15, 20e-9, 800e-9
-    beta = {b: abs(overlap_beta(b, w, d1, d2)) for b in (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)}
-    kappa = {b: complex_wavenumber(solve_k(b, w, d1, SILVER), SILVER).kappa for b in beta}
+    sols = {b: solve_k(b, w, d1, SILVER) for b in (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)}
+    beta = {b: abs(overlap_beta(sol, d2)) for b, sol in sols.items()}
+    kappa = {b: complex_wavenumber(sol).kappa for b, sol in sols.items()}
     assert kappa[BranchId.ANTISYMMETRIC] < kappa[BranchId.SYMMETRIC]
     for x in (0.0, 0.5e-6, 2e-6, 10e-6):
         counts = {

@@ -355,7 +355,7 @@ class TestDecoherenceTrends:
         from lrspp.materials import SILVER
 
         kp, km = (
-            complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER), SILVER).kappa
+            complex_wavenumber(solve_k(b, 4e15, 20e-9, SILVER)).kappa
             for b in (BranchId.ANTISYMMETRIC, BranchId.SYMMETRIC)
         )
         assert kp < km

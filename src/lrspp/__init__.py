@@ -7,11 +7,11 @@ through an attenuated-total-reflection prism:
 * ``dispersion``    -- thin-film surface mode dispersion, both branches,
                        group velocity and complex propagation constants.
 * ``modes``         -- mode profiles as sums of exponentials that each decay
-                       away from a layer face, the four-layer
-                       prism/gap/metal/air boundary-value solve with bounded
-                       amplitudes, and closed-form norms and overlaps.
-* ``coupling``      -- photon-to-surface-mode conversion amplitude and the
-                       constrained (gap, thickness, frequency) optimization.
+                       away from a layer face, the four-layer prism/gap/metal/air
+                       solve with bounded amplitudes, closed-form norms and
+                       overlaps, and the conversion amplitude beta(gap).
+* ``coupling``      -- (B, P, C) feasibility constraints and the constrained
+                       (gap, thickness, frequency) optimization.
 * ``propagation``   -- closed-form detected counts and photon statistics
                        of damped propagating excitations.
 * ``statetransfer`` -- transfer and decoherence of coherent-superposition

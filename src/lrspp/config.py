@@ -310,10 +310,7 @@ def validate_config(cfg: RunConfig, command: str | None = None) -> tuple[RunConf
         if not grid.lo < grid.hi:
             raise ConfigError(f"{name}: min must be below max, got [{grid.lo!r}, {grid.hi!r}]")
 
-    try:
-        w_sp = surface_plasma_frequency(cfg.material)
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"material: {exc}") from None
+    w_sp = surface_plasma_frequency(cfg.material)
     if command == "field" and not cfg.fixed_omega < w_sp:
         raise ConfigError(f"omega: must be below the surface-plasma frequency {w_sp!r} rad/s, got {cfg.fixed_omega!r}")
     w_cap = w_sp * OMEGA_WINDOW_TOP

@@ -1,32 +1,17 @@
 """Photon to surface-mode conversion: overlap amplitude, feasibility
 constraints, and the constrained (d2, d1, omega) optimization.
 
-The conversion amplitude at a matched frequency is
-
-    beta* = -tau(w) * Int [phi / sqrt(N1)]* . [psi / sqrt(N2)] dz
-
-over z in [-d2, +inf): the reflection-dip amplitude tau of the lossy
-four-layer stack times the normalized overlap of the strip mode with the
-transmitted field.  Both norms use the same domain, so the overlap is
-bounded by 1 and |beta| <= |tau|.  One closed form, built once per bound
-point (a DispersionSolution, in its own model) as a function of d2
-(_beta_of_gap), computes every beta reported here: the gap search,
-optimize_d2's point and overlap_beta.
+The conversion amplitude beta at a matched frequency is a property of the
+four-layer stack: modes.beta_of_gap builds it once per bound point (a
+DispersionSolution, in its own model) as a function of the gap d2, and
+computes every beta reported here: the gap search, optimize_d2's point
+and overlap_beta.  With beta it returns a ceiling that bounds |beta| at
+d2 and at every larger gap.
 
 The gap search scans a log-spaced grid of d2 and stops at the first point
-past which no gap can beat the best |beta| found so far.  Two facts bound
-every later gap.  First, |beta| <= |tau| (above).  Second, |tau| falls for
-every d2 >= d2* = ln|k2/a1| / (2 g0), critical coupling, where the gap
-field at the metal is a1 exp(-g0 z) + k2 exp(g0 z): with u =
-exp(-2 g0 d2), v = (k2/a1) u, g = 1/g0 and the prism admittance q purely
-imaginary, the prism match gives r = ((q-g) v + (q+g)) / ((q+g) v + (q-g)),
-so 1 - |r|^2 = K u / (a u^2 - 2 b u + c) with constant K, a, b, c, which
-rises with u up to |a1/k2| and falls above it; u falls as d2 grows and is
-at most |a1/k2| from d2* on.  So the closure returns, with beta, the ceiling
-|tau(d2)| once d2 >= d2* (else 1), and the scan ends at the first point
-whose ceiling, plus CEILING_MARGIN for tau's rounding, lies below the best
-|beta| so far: no later point can pass the scan's strict v > best test,
-and the result keeps every bit of the full scan.
+whose ceiling lies below the best |beta| so far: no later point can pass
+the scan's strict v > best test, and the result keeps every bit of the
+full scan.
 
 Three dimensionless feasibility parameters gate the optimization:
 
@@ -50,7 +35,7 @@ from . import modes
 from .dispersion import (
     BranchId, DispersionSolution, _omega_window, _window_root, coupling_angle, solve_k, solve_omega,
 )
-from .errors import ConfigError, NoBoundMode, NoMatchingAngle, NormalizationError
+from .errors import ConfigError, NoBoundMode, NoMatchingAngle
 from .materials import DielectricModel, SILVER
 
 _INF = math.inf
@@ -62,9 +47,6 @@ DEFAULT_EPS_PRISM = 1.51
 #: Width (m) at which the golden-section refine of the gap stops.  It must
 #: exceed the float spacing of d2, or the window never shrinks below it.
 D2_REFINE = 1e-10
-#: Margin of the gap scan's stop: far above the absolute resolution of
-#: |tau| = sqrt(max(0, 1 - |r|^2)), about 1.5e-8, and the rounding of |beta|.
-CEILING_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -143,7 +125,7 @@ def overlap_beta(sol: DispersionSolution, d2: float, eps_prism: float = DEFAULT_
     """
     _require_positive("d2", d2)
     theta = coupling_angle(sol.omega, sol.k, eps_prism)
-    return _beta_of_gap(sol, theta, eps_prism)(d2)[1]
+    return modes.beta_of_gap(sol, theta, eps_prism)(d2)[1]
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -151,77 +133,6 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value!r}")
     if value == _INF:
         raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float):
-    """(|beta|, beta, ceiling) as a function of the gap d2 at a fixed
-    dispersion solution and its matching angle theta: the one beta formula
-    of the library.  The ceiling bounds |beta| at d2 and at every larger
-    gap, up to tau's rounding: |tau(d2)| once d2 >= d2* (critical coupling,
-    where |tau| peaks), else 1.
-
-    Only the prism match and the [-d2, 0] part of the integrals depend on d2:
-    the strip mode, the stack above z = 0 and the [0, inf) parts of N1, N2
-    and the overlap are computed once here, with the transmitted field
-    normalised at the metal's lower face.  Per gap the field is normalised
-    at the prism (modes._prism_match): w0 = exp(-g0 d2) times that field
-    above z = 0, and a1 exp(-g0 (z + d2)) (1, i kx/g0) +
-    k2 w0 exp(g0 z) (1, -i kx/g0) in the gap, where the strip mode is
-    exp(nu_0 z) (1, -i k/nu_0).  Each gap integral is the product of two
-    terms at the face where it is largest times modes._segment_integral,
-    so no amplitude or integral overflows for any d1 and finite d2.  All
-    four gap rates are real, and the closure writes that case of the
-    segment integral out in place.  The field for unit incidence is c
-    times this one, so the normalized overlap gains the phase c/|c| that
-    modes._prism_match returns.
-    """
-    phi = modes.lrspp_profile(sol)
-    st = modes._upper_stack(sol.omega, theta, sol.d1, eps_prism, sol.model)
-    psi = modes._upper_profile(st, sol.d1, 1.0)
-    n1_up = modes.profile_norm(phi, 0.0, _INF)
-    n2_up = modes.profile_norm(psi, 0.0, _INF)
-    o_up = modes.overlap_integral(phi, psi, 0.0, _INF)
-
-    nu0, g0, a1, k2 = sol.nu_0, st.gamma_0, st.a1, st.k2
-    k_nu, kx_g = sol.k / nu0, st.kx / g0
-    # Weights of the gap integrals: dot products of the vector amplitudes.
-    n1_w = 1.0 + k_nu * k_nu
-    n2_w1 = (1.0 + kx_g * kx_g) * abs(a1) ** 2
-    n2_w2 = (1.0 + kx_g * kx_g) * abs(k2) ** 2
-    n2_cross_w = 2.0 * (1.0 - kx_g * kx_g) * (a1.conjugate() * k2).real
-    o_w1 = (1.0 - k_nu * kx_g) * a1
-    o_w2 = (1.0 + k_nu * kx_g) * k2
-    # exp(nu0 z) exp(-g0 (z + d2)) is largest at the face of the slower rate.
-    slow, apart = min(nu0, g0), abs(nu0 - g0)
-    # The rates of the four gap integrals, and the calls of the closure, as locals.
-    two_g0, two_nu0, nu0_g0 = 2.0 * g0, 2.0 * nu0, nu0 + g0
-    exp, expm1, sqrt, prism_match = math.exp, math.expm1, math.sqrt, modes._prism_match
-    # Critical coupling: |tau| falls for every d2 >= d2*.  Where a1 or k2 is
-    # 0, no gap is taken to be past it (d2* = inf: the scan runs in full).
-    d2_star = (math.log(abs(k2)) - math.log(abs(a1))) / two_g0 if a1 and k2 else _INF
-
-    def beta(d2: float) -> tuple[float, complex, float]:
-        w0, _, phase, _, tau = prism_match(st, d2)
-        # Each "-expm1(-p) / rate if p else d2", p = rate d2, is
-        # modes._segment_integral(rate, d2) for a real rate, bit for bit.
-        p = two_g0 * d2
-        g0_int = -expm1(-p) / two_g0 if p else d2
-        p = two_nu0 * d2
-        n1 = n1_up + n1_w * (-expm1(-p) / two_nu0 if p else d2)
-        n2 = n2_w1 * g0_int + w0 * w0 * (n2_up + n2_w2 * g0_int + n2_cross_w * d2)
-        p = apart * d2
-        mixed = exp(-slow * d2) * (-expm1(-p) / apart if p else d2)
-        p = nu0_g0 * d2
-        overlap = o_w1 * mixed + w0 * (o_up + o_w2 * (-expm1(-p) / nu0_g0 if p else d2))
-        value = -(tau * phase * overlap / sqrt(n1 * n2)).conjugate()
-        size = abs(value)
-        if size > 1.0 + 1e-9:  # inconsistent norms
-            raise NormalizationError(
-                f"|beta| = {size:.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
-            )
-        return size, value, (abs(tau) if d2 >= d2_star else 1.0)
-
-    return beta
 
 
 def constraint_set(sol: DispersionSolution, d2: float, delta_omega: float = DEFAULT_DELTA_OMEGA) -> ConstraintSet:
@@ -302,11 +213,10 @@ def optimize_d2(
     """Maximize |beta| over the prism gap subject to B >= 1, P <= 1, C >= 1.
 
     Coarse scan on a log-spaced gap grid followed by golden-section
-    refinement.  The scan stops at the first grid point at or past
-    critical coupling whose |tau| + CEILING_MARGIN lies below the best
-    |beta| so far: |beta| <= |tau| and |tau| only falls from there, so no
-    later point can win and the result is that of the full scan, bit for
-    bit.  The points are computed one at a time, so d2_steps sizes no
+    refinement.  The scan stops at the first grid point whose ceiling
+    (modes.beta_of_gap: |tau| + CEILING_MARGIN at or past critical
+    coupling) lies below the best |beta| so far: no later point can win,
+    and the result is that of the full scan, bit for bit.  The points are computed one at a time, so d2_steps sizes no
     list.  A NormalizationError or SingularSystemError that beta would
     raise at a gap past the stop is not raised.  Returns None when no gap
     satisfies the constraints (the subtracted regions of the coupling
@@ -328,7 +238,7 @@ def optimize_d2(
     if not _bandwidth_at_least_one(sol, config.delta_omega):
         return None
 
-    beta = _beta_of_gap(sol, theta, config.eps_prism)
+    beta = modes.beta_of_gap(sol, theta, config.eps_prism)
     n = config.d2_steps
     ratio = d2_hi / d2_lo
 
@@ -342,7 +252,7 @@ def optimize_d2(
         v, z, ceiling = beta(grid(i))
         if v > best_v:
             best_i, best_v, best_beta = i, v, z
-        elif ceiling + CEILING_MARGIN < best_v:  # no later gap can win
+        elif ceiling < best_v:  # no later gap can win
             break
 
     a = grid(max(best_i - 1, 0))

@@ -409,8 +409,8 @@ def coupling_angle(omega: float, k: float, eps_prism: float) -> float:
     """
     if not 1.0 < eps_prism < math.inf:
         raise ValueError(f"eps_prism must be finite and exceed 1, got {eps_prism!r}")
-    if not (omega > 0.0 and k > 0.0):
-        raise ValueError("omega and k must be positive")
+    if not (0.0 < omega < math.inf and 0.0 < k < math.inf):
+        raise ValueError("omega and k must be positive and finite")
     s = C_LIGHT * k / (omega * math.sqrt(eps_prism))
     if s > 1.0:
         raise NoMatchingAngle(

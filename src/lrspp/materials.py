@@ -30,11 +30,11 @@ class DielectricModel:
 
     Attributes (each finite; NaN or +/-inf is a ValueError naming it):
         plasma_frequency: bulk plasma frequency wp (rad/s), > 0, with
-            wp^2 finite (wp below about 1.34e154) and, for c_r >= 0, the
-            square of w_sp = wp/sqrt(1 + sqrt(1 + c_r)) above 0 (else a
-            ValueError names plasma_frequency and real_correction_coeff)
+            wp^2 finite (wp below about 1.34e154) and the square of
+            w_sp = wp/sqrt(1 + sqrt(1 + c_r)) above 0 (else a ValueError
+            names plasma_frequency and real_correction_coeff)
         damping_rate: electron collision rate Gamma (rad/s), >= 0
-        real_correction_coeff: coefficient c_r of the w^2/wp^2 real correction
+        real_correction_coeff: coefficient c_r of the w^2/wp^2 real correction, >= 0
         imag_correction: constant imaginary offset de_i, >= 0
     """
 
@@ -48,19 +48,19 @@ class DielectricModel:
         for name, ok, rule in (
             ("plasma_frequency", 0.0 < wp and wp * wp < math.inf, "must be positive and its square finite"),
             ("damping_rate", 0.0 <= self.damping_rate < math.inf, "must be non-negative and finite"),
-            ("real_correction_coeff", abs(self.real_correction_coeff) < math.inf, "must be finite"),
+            ("real_correction_coeff", 0.0 <= self.real_correction_coeff < math.inf, "must be non-negative and finite"),
             ("imag_correction", 0.0 <= self.imag_correction < math.inf, "must be non-negative and finite"),
         ):
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
         cr = self.real_correction_coeff
-        if cr >= 0.0 and not _closed_form_wsp(wp, cr) > _OMEGA_SQUARE_UNDERFLOW:
+        if not _closed_form_wsp(wp, cr) > _OMEGA_SQUARE_UNDERFLOW:
             raise ValueError("plasma_frequency and real_correction_coeff: the surface-plasma frequency "
                              f"wp/sqrt(1 + sqrt(1 + c_r)) has a square that underflows to 0, got {wp!r} and {cr!r}")
 
 
 def _closed_form_wsp(wp: float, cr: float) -> float:
-    """wp/sqrt(1 + sqrt(1 + c_r)), the root of eps_lossless = -1 for c_r >= 0."""
+    """wp/sqrt(1 + sqrt(1 + c_r)), the root of eps_lossless = -1."""
     return wp / math.sqrt(1.0 + math.sqrt(1.0 + cr))
 
 
@@ -136,8 +136,6 @@ def surface_plasma_frequency(model: DielectricModel) -> float:
     """
     wp = model.plasma_frequency
     cr = model.real_correction_coeff
-    if cr < 0.0:
-        raise ValueError("real_correction_coeff must be non-negative")
     w = _closed_form_wsp(wp, cr)
     if cr == 0.0:
         return w

@@ -16,6 +16,10 @@ and ``at(z)`` gives (ex, ez) from one exponential per term.  Norms and
 overlaps sum term-pair integrals over each pair of overlapping regions,
 each the pair's product at the segment end where it is largest times one
 closed form, _segment_integral, so no quadrature enters the computation.
+
+The conversion amplitude beta of a bound point, as a function of the gap
+(beta_of_gap), is the overlap of the strip mode with the field the stack
+transmits, times the reflection-dip amplitude tau of the stack.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 from .constants import C_LIGHT
 from .dispersion import DispersionSolution
-from .errors import LrsppError, SingularSystemError
+from .errors import LrsppError, NormalizationError, SingularSystemError
 from .materials import DielectricModel, eps_lossless, eps_lossy
 
 _INF = math.inf
@@ -181,7 +185,7 @@ def _upper_stack(omega: float, theta: float, d1: float, eps_prism: float, model:
     woc = omega / C_LIGHT
     kx = math.sqrt(eps_prism) * woc * math.sin(theta)
     g0_sq = kx * kx - woc * woc
-    if g0_sq <= 0.0:
+    if not g0_sq > 0.0:
         raise ValueError("theta below the critical angle: gap field not evanescent")
     gamma_0 = math.sqrt(g0_sq)
     em = eps_lossy(model, omega)
@@ -250,6 +254,95 @@ def _upper_profile(st: _UpperStack, d1: float, scale: complex) -> PiecewiseExpPr
     )
     top = Region(d1, _INF, (_term(st.kx, st.u_m * scale, -st.gamma_0, d1),))
     return PiecewiseExpProfile(regions=(metal, top), kx=st.kx)
+
+
+#: Margin of the ceiling of beta_of_gap: far above the absolute resolution
+#: of |tau| = sqrt(max(0, 1 - |r|^2)), about 1.5e-8, and the rounding of |beta|.
+CEILING_MARGIN = 1e-6
+
+
+def beta_of_gap(sol: DispersionSolution, theta: float, eps_prism: float):
+    """(|beta|, beta, ceiling) as a function of the gap d2 at a fixed
+    dispersion solution and its matching angle theta: the one beta formula
+    of the library.  The ceiling bounds |beta| at d2 and at every larger
+    gap: |tau(d2)| + CEILING_MARGIN once d2 >= d2* (critical coupling,
+    where |tau| peaks), else inf.
+
+    beta = -(tau * overlap)*, with overlap the integral of
+    [phi / sqrt(N1)]* . [psi / sqrt(N2)] over z in [-d2, inf): the strip
+    mode phi against the transmitted field psi, both norms over the same
+    domain, so the overlap is bounded by 1 and |beta| <= |tau|.  |tau|
+    falls for every d2 >= d2* = ln|k2/a1| / (2 g0), where the gap field
+    at the metal is a1 exp(-g0 z) + k2 exp(g0 z): with u = exp(-2 g0 d2),
+    v = (k2/a1) u, g = 1/g0 and the prism admittance q purely imaginary,
+    the prism match gives r = ((q-g) v + (q+g)) / ((q+g) v + (q-g)), so
+    1 - |r|^2 = K u / (a u^2 - 2 b u + c) with constant K, a, b, c, which
+    rises with u up to |a1/k2| and falls above it; u falls as d2 grows and
+    is at most |a1/k2| from d2* on.  CEILING_MARGIN covers tau's rounding.
+
+    Only the prism match and the [-d2, 0] part of the integrals depend on d2:
+    the strip mode, the stack above z = 0 and the [0, inf) parts of N1, N2
+    and the overlap are computed once here, with the transmitted field
+    normalised at the metal's lower face.  Per gap the field is normalised
+    at the prism (_prism_match): w0 = exp(-g0 d2) times that field
+    above z = 0, and a1 exp(-g0 (z + d2)) (1, i kx/g0) +
+    k2 w0 exp(g0 z) (1, -i kx/g0) in the gap, where the strip mode is
+    exp(nu_0 z) (1, -i k/nu_0).  Each gap integral is the product of two
+    terms at the face where it is largest times _segment_integral,
+    so no amplitude or integral overflows for any d1 and finite d2.  All
+    four gap rates are real, and the closure writes that case of the
+    segment integral out in place.  The field for unit incidence is c
+    times this one, so the normalized overlap gains the phase c/|c| that
+    _prism_match returns.  beta(d2) raises NormalizationError when |beta|
+    exceeds 1 beyond roundoff (inconsistent norms).
+    """
+    phi = lrspp_profile(sol)
+    st = _upper_stack(sol.omega, theta, sol.d1, eps_prism, sol.model)
+    psi = _upper_profile(st, sol.d1, 1.0)
+    n1_up = profile_norm(phi, 0.0, _INF)
+    n2_up = profile_norm(psi, 0.0, _INF)
+    o_up = overlap_integral(phi, psi, 0.0, _INF)
+
+    nu0, g0, a1, k2 = sol.nu_0, st.gamma_0, st.a1, st.k2
+    k_nu, kx_g = sol.k / nu0, st.kx / g0
+    # Weights of the gap integrals: dot products of the vector amplitudes.
+    n1_w = 1.0 + k_nu * k_nu
+    n2_w1 = (1.0 + kx_g * kx_g) * abs(a1) ** 2
+    n2_w2 = (1.0 + kx_g * kx_g) * abs(k2) ** 2
+    n2_cross_w = 2.0 * (1.0 - kx_g * kx_g) * (a1.conjugate() * k2).real
+    o_w1 = (1.0 - k_nu * kx_g) * a1
+    o_w2 = (1.0 + k_nu * kx_g) * k2
+    # exp(nu0 z) exp(-g0 (z + d2)) is largest at the face of the slower rate.
+    slow, apart = min(nu0, g0), abs(nu0 - g0)
+    # The rates of the four gap integrals, and the calls of the closure, as locals.
+    two_g0, two_nu0, nu0_g0 = 2.0 * g0, 2.0 * nu0, nu0 + g0
+    exp, expm1, sqrt, prism_match = math.exp, math.expm1, math.sqrt, _prism_match
+    # Critical coupling: |tau| falls for every d2 >= d2*.  Where a1 or k2 is
+    # 0, no gap is taken to be past it (d2* = inf: the scan runs in full).
+    d2_star = (math.log(abs(k2)) - math.log(abs(a1))) / two_g0 if a1 and k2 else _INF
+
+    def beta(d2: float) -> tuple[float, complex, float]:
+        w0, _, phase, _, tau = prism_match(st, d2)
+        # Each "-expm1(-p) / rate if p else d2", p = rate d2, is
+        # _segment_integral(rate, d2) for a real rate, bit for bit.
+        p = two_g0 * d2
+        g0_int = -expm1(-p) / two_g0 if p else d2
+        p = two_nu0 * d2
+        n1 = n1_up + n1_w * (-expm1(-p) / two_nu0 if p else d2)
+        n2 = n2_w1 * g0_int + w0 * w0 * (n2_up + n2_w2 * g0_int + n2_cross_w * d2)
+        p = apart * d2
+        mixed = exp(-slow * d2) * (-expm1(-p) / apart if p else d2)
+        p = nu0_g0 * d2
+        overlap = o_w1 * mixed + w0 * (o_up + o_w2 * (-expm1(-p) / nu0_g0 if p else d2))
+        value = -(tau * phase * overlap / sqrt(n1 * n2)).conjugate()
+        size = abs(value)
+        if size > 1.0 + 1e-9:  # inconsistent norms
+            raise NormalizationError(
+                f"|beta| = {size:.12f} > 1 at omega={sol.omega:.6g}, d1={sol.d1:.4g}, d2={d2:.4g}"
+            )
+        return size, value, (abs(tau) + CEILING_MARGIN if d2 >= d2_star else _INF)
+
+    return beta
 
 
 def _segment_pairs(f: PiecewiseExpProfile, g: PiecewiseExpProfile, lo: float, hi: float):

@@ -38,12 +38,14 @@ def _norm_sq(overlap: float, cos_phi: float) -> float:
 
 @dataclass(frozen=True)
 class CatState:
-    """Equal-amplitude coherent superposition with relative phase phi."""
+    """Equal-amplitude coherent superposition with a finite relative phase phi."""
 
     alpha: float
     phi: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.phi):
+            raise ValueError(f"cat phase phi must be finite, got {self.phi!r}")
         self.normalization()
 
     def normalization(self) -> float:

@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -66,7 +68,7 @@ def beta_generic_oracle(sol, d2, eps_prism=1.51):
 
 def beta_segment_integral_form(sol, theta, eps_prism):
     """The gap closure with every gap integral a modes._segment_integral
-    call and the phase c/|c| taken from c, as _beta_of_gap computed it
+    call and the phase c/|c| taken from c, as beta_of_gap computed it
     before it wrote the real-rate integrals out: it must give the same
     bits, and the same errors."""
     phi = lrspp_profile(sol)
@@ -105,7 +107,7 @@ def beta_segment_integral_form(sol, theta, eps_prism):
 
 
 def written_out_segment(rate, length):
-    """The real-rate segment integral as _beta_of_gap writes it out."""
+    """The real-rate segment integral as beta_of_gap writes it out."""
     p = rate * length
     return -math.expm1(-p) / rate if p else length
 
@@ -127,7 +129,7 @@ def optimize_d2_full_scan(branch, omega, d1, config, model=SILVER):
     if not coupling._bandwidth_at_least_one(sol, config.delta_omega):
         return None
 
-    beta = coupling._beta_of_gap(sol, theta, config.eps_prism)
+    beta = modes.beta_of_gap(sol, theta, config.eps_prism)
     n = config.d2_steps
     ratio = d2_hi / d2_lo
     best_i, best_v, best_beta = 0, -1.0, None
@@ -187,7 +189,7 @@ def _bits(call, *args):
 @example(rate=1e-300, length=1.7e308)
 def test_written_out_segment_integral_is_the_segment_integral(rate, length):
     """Over the whole range of a real rate >= 0 and a positive finite
-    length, the written-out form in _beta_of_gap gives the bits of
+    length, the written-out form in beta_of_gap gives the bits of
     modes._segment_integral."""
     assert written_out_segment(rate, length).hex() == modes._segment_integral(rate, length).hex()
 
@@ -201,7 +203,7 @@ def test_written_out_segment_integral_is_the_segment_integral(rate, length):
     eps_prism=st.floats(min_value=1.01, max_value=20.0),
 )
 def test_gap_closure_has_the_bits_of_the_segment_integral_form(branch, frac, d1, d2, eps_prism):
-    """beta(d2) of _beta_of_gap has the bits of beta_segment_integral_form at any
+    """beta(d2) of beta_of_gap has the bits of beta_segment_integral_form at any
     bound-band frequency, strip from 1 nm to 1 mm, gap from 1 nm to 1 m
     and prism permittivity from 1.01 to 20; where one raises, the other
     raises the same error.  A frequency whose square underflows has no
@@ -217,7 +219,7 @@ def test_gap_closure_has_the_bits_of_the_segment_integral_form(branch, frac, d1,
         return build(sol, theta, eps_prism)(d2)
 
     def closure_beta(*args):  # the beta part of the closure's (|beta|, beta, ceiling)
-        gap = coupling._beta_of_gap(*args)
+        gap = modes.beta_of_gap(*args)
         return lambda d2: gap(d2)[1]
 
     assert _bits(value, closure_beta) == _bits(value, beta_segment_integral_form)
@@ -495,13 +497,13 @@ class TestOptimizeD2:
         of the gap grid, once per golden point and once at the refined
         midpoint, and no more: where the midpoint is worse than the best
         grid point, that point's beta is the scan's.  The scan stops at the
-        first point whose ceiling plus CEILING_MARGIN is below the best
+        first point whose ceiling is below the best
         |beta| so far, and every grid point after it, evaluated here, is
         below the scan's best.  With d2_steps=2 the grid is the two ends of
         the gap window, and the third evaluation is the first golden point
         of the refine over the whole window."""
         calls = []
-        beta_of_gap = coupling._beta_of_gap
+        beta_of_gap = modes.beta_of_gap
 
         def counted(*args):
             beta = beta_of_gap(*args)
@@ -513,7 +515,7 @@ class TestOptimizeD2:
 
             return value
 
-        monkeypatch.setattr(coupling, "_beta_of_gap", counted)
+        monkeypatch.setattr(modes, "beta_of_gap", counted)
         config = OptimizeConfig(d2_steps=steps)
         pt = optimize_d2(branch, w, d1, config)
         assert pt is not None
@@ -525,7 +527,7 @@ class TestOptimizeD2:
         for i in range(1, steps):
             if values[i] > values[best]:  # the first of equal maxima
                 best = i
-            elif calls[i][2] + coupling.CEILING_MARGIN < values[best]:
+            elif calls[i][2] < values[best]:
                 m = i + 1
                 break
         # The golden-section refine, replayed on the values recorded for it.
@@ -622,7 +624,7 @@ def test_early_stop_matches_the_full_scan(branch, frac, d1, d2_min, log_ratio, d
     later=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=16),
 )
 def test_ceiling_bounds_every_larger_gap(branch, frac, d1, eps_prism, start, later):
-    """For every d2' >= d2, |beta(d2')| <= ceiling(d2) + CEILING_MARGIN, over
+    """For every d2' >= d2, |beta(d2')| <= ceiling(d2), over
     the whole band, strips of 1 nm to 1 mm and prism permittivities of 1.01
     to 20.  The gaps are drawn around critical coupling d2* =
     ln|k2/a1| / (2 gamma_0), in units of 1 / (2 gamma_0): d2 from 10 units
@@ -632,7 +634,7 @@ def test_ceiling_bounds_every_larger_gap(branch, frac, d1, eps_prism, start, lat
         sol = solve_k(branch, omega, d1, SILVER)
         theta = coupling_angle(omega, sol.k, eps_prism)
         stack = modes._upper_stack(omega, theta, d1, eps_prism, SILVER)
-        beta = coupling._beta_of_gap(sol, theta, eps_prism)
+        beta = modes.beta_of_gap(sol, theta, eps_prism)
     except (LrsppError, ValueError):
         return
     unit = 0.5 / stack.gamma_0
@@ -645,7 +647,7 @@ def test_ceiling_bounds_every_larger_gap(branch, frac, d1, eps_prism, start, lat
         sizes = [beta(d2 + t * unit)[0] for t in later]
     except LrsppError:
         return
-    assert all(size <= ceiling + coupling.CEILING_MARGIN for size in sizes)
+    assert all(size <= ceiling for size in sizes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -656,7 +658,7 @@ def test_ceiling_bounds_every_larger_gap(branch, frac, d1, eps_prism, start, lat
     gap=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_gap_objective_matches_beta(branch, frac, d1, gap):
-    """The closed-form beta(d2) of coupling, phase included, is the beta of
+    """The closed-form beta(d2) of modes, phase included, is the beta of
     the generic four-layer route at any bound-band frequency, strip from 5
     nm to 1 mm and gap from the penetration bound 2/nu_0 to 1 m.  Past
     gamma_0 d2 ~ 708 the gap factor exp(-gamma_0 d2) is subnormal, and both
@@ -670,7 +672,7 @@ def test_gap_objective_matches_beta(branch, frac, d1, gap):
             return
         d2 = d2_lo * (1.0 / d2_lo) ** gap
         theta = coupling_angle(omega, sol.k, 1.51)
-        beta = coupling._beta_of_gap(sol, theta, 1.51)(d2)[1]
+        beta = modes.beta_of_gap(sol, theta, 1.51)(d2)[1]
     except LrsppError:
         return
     oracle = beta_generic_oracle(sol, d2)
@@ -724,3 +726,52 @@ class TestOptimizePath:
         upper_d1 = [p.solution.d1 for p in pts[peak:]]
         assert all(a >= b for a, b in zip(upper_d1, upper_d1[1:]))
         assert pts[0].d2 > pts[-1].d2
+
+
+def private_modes_names(source: str) -> list[str]:
+    """The underscore names of lrspp.modes that a module's source imports
+    or reads as attributes of the modes module, under any alias."""
+    tree = ast.parse(source)
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_modes = node.module == "lrspp.modes" or (node.level and node.module == "modes")
+            from_package = node.module == "lrspp" or (node.level and node.module is None)
+            for alias in node.names:
+                if from_modes and alias.name.startswith("_"):
+                    found.append(alias.name)
+                if from_package and alias.name == "modes":
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "lrspp.modes" and alias.asname:
+                    aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                found.append(node.attr)
+            elif ast.unparse(base) == "lrspp.modes":
+                found.append(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("from . import modes\nmodes._upper_stack(1)\nmodes.beta_of_gap(1)", ["_upper_stack"]),
+        ("from .modes import _prism_match, beta_of_gap", ["_prism_match"]),
+        ("from lrspp import modes as m\nx = m._upper_profile", ["_upper_profile"]),
+        ("import lrspp.modes\nlrspp.modes._prism_match", ["_prism_match"]),
+        ("from .dispersion import _window_root\nfrom . import modes\nmodes.beta_of_gap", []),
+    ],
+)
+def test_private_modes_names_finds_each_use(source, names):
+    assert private_modes_names(source) == names
+
+
+def test_coupling_uses_only_public_modes_names():
+    """The stack, its prism match and the beta closure are modes' own:
+    coupling reaches them only through public names."""
+    path = Path(coupling.__file__)
+    assert private_modes_names(path.read_text(encoding="utf-8")) == []

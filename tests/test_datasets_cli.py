@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lrspp
-from lrspp import cli, coupling, datasets, dispersion
+from lrspp import cli, coupling, datasets, dispersion, modes
 from lrspp.config import (
     PARAMS,
     GridSpec,
@@ -850,7 +850,7 @@ class TestCliDatasets:
         grid at seed 0 (2 x 20 omega x 10 d1 x 40 d2) the run takes at most
         4,500 beta evaluations: 3,974 here, 10,244 for the full scans."""
         evaluations = [0]
-        beta_of_gap = coupling._beta_of_gap
+        beta_of_gap = modes.beta_of_gap
 
         def counted(*args):
             beta = beta_of_gap(*args)
@@ -861,7 +861,7 @@ class TestCliDatasets:
 
             return value
 
-        monkeypatch.setattr(coupling, "_beta_of_gap", counted)
+        monkeypatch.setattr(modes, "beta_of_gap", counted)
         code, out, err = run_cli(["optimize", "--branch", "both", "--threads", "1", "--omega-min", "2.2e15",
                                   "--omega-max", "5.2e15", "--omega-steps", "20", "--d1-min-nm", "10.0",
                                   "--d1-max-nm", "100.0", "--d1-steps", "10", "--d2-steps", "40"])

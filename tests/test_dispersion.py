@@ -740,6 +740,6 @@ class TestCouplingAngle:
         for eps_prism in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"^eps_prism must be finite and exceed 1, got {eps_prism!r}$"):
                 coupling_angle(4e15, 1e7, eps_prism)
-        for omega, k in ((math.nan, 1e7), (4e15, math.nan)):
-            with pytest.raises(ValueError, match="^omega and k must be positive$"):
+        for omega, k in ((math.nan, 1e7), (4e15, math.nan), (math.inf, 2e7), (4e15, math.inf)):
+            with pytest.raises(ValueError, match="^omega and k must be positive and finite$"):
                 coupling_angle(omega, k, 1.51)

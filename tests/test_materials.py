@@ -153,6 +153,8 @@ def test_model_validation():
         DielectricModel(plasma_frequency=1e16, damping_rate=-1.0)
     with pytest.raises(ValueError):
         DielectricModel(plasma_frequency=1e16, imag_correction=-0.1)
+    with pytest.raises(ValueError, match="^real_correction_coeff must be non-negative and finite, got -1.0$"):
+        DielectricModel(plasma_frequency=1e16, real_correction_coeff=-1.0)
 
 
 @pytest.mark.parametrize("field", ["plasma_frequency", "damping_rate", "real_correction_coeff", "imag_correction"])

@@ -19,6 +19,7 @@ from lrspp.modes import (
     PiecewiseExpProfile,
     Region,
     _segment_pairs,
+    beta_of_gap,
     four_layer_solve,
     lrspp_profile,
     overlap_integral,
@@ -249,6 +250,18 @@ class TestFourLayer:
     def test_below_critical_angle_rejected(self):
         with pytest.raises(ValueError):
             four_layer_solve(4e15, 0.3, 20e-9, 500e-9, 1.51, SILVER)
+
+    def test_nan_angle_is_a_theta_error(self):
+        """A NaN angle gives no evanescent gap field: the ValueError about
+        theta, from the solve and from beta_of_gap, not an overflow blamed
+        on the metal."""
+        sol = solve_k(BranchId.ANTISYMMETRIC, 4e15, 20e-9, SILVER)
+        for build in (
+            lambda: four_layer_solve(4e15, math.nan, 20e-9, 500e-9, 1.51, SILVER),
+            lambda: beta_of_gap(sol, math.nan, 1.51),
+        ):
+            with pytest.raises(ValueError, match="^theta below the critical angle"):
+                build()
 
     @pytest.mark.parametrize("eps_prism", [math.nan, math.inf, 1.0, 0.5])
     def test_prism_not_above_air_rejected(self, eps_prism):

@@ -233,6 +233,14 @@ def test_nan_kappa0_or_x_is_rejected(call, kappa0, x):
         call(kappa0, x)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_is_rejected(phi):
+    """A phase of NaN or +/-inf is refused when the state is built, not met
+    later as an eigenvalue of nan or a math domain error."""
+    with pytest.raises(ValueError, match=f"^cat phase phi must be finite, got {phi!r}$"):
+        CatState(2.0, phi)
+
+
 class TestKernelEntropy:
     def test_maximal_mixing(self):
         # 2 alpha^2 sin^2 g = 1.4e300: the two halves of the cat are orthogonal
